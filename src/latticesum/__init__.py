@@ -18,7 +18,7 @@ from .model import (
     j0_scale,
     make_k_grid,
 )
-from .specfun import bessel_k, bessel_k_oracle
+from .specfun import bessel_k
 from .direct_sum import (
     BACKEND,
     DirectSumConfig,
@@ -34,6 +34,8 @@ from .ewald import (
     d_intra_ewald,
     d_xy_intra,
     f_constant,
+    inter_tensors,
+    intra_tensors,
     s_inter_partials,
     s_inter_series,
     s_intra_axis,
@@ -45,11 +47,13 @@ from .dispersion import (
     Method,
     ModeSpectrum,
     coupling_from_tensor,
+    couplings,
     j_inter,
     j_intra,
     pair_energies,
     polarization_splitting,
     splitting,
+    stack_matrices,
     stack_matrix,
     symmetric_eigen,
 )

@@ -18,16 +18,14 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
-from .direct_sum import DirectSumConfig, d_tensor_direct, k0_tail_correction
+from .direct_sum import DirectSumConfig, d_tensor_direct
 from .dispersion import (
     Direct,
     Ewald,
     LongWave,
     Method,
-    coupling_from_tensor,
-    j_inter,
-    j_intra,
-    stack_matrix,
+    couplings,
+    stack_matrices,
     symmetric_eigen,
 )
 from .ewald import EwaldConfig, d_inter_ewald
@@ -214,8 +212,8 @@ def _engine(cfg: RunConfig) -> Method:
     if cfg.method == "direct":
         return Direct(cfg.direct_cutoff)
     if cfg.method == "ewald":
-        return Ewald(cfg.ewald)
-    return LongWave()
+        return Ewald(cfg.ewald, cfg.direct_cutoff)
+    return LongWave(cfg.direct_cutoff)
 
 
 def _scale(cfg: RunConfig) -> EnergyScale:
@@ -232,65 +230,35 @@ def _k_list(cfg: RunConfig) -> list[WaveVector]:
     return [WaveVector(ka * math.cos(d), ka * math.sin(d)) for ka in cfg.ka_values]
 
 
-def _corrected_origin_tensor(cutoff: int, layer_offset: int, b_over_a: float):
-    # k = 0 exactly: the series engines refuse the point (non-analytic),
-    # so use the window sum plus its analytic exterior-tail correction.
-    dcfg = DirectSumConfig(cutoff, layer_offset)
-    return d_tensor_direct(WaveVector(0.0, 0.0), dcfg, b_over_a) + k0_tail_correction(
-        dcfg, b_over_a
-    )
+def _spectra(cfg: RunConfig, ks: list[WaveVector], dipole: TransitionDipole, method):
+    """(Jt, Jt' at the nearest separation, stack eigenvalues) at every k.
 
-
-def _couplings_at(cfg: RunConfig, k: WaveVector, dipole: TransitionDipole, method):
-    """(Jt, Jt' at nearest separation, stack eigenvalues) for one k."""
+    One coupling table per plane separation, one batched eigen-solve. Jt'
+    is zero for a single plane.
+    """
     geom = LatticeGeometry(
         cfg.a_angstrom, cfg.b_over_a, n_sites=1, n_planes=cfg.n_planes
     )
-    if k.ka == 0.0 and not isinstance(method, Direct):
-        j = coupling_from_tensor(
-            _corrected_origin_tensor(cfg.direct_cutoff, 0, 1.0), dipole
-        )
-        jps = [
-            coupling_from_tensor(
-                _corrected_origin_tensor(cfg.direct_cutoff, sep, cfg.b_over_a), dipole
-            )
-            for sep in range(1, cfg.n_planes)
-        ]
-        n = cfg.n_planes
-        mat = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            mat[i][i] = j
-        for sep in range(1, n):
-            val = 0.0 if (cfg.nearest_only and sep > 1) else jps[sep - 1]
-            for i in range(n - sep):
-                mat[i][i + sep] = val
-                mat[i + sep][i] = val
-        jp = jps[0] if jps else 0.0
-        return j, jp, symmetric_eigen(mat)
-    j = j_intra(k, dipole, method)
-    jp = (
-        j_inter(k, dipole, cfg.b_over_a, method) if cfg.n_planes > 1 else 0.0
-    )
-    evals = symmetric_eigen(
-        stack_matrix(k, dipole, geom, method, nearest_only=cfg.nearest_only)
-    )
-    return j, jp, evals
+    j, jps, mats = stack_matrices(ks, dipole, geom, method, cfg.nearest_only)
+    return j, (jps[0] if jps else [0.0] * len(ks)), symmetric_eigen(mats)
 
 
 def cmd_sweep_phi(cfg: RunConfig) -> str:
     """J'(phi)/J0 on a closed-open [0, 2 pi) grid, one curve per theta."""
-    method = _engine(cfg)
+    points = [
+        (ka, 2.0 * math.pi * i / cfg.phi_points)
+        for ka in cfg.ka_values
+        for i in range(cfg.phi_points)
+    ]
+    ks = [WaveVector(ka * math.cos(phi), ka * math.sin(phi)) for ka, phi in points]
+    tensors = _engine(cfg).inter(ks, cfg.b_over_a)
     rows = []
     for theta in cfg.theta:
-        dip = dipole_from_theta(theta, cfg.mu_e_angstrom)
-        for ka in cfg.ka_values:
-            for i in range(cfg.phi_points):
-                phi = 2.0 * math.pi * i / cfg.phi_points
-                kv = WaveVector(ka * math.cos(phi), ka * math.sin(phi))
-                jp = j_inter(kv, dip, cfg.b_over_a, method)
-                rows.append(
-                    [_fmt(theta), _fmt(phi), _fmt(ka), _fmt(cfg.b_over_a), _fmt(jp)]
-                )
+        jps = couplings(tensors, dipole_from_theta(theta, cfg.mu_e_angstrom))
+        for (ka, phi), jp in zip(points, jps):
+            rows.append(
+                [_fmt(theta), _fmt(phi), _fmt(ka), _fmt(cfg.b_over_a), _fmt(jp)]
+            )
     _write_csv(cfg.output_path, "theta,phi,ka,b_over_a,jprime_over_j0", rows)
     return cfg.output_path
 
@@ -304,10 +272,11 @@ def cmd_dispersion(cfg: RunConfig) -> str:
     method = _engine(cfg)
     scale = _scale(cfg)
     dip = dipole_from_theta(cfg.theta[0], cfg.mu_e_angstrom)
+    ks = _k_list(cfg)
+    js, jps, evals = _spectra(cfg, ks, dip, method)
     rows = []
-    for k in _k_list(cfg):
-        j, jp, evals = _couplings_at(cfg, k, dip, method)
-        for idx, lam in enumerate(evals):
+    for k, j, jp, lams in zip(ks, js, jps, evals):
+        for idx, lam in enumerate(lams):
             rows.append(
                 [
                     _fmt(k.kxa),
@@ -380,10 +349,11 @@ def cmd_stack(cfg: RunConfig) -> str:
         raise ConfigError(f"n_planes: stack needs at least 2 planes, got {cfg.n_planes}")
     method = _engine(cfg)
     dip = dipole_from_theta(cfg.theta[0], cfg.mu_e_angstrom)
+    ks = _k_list(cfg)
+    _js, _jps, evals = _spectra(cfg, ks, dip, method)
     rows = []
-    for k in _k_list(cfg):
-        _j, _jp, evals = _couplings_at(cfg, k, dip, method)
-        for idx, lam in enumerate(evals):
+    for k, lams in zip(ks, evals):
+        for idx, lam in enumerate(lams):
             rows.append([_fmt(k.kxa), _fmt(k.kya), str(idx), _fmt(lam)])
     _write_csv(cfg.output_path, "kxa,kya,mode_index,energy_over_j0", rows)
     return cfg.output_path
@@ -427,6 +397,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, ArithmeticError) as exc:
+        # an accepted config the numerics cannot serve (a reciprocal-lattice
+        # k, an unconverged series): one line, no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(path)
     return 0
 

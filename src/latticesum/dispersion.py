@@ -1,10 +1,13 @@
 """Exciton couplings and stack spectra built on the tensor engines.
 
-Contracts the transition dipole with the in-plane and inter-plane tensors
-to get J(k) and J'(k) in units of J0, assembles N-plane stack matrices,
-and diagonalizes them with an in-house cyclic Jacobi solver (the matrices
-are tiny, n <= 64, and trace/Frobenius invariants make the solver testable
-without pulling in an external eigensolver).
+Each engine (:class:`Direct`, :class:`Ewald`, :class:`LongWave`) returns
+the in-plane and inter-plane tensors of a whole list of k as (K, 3, 3)
+stacks through its ``intra(ks)`` and ``inter(ks, b_over_a)`` methods.
+Contracting them with the transition dipole gives J(k) and J'(k) in units
+of J0; N-plane stack matrices are assembled from one coupling table per
+plane separation and diagonalized in one batched LAPACK call
+(``np.linalg.eigvalsh``). The single-k functions (``j_intra``,
+``stack_matrix``, ...) are slices of the batched ones.
 
 Sign conventions: the symmetric two-plane mode carries +J', so the pair
 energies are E_A + J0 (Jt +- Jt') and the splitting is 2 |Jt'|.
@@ -12,19 +15,18 @@ energies are E_A + J0 (Jt +- Jt') and the splitting is 2 |Jt'|.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .direct_sum import DirectSumConfig, d_tensor_direct
+from .direct_sum import DirectSumConfig, d_tensor_direct, k0_tail_correction
 from .ewald import (
     EwaldConfig,
-    d_inter_ewald,
-    d_inter_longwave,
-    d_intra_ewald,
     f_constant,
+    inter_longwave_tensors,
+    inter_tensors,
+    intra_tensors,
 )
 from .model import (
     CouplingTensor,
@@ -40,39 +42,104 @@ __all__ = [
     "LongWave",
     "Method",
     "ModeSpectrum",
+    "origin_tensor",
+    "couplings",
     "coupling_from_tensor",
     "j_intra",
     "j_inter",
     "pair_energies",
     "splitting",
     "polarization_splitting",
+    "stack_matrices",
     "stack_matrix",
     "symmetric_eigen",
 ]
 
 _IMAG_TOL = 1e-12
-_JACOBI_STOP = 1e-13
-_MAX_JACOBI_SIZE = 64
+
+
+def origin_tensor(cutoff: int, layer_offset: int, b_over_a: float) -> CouplingTensor:
+    """Tensor at k = 0 exactly: the window sum plus its analytic exterior tail."""
+    cfg = DirectSumConfig(cutoff, layer_offset)
+    return d_tensor_direct(WaveVector(0.0, 0.0), cfg, b_over_a) + k0_tail_correction(
+        cfg, b_over_a
+    )
 
 
 @dataclass(frozen=True)
 class Direct:
-    """Brute-force window engine."""
+    """Brute-force window engine: one window sum per k and separation."""
 
     cutoff: int = 500
 
+    def intra(self, ks) -> np.ndarray:
+        """In-plane tensors at every k of ``ks``, a (K, 3, 3) stack."""
+        return self._windows(ks, 0, 1.0)
+
+    def inter(self, ks, b_over_a: float) -> np.ndarray:
+        """Tensors to the plane b_over_a away at every k, a (K, 3, 3) stack."""
+        return self._windows(ks, 1, b_over_a)
+
+    def _windows(self, ks, layer_offset: int, b_over_a: float) -> np.ndarray:
+        cfg = DirectSumConfig(self.cutoff, layer_offset)
+        tensors = [d_tensor_direct(k, cfg, b_over_a).entries for k in ks]
+        return np.array(tensors, dtype=complex).reshape(-1, 3, 3)
+
+
+class _Series:
+    """Engines whose closed forms or series miss k = 0 exactly, which is
+    non-analytic: that point takes the window sum of half-width
+    ``origin_cutoff`` plus its k = 0 tail correction instead."""
+
+    def intra(self, ks) -> np.ndarray:
+        """In-plane tensors at every k of ``ks``, a (K, 3, 3) stack."""
+        return self._or_origin(self._intra, ks, 0, 1.0)
+
+    def inter(self, ks, b_over_a: float) -> np.ndarray:
+        """Tensors to the plane b_over_a away at every k, a (K, 3, 3) stack."""
+        return self._or_origin(
+            lambda part: self._inter(part, b_over_a), ks, 1, b_over_a
+        )
+
+    def _or_origin(self, series, ks, layer_offset: int, b_over_a: float) -> np.ndarray:
+        ks = list(ks)
+        at_origin = np.array([k.kxa == 0.0 and k.kya == 0.0 for k in ks], dtype=bool)
+        out = np.empty((len(ks), 3, 3), dtype=complex)
+        if not at_origin.all():
+            out[~at_origin] = series([k for k, z in zip(ks, at_origin) if not z])
+        if at_origin.any():
+            window = origin_tensor(self.origin_cutoff, layer_offset, b_over_a)
+            out[at_origin] = window.entries
+        return out
+
 
 @dataclass(frozen=True)
-class Ewald:
+class Ewald(_Series):
     """Accelerated-series engine."""
 
     config: EwaldConfig = EwaldConfig()
+    origin_cutoff: int = 500
+
+    def _intra(self, ks):
+        return intra_tensors(ks, self.config)
+
+    def _inter(self, ks, b_over_a):
+        return inter_tensors(ks, b_over_a, self.config)
 
 
 @dataclass(frozen=True)
-class LongWave:
+class LongWave(_Series):
     """Closed forms valid for ka << 1: constant in-plane tensor
     diag(-F, -F, 2F) and the single-term inter-plane forms."""
+
+    origin_cutoff: int = 500
+
+    def _intra(self, ks):
+        f = f_constant()
+        return np.broadcast_to(np.diag([-f, -f, 2.0 * f]), (len(ks), 3, 3))
+
+    def _inter(self, ks, b_over_a):
+        return inter_longwave_tensors(ks, b_over_a)
 
 
 Method = Union[Direct, Ewald, LongWave]
@@ -94,42 +161,28 @@ class ModeSpectrum:
                 raise ValueError("energies must be sorted ascending")
 
 
-def coupling_from_tensor(tensor: CouplingTensor, dipole: TransitionDipole) -> float:
-    """sum_ij m_i m_j Dt_ij; real for a Hermitian tensor and real m.
+def couplings(tensors, dipole: TransitionDipole) -> np.ndarray:
+    """sum_ij m_i m_j Dt_ij for every tensor of a (K, 3, 3) stack, as (K,).
 
-    The imaginary residual is asserted below 1e-12 and then discarded.
+    Real for Hermitian tensors and real m: the imaginary residual is
+    asserted below 1e-12 and then discarded.
     """
     m = np.asarray(dipole.direction)
-    val = complex(m @ tensor.entries @ m)
-    if abs(val.imag) > _IMAG_TOL:
-        raise ArithmeticError(f"contraction has imaginary residual {val.imag:.3e}")
-    return val.real
+    vals = (m @ np.asarray(tensors)) @ m
+    resid = float(np.max(np.abs(vals.imag), initial=0.0))
+    if resid > _IMAG_TOL:
+        raise ArithmeticError(f"contraction has imaginary residual {resid:.3e}")
+    return vals.real
 
 
-def _intra_tensor(k: WaveVector, method: Method) -> CouplingTensor:
-    if isinstance(method, Direct):
-        return d_tensor_direct(k, DirectSumConfig(method.cutoff, 0), 1.0)
-    if isinstance(method, Ewald):
-        return d_intra_ewald(k, method.config)
-    if isinstance(method, LongWave):
-        f = f_constant()
-        return CouplingTensor(np.diag([-f, -f, 2.0 * f]).astype(complex))
-    raise TypeError(f"unknown engine {method!r}")
-
-
-def _inter_tensor(k: WaveVector, b_over_a: float, method: Method) -> CouplingTensor:
-    if isinstance(method, Direct):
-        return d_tensor_direct(k, DirectSumConfig(method.cutoff, 1), b_over_a)
-    if isinstance(method, Ewald):
-        return d_inter_ewald(k, b_over_a, method.config)
-    if isinstance(method, LongWave):
-        return d_inter_longwave(k, b_over_a)
-    raise TypeError(f"unknown engine {method!r}")
+def coupling_from_tensor(tensor: CouplingTensor, dipole: TransitionDipole) -> float:
+    """sum_ij m_i m_j Dt_ij for one tensor; see :func:`couplings`."""
+    return float(couplings(tensor.entries[None], dipole)[0])
 
 
 def j_intra(k: WaveVector, dipole: TransitionDipole, method: Method) -> float:
     """In-plane coupling Jt(k) in units of J0."""
-    return coupling_from_tensor(_intra_tensor(k, method), dipole)
+    return float(couplings(method.intra([k]), dipole)[0])
 
 
 def j_inter(
@@ -142,7 +195,7 @@ def j_inter(
     the xz, yz components are purely imaginary and the contraction keeps
     2 Re of them.
     """
-    return coupling_from_tensor(_inter_tensor(k, b_over_a, method), dipole)
+    return float(couplings(method.inter([k], b_over_a), dipole)[0])
 
 
 def pair_energies(
@@ -178,6 +231,39 @@ def polarization_splitting(f: float) -> float:
     return 3.0 * f
 
 
+def stack_matrices(
+    ks,
+    dipole: TransitionDipole,
+    geometry: LatticeGeometry,
+    method: Method,
+    nearest_only: bool = False,
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Coupling tables and N-plane stack matrices over ``ks``, in J0 units.
+
+    Returns Jt at every k, shape (K,); one (K,) table of Jt' per plane
+    separation s b that the stack needs, s = 1 .. N-1 (only s = 1 with
+    nearest_only); and the (K, N, N) matrices, diagonal relative to E_A,
+    with Jt' at separation |alpha - beta| b in entry (alpha, beta) and
+    zero beyond the tables. Each tensor is evaluated once per k and
+    separation; the inter-plane engine is reused with a scaled separation,
+    because the Hamiltonian is pairwise and nothing else enters.
+    """
+    n = geometry.n_planes
+    j = couplings(method.intra(ks), dipole)
+    last = min(n - 1, 1) if nearest_only else n - 1
+    jps = [
+        couplings(method.inter(ks, sep * geometry.b_over_a), dipole)
+        for sep in range(1, last + 1)
+    ]
+    mats = np.zeros((len(j), n, n))
+    idx = np.arange(n)
+    mats[:, idx, idx] = j[:, None]
+    for sep, jp in enumerate(jps, start=1):
+        mats[:, idx[:-sep], idx[sep:]] = jp[:, None]
+        mats[:, idx[sep:], idx[:-sep]] = jp[:, None]
+    return j, jps, mats
+
+
 def stack_matrix(
     k: WaveVector,
     dipole: TransitionDipole,
@@ -185,86 +271,25 @@ def stack_matrix(
     method: Method,
     nearest_only: bool = False,
 ) -> np.ndarray:
-    """N-plane coupling matrix in J0 units, diagonal relative to E_A.
-
-    Entry (alpha, beta) is Jt' evaluated at separation |alpha - beta| b,
-    reusing the two-plane engine with a scaled separation (the Hamiltonian
-    is pairwise, so nothing else enters); nearest_only zeroes everything
-    beyond adjacent planes.
-    """
-    n = geometry.n_planes
-    mat = np.zeros((n, n))
-    diag = j_intra(k, dipole, method)
-    for i in range(n):
-        mat[i, i] = diag
-    for sep in range(1, n):
-        if nearest_only and sep > 1:
-            break
-        val = j_inter(k, dipole, sep * geometry.b_over_a, method)
-        for i in range(n - sep):
-            mat[i, i + sep] = val
-            mat[i + sep, i] = val
-    return mat
+    """N-plane coupling matrix at one k; see :func:`stack_matrices`."""
+    return stack_matrices([k], dipole, geometry, method, nearest_only)[2][0]
 
 
 def symmetric_eigen(matrix) -> np.ndarray:
-    """Eigenvalues of a small real symmetric matrix, ascending.
+    """Eigenvalues of real symmetric matrices, ascending.
 
-    Cyclic Jacobi rotations; sweeps stop once the off-diagonal Frobenius
-    norm drops below 1e-13 of the full norm, comfortably inside the
-    1e-12 guarantee. Input asymmetry beyond 1e-10 is rejected.
+    Takes one (n, n) matrix or a (..., n, n) stack and returns (n,) or
+    (..., n) from one LAPACK call (``np.linalg.eigvalsh``). Non-finite
+    input and asymmetry beyond 1e-10 are rejected; the remaining
+    asymmetry is averaged out before the solve.
     """
     a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n > _MAX_JACOBI_SIZE:
-        raise ValueError(f"solver is sized for n <= {_MAX_JACOBI_SIZE}, got {n}")
-    asym = np.max(np.abs(a - a.T)) if n > 1 else 0.0
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    at = np.swapaxes(a, -1, -2)
+    asym = float(np.max(np.abs(a - at), initial=0.0))
     if asym > 1e-10:
         raise ValueError(f"matrix is not symmetric: residual {asym:.3e}")
-    a = 0.5 * (a + a.T)
-    norm = math.sqrt(float(np.sum(a * a)))
-    if norm == 0.0 or n == 1:
-        return np.sort(np.diag(a))
-
-    def offnorm():
-        # summed directly over off-diagonal entries: the difference
-        # ||A||_F^2 - sum(diag^2) cancels catastrophically and would put
-        # a sqrt(eps)-scale floor under the stopping test
-        off = a - np.diag(np.diag(a))
-        return math.sqrt(float(np.sum(off * off)))
-
-    for _sweep in range(100):
-        if offnorm() <= _JACOBI_STOP * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                h = a[q, q] - a[p, p]
-                if abs(h) > 1e150 * abs(apq):
-                    # theta would overflow; asymptotically t = 1/(2 theta)
-                    t = apq / h
-                else:
-                    theta = 0.5 * h / apq
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-        # the two-sided update leaves eps-scale asymmetry behind; purge it
-        # so the rotations (which read the upper triangle) see all of it
-        a = 0.5 * (a + a.T)
-    else:
-        raise RuntimeError("Jacobi sweeps failed to converge")
-    return np.sort(np.diag(a))
+    return np.linalg.eigvalsh(0.5 * (a + at))

@@ -23,9 +23,12 @@ __all__ = [
     "WaveVector",
     "CouplingTensor",
     "EnergyScale",
+    "check_tensors",
+    "tensors_from_components",
     "dipole_from_theta",
     "j0_scale",
     "make_k_grid",
+    "k_array",
 ]
 
 # e^2/(4 pi eps0) expressed in eV * Angstrom, built from CODATA constants
@@ -100,13 +103,50 @@ class WaveVector:
         return WaveVector(-self.kxa, -self.kya)
 
 
+def check_tensors(m) -> np.ndarray:
+    """Validate a (..., 3, 3) stack of coupling tensors; return it as complex.
+
+    The dipole dyadic delta_ij/r^3 - 3 r_i r_j / r^5 is traceless term by
+    term, so any lattice sum of it must be traceless too; every matrix of
+    the stack must be Hermitian and traceless to within 1e-10.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-2:] != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
+    if m.size == 0:
+        return m
+    herm = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))))
+    if herm > _HERMITICITY_TOL:
+        raise ValueError(f"tensor is not Hermitian: residual {herm:.3e}")
+    tr = np.max(np.abs(m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2]))
+    if tr > _TRACE_TOL:
+        raise ValueError(f"tensor is not traceless: |trace| = {tr:.3e}")
+    return m
+
+
+def tensors_from_components(xx, yy, zz, xy, xz, yz) -> np.ndarray:
+    """Checked (..., 3, 3) Hermitian stack from the six independent sums.
+
+    The arguments broadcast against each other. The lower triangle is the
+    conjugate of the upper one by convention, so off-diagonal sums that
+    come out purely imaginary (the xz and yz inter-plane components) still
+    yield Hermitian matrices.
+    """
+    xx, yy, zz, xy, xz, yz = np.broadcast_arrays(xx, yy, zz, xy, xz, yz)
+    m = np.empty(xx.shape + (3, 3), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1], m[..., 0, 2] = xx, xy, xz
+    m[..., 1, 0], m[..., 1, 1], m[..., 1, 2] = np.conj(xy), yy, yz
+    m[..., 2, 0], m[..., 2, 1], m[..., 2, 2] = np.conj(xz), np.conj(yz), zz
+    return check_tensors(m)
+
+
 @dataclass(frozen=True)
 class CouplingTensor:
     """Complex Hermitian 3x3 dynamical matrix, convention Dt_ij = a^3 D_ij.
 
-    The dipole dyadic delta_ij/r^3 - 3 r_i r_j / r^5 is traceless term by
-    term, so any lattice sum of it must be traceless too; both Hermiticity
-    and the vanishing trace are enforced on construction.
+    The validated single-k view of one matrix of a tensor stack: Hermiticity
+    and the vanishing trace are enforced on construction by
+    :func:`check_tensors`.
     """
 
     entries: np.ndarray
@@ -115,32 +155,14 @@ class CouplingTensor:
         m = np.asarray(self.entries, dtype=complex)
         if m.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > _HERMITICITY_TOL:
-            raise ValueError(f"tensor is not Hermitian: residual {herm:.3e}")
-        tr = abs(m[0, 0] + m[1, 1] + m[2, 2])
-        if tr > _TRACE_TOL:
-            raise ValueError(f"tensor is not traceless: |trace| = {tr:.3e}")
+        check_tensors(m)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
     @classmethod
     def from_components(cls, xx, yy, zz, xy, xz, yz) -> "CouplingTensor":
-        """Build the Hermitian matrix from the six independent sums.
-
-        The lower triangle is the conjugate of the upper one by convention,
-        so off-diagonal sums that come out purely imaginary (the xz and yz
-        inter-plane components) still yield a Hermitian matrix.
-        """
-        m = np.array(
-            [
-                [xx, xy, xz],
-                [np.conj(xy), yy, yz],
-                [np.conj(xz), np.conj(yz), zz],
-            ],
-            dtype=complex,
-        )
-        return cls(m)
+        """Build the Hermitian matrix from the six independent sums."""
+        return cls(tensors_from_components(xx, yy, zz, xy, xz, yz))
 
     def __add__(self, other: "CouplingTensor") -> "CouplingTensor":
         return CouplingTensor(self.entries + other.entries)
@@ -216,3 +238,8 @@ def make_k_grid(geometry: LatticeGeometry) -> list[WaveVector]:
         for p in range(-half, half + 1)
         for q in range(-half, half + 1)
     ]
+
+
+def k_array(ks) -> np.ndarray:
+    """(K, 2) float array of (kxa, kya) from a sequence of wave vectors."""
+    return np.array([(k.kxa, k.kya) for k in ks], dtype=float).reshape(-1, 2)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from latticesum import dispersion
 from latticesum.cli import ConfigError, RunConfig, main, parse_config
 from latticesum.ewald import f_constant
 from latticesum.model import j0_scale
@@ -77,6 +78,47 @@ def test_exit_codes(tmp_path):
     cp.write_text('{"phi_points": 2, "theta": [0.3]}')
     missing_dir = str(tmp_path / "no_such_dir" / "x.csv")
     assert main(["sweep-phi", "--config", str(cp), "--out", missing_dir]) == 3
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # the inter-plane series has not converged: the trace check trips
+        {"b_over_a": 1e-9, "ka_values": [0.5]},
+        # phi = 0 puts k on the reciprocal-lattice point (2 pi, 0)
+        {"ka_values": [6.283185307179586], "k_direction": 0.0},
+    ],
+)
+def test_numerical_failures_exit_2_with_one_line(tmp_path, capsys, cfg):
+    code, _ = run_cli(tmp_path, "sweep-phi", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_stack_has_no_plane_cap(tmp_path):
+    code, op = run_cli(tmp_path, "stack", {"n_planes": 65, "n_sites": 4})
+    assert code == 0
+    _, rows = read_rows(op)
+    assert [int(r[2]) for r in rows] == list(range(65))
+
+
+def test_direct_windows_once_per_k_and_separation(tmp_path, monkeypatch):
+    calls = []
+    window = dispersion.d_tensor_direct
+
+    def counting(k, cfg, b_over_a):
+        calls.append((k, cfg.layer_offset))
+        return window(k, cfg, b_over_a)
+
+    monkeypatch.setattr(dispersion, "d_tensor_direct", counting)
+    cfg = {"method": "direct", "direct_cutoff": 5, "n_planes": 2}
+    code, _ = run_cli(tmp_path, "dispersion", {**cfg, "ka_values": [0.5, 1.0]})
+    assert code == 0
+    # one in-plane and one inter-plane window per k
+    assert len(calls) == 4
+    assert len(set(calls)) == 4
 
 
 def test_sweep_phi_schema_and_closed_form(tmp_path):

@@ -1,4 +1,4 @@
-"""Couplings, two-plane hybrid modes, N-plane stacks, Jacobi solver."""
+"""Couplings, two-plane hybrid modes, N-plane stacks, eigen-solver."""
 
 import math
 
@@ -12,6 +12,7 @@ from latticesum.dispersion import (
     LongWave,
     ModeSpectrum,
     coupling_from_tensor,
+    origin_tensor,
     j_inter,
     j_intra,
     pair_energies,
@@ -20,6 +21,7 @@ from latticesum.dispersion import (
     stack_matrix,
     symmetric_eigen,
 )
+from latticesum import ewald
 from latticesum.ewald import f_constant
 from latticesum.model import (
     CouplingTensor,
@@ -37,6 +39,35 @@ def test_coupling_contraction():
     s = math.sqrt(0.5)
     diag = TransitionDipole((s, s, 0.0))
     assert coupling_from_tensor(t, diag) == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize(
+    "method", [Ewald(origin_cutoff=20), LongWave(origin_cutoff=20), Direct(cutoff=6)]
+)
+def test_batched_engines_match_single_k(method):
+    # lattice axes, near the zone centre, the zone edges, k = 0 and generic
+    # k, more than two kernel blocks in all
+    special = [
+        (1e-3, 0.0), (0.0, 1e-3), (0.8, 0.0), (0.0, -1.7), (math.pi, 0.3),
+        (-math.pi, -math.pi), (0.4, math.pi), (-math.pi, 0.0), (0.0, 0.0),
+    ]
+    rng = np.random.default_rng(11)
+    generic = rng.uniform(-math.pi, math.pi, size=(2 * ewald._BLOCK + 5, 2))
+    ks = [WaveVector(float(x), float(y)) for x, y in special + generic.tolist()]
+    for batch, alone in (
+        (method.intra(ks), lambda k: method.intra([k])[0]),
+        (method.inter(ks, 1.5), lambda k: method.inter([k], 1.5)[0]),
+    ):
+        assert batch.shape == (len(ks), 3, 3)
+        for k, got in zip(ks, batch):
+            want = alone(k)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    if not isinstance(method, Direct):
+        # k = 0 takes the corrected window, in-plane and between planes
+        origin = special.index((0.0, 0.0))
+        intra, inter = method.intra(ks)[origin], method.inter(ks, 1.5)[origin]
+        assert np.array_equal(intra, origin_tensor(20, 0, 1.0).entries)
+        assert np.array_equal(inter, origin_tensor(20, 1, 1.5).entries)
 
 
 def test_longwave_intra_and_polarization_gap():
@@ -135,7 +166,7 @@ def test_nearest_only_error_has_second_neighbor_scale():
     assert 0.2 * scale < gap < 5.0 * scale
 
 
-def test_jacobi_known_eigenvalues():
+def test_eigen_known_eigenvalues():
     tri = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
     want = [2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)]
     assert symmetric_eigen(tri) == pytest.approx(want, abs=1e-12)
@@ -144,7 +175,7 @@ def test_jacobi_known_eigenvalues():
     assert lone == 7.0
 
 
-def test_jacobi_2x2_closed_form():
+def test_eigen_2x2_closed_form():
     a, b, c = 1.3, -0.7, 0.4
     mid = 0.5 * (a + c)
     rad = math.hypot(0.5 * (a - c), b)
@@ -154,7 +185,7 @@ def test_jacobi_2x2_closed_form():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 8), st.data())
-def test_jacobi_preserves_trace_and_frobenius(n, data):
+def test_eigen_preserves_trace_and_frobenius(n, data):
     vals = data.draw(
         st.lists(st.floats(-10.0, 10.0), min_size=n * n, max_size=n * n)
     )
@@ -162,15 +193,14 @@ def test_jacobi_preserves_trace_and_frobenius(n, data):
     m = 0.5 * (m + m.T)
     lam = symmetric_eigen(m)
     assert np.all(np.diff(lam) >= 0.0)
-    # rotations preserve the trace and the Frobenius norm; together these
-    # pin the first two eigenvalue moments without an external solver
+    # similarity transforms preserve the trace and the Frobenius norm;
+    # together these pin the first two eigenvalue moments
     assert np.sum(lam) == pytest.approx(np.trace(m), abs=1e-9)
     assert np.sum(lam * lam) == pytest.approx(np.sum(m * m), rel=1e-10, abs=1e-9)
 
 
 def test_jacobi_handles_tiny_pivot():
-    # theta = (aqq - app)/(2 apq) overflows double range for subnormal
-    # off-diagonals; the asymptotic branch must still converge cleanly
+    # an off-diagonal 1e-300 of the diagonal must not upset the solve
     m = np.array([[10.0, 1e-300], [1e-300, -10.0]])
     assert symmetric_eigen(m) == pytest.approx([-10.0, 10.0], abs=1e-12)
 
@@ -181,4 +211,19 @@ def test_jacobi_rejects_bad_input():
     with pytest.raises(ValueError):
         symmetric_eigen(np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        symmetric_eigen(np.zeros((65, 65)))
+        symmetric_eigen(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
+
+def test_eigen_accepts_large_and_stacked_input():
+    # no size cap: a 65-plane stack is a 65 x 65 matrix
+    tri = np.diag(np.full(65, 2.0)) + np.diag(np.ones(64), 1) + np.diag(np.ones(64), -1)
+    want = 2.0 + 2.0 * np.cos(np.pi * np.arange(65, 0, -1) / 66.0)
+    assert symmetric_eigen(tri) == pytest.approx(want, abs=1e-12)
+    # a (K, n, n) stack gives the same (K, n) values as one solve per matrix
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(5, 4, 4))
+    m = m + np.swapaxes(m, -1, -2)
+    stacked = symmetric_eigen(m)
+    assert stacked.shape == (5, 4)
+    for one, lam in zip(m, stacked):
+        assert np.array_equal(symmetric_eigen(one), lam)

@@ -14,6 +14,8 @@ from latticesum.ewald import (
     d_intra_ewald,
     d_xy_intra,
     f_constant,
+    inter_series,
+    inter_tensors,
     s_inter_partials,
     s_inter_series,
     s_intra_axis,
@@ -68,6 +70,15 @@ def test_partials_match_series_and_finite_differences():
 
 
 def test_partials_reject_reciprocal_lattice_points():
+    # the scalar series stays defined there, in a batch too; only the
+    # derivative slices reject the point
+    generic = WaveVector(0.5, 0.2)
+    rows, on_lattice = inter_series([generic, ORIGIN], 1.0)
+    assert on_lattice.tolist() == [False, True]
+    assert rows[0, 1] == s_inter_series(ORIGIN, 1.0)
+    assert rows[0, 0] == s_inter_series(generic, 1.0)
+    with pytest.raises(ValueError):
+        inter_tensors([generic, ORIGIN], 1.0)
     with pytest.raises(ValueError):
         s_inter_partials(ORIGIN, 1.0)
     with pytest.raises(ValueError):
