@@ -1,16 +1,31 @@
-"""NumPy fallback for the window-sum kernel.
+"""Parity-folded NumPy kernel for the window sums.
 
-Same contract as the compiled extension in ``_core``: sum the Fourier-
-weighted dipole dyadic over the square window lx, ly in [-L, L] at fixed
-out-of-plane offset. Rows are vectorized over ly and the per-row partial
-sums are reduced with a single pairwise np.sum at the end, which keeps the
-roundoff of multi-million-term sums at the 1e-12 level needed by the
-tensor invariants.
+Every dyadic component is even or odd in lx and in ly, and so is each half
+of the phase exp(i q l) = cos(q l) + i sin(q l). Folding the window
+[-L, L]^2 onto the quadrant lx, ly >= 0 turns each sum into a real bilinear
+form ``x^T R y`` with R = 1/r^5 and multiplicity-weighted tables
+(m(0) = 1, m(l > 0) = 2):
+
+    xx, yy, zz  even/even  real       from cos(qx lx) and cos(qy ly)
+    xy          odd/odd    real       from (i sin)(i sin) = -sin sin
+    xz          odd/even   imaginary  from i sin(qx lx) cos(qy ly)
+    yz          even/odd   imaginary  from i cos(qx lx) sin(qy ly)
+
+so the lanes that would only gather roundoff are exact zeros. The diagonal
+terms are written as (ly^2 + c^2 - 2 lx^2)/r^5 and its permutations, so all
+six sums are entries of one 3x3 matrix G = X R Y^T and the trace cancels
+to roundoff. R is built in row stripes of at most ``_STRIPE`` elements in
+two reused buffers, which keeps the working set near 0.25 MB at any L.
+The sums agree with a ``math.fsum`` loop over ``dyadic_term`` to 1e-12
+(tests/test_direct_sum.py).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# elements per stripe of the quadrant, like ewald._BLOCK for k
+_STRIPE = 1 << 14
 
 
 def window_sums(qx, qy, cutoff, lz_scaled, exclude_origin):
@@ -19,35 +34,53 @@ def window_sums(qx, qy, cutoff, lz_scaled, exclude_origin):
     Returns (xx, yy, zz, xy, xz, yz) with the phase factor
     exp(i (qx lx + qy ly)) applied termwise. ``lz_scaled`` is the plane
     offset in units of a; ``exclude_origin`` must be True when it is zero.
+    xx, yy, zz and xy come back with imaginary part 0, xz and yz with real
+    part 0.
     """
     L = int(cutoff)
-    idx = np.arange(-L, L + 1)
-    fidx = idx.astype(float)
-    c = float(lz_scaled)
-    c2 = c * c
+    l = np.arange(L + 1, dtype=float)
+    l2 = l * l
+    m = np.full(L + 1, 2.0)
+    m[0] = 1.0
+    c2 = float(lz_scaled) ** 2
 
-    # Phase tables: exp(i q l) built from one cos/sin call per row index.
-    cosx = np.cos(qx * fidx)
-    sinx = np.sin(qx * fidx)
-    cosy = np.cos(qy * fidx)
-    siny = np.sin(qy * fidx)
+    def tables(q):
+        cos = m * np.cos(q * l)
+        sin = m * np.sin(q * l)
+        return np.stack([cos, cos * l2, sin * l])
 
-    ly2 = fidx * fidx
-    rows = np.empty((2 * L + 1, 6), dtype=complex)
-    for i, lx in enumerate(idx):
-        r2 = lx * lx + ly2 + c2
-        if exclude_origin and lx == 0:
-            r2[L] = 1.0  # placeholder, masked below
-        ir5 = 1.0 / (r2 * r2 * np.sqrt(r2))
-        if exclude_origin and lx == 0:
-            ir5[L] = 0.0
-        ir3 = r2 * ir5
-        phase = (cosx[i] * cosy - sinx[i] * siny) + 1j * (sinx[i] * cosy + cosx[i] * siny)
-        rows[i, 0] = np.sum((ir3 - 3.0 * lx * lx * ir5) * phase)
-        rows[i, 1] = np.sum((ir3 - 3.0 * ly2 * ir5) * phase)
-        rows[i, 2] = np.sum((ir3 - 3.0 * c2 * ir5) * phase)
-        rows[i, 3] = np.sum((-3.0 * lx * fidx * ir5) * phase)
-        rows[i, 4] = np.sum((-3.0 * lx * c * ir5) * phase)
-        rows[i, 5] = np.sum((-3.0 * fidx * c * ir5) * phase)
-    tot = np.sum(rows, axis=0)
-    return tot[0], tot[1], tot[2], tot[3], tot[4], tot[5]
+    X = tables(qx)
+    Y = tables(qy)
+    ly2c2 = l2 + c2
+    rows = max(1, _STRIPE // (L + 1))
+    r2 = np.empty((rows, L + 1))
+    R = np.empty((rows, L + 1))
+    RY = np.empty((3, L + 1))
+    for start in range(0, L + 1, rows):
+        n = min(rows, L + 1 - start)
+        r2s, Rs = r2[:n], R[:n]
+        np.add(l2[start : start + n, None], ly2c2, out=r2s)
+        if exclude_origin and start == 0:
+            r2s[0, 0] = np.inf  # 1/r^5 becomes 0: no self-interaction
+        np.sqrt(r2s, out=Rs)
+        Rs *= r2s
+        Rs *= r2s
+        np.divide(1.0, Rs, out=Rs)
+        # matrix-vector products and dots only: OpenBLAS's matrix-matrix
+        # product touches a 0.25 MB buffer on first use, which would raise
+        # the process's peak RSS
+        for y, ry in zip(Y, RY):
+            np.matmul(Rs, y, out=ry[start : start + n])
+    G = np.array([[np.dot(x, ry) for ry in RY] for x in X])
+    # P = sum lx^2 C/r^5, Q = sum ly^2 C/r^5, S = sum c^2 C/r^5 over the
+    # cos/cos products C
+    P, Q, S = G[1, 0], G[0, 1], c2 * G[0, 0]
+    c3 = 3.0 * float(lz_scaled)
+    return (
+        complex(Q + S - 2.0 * P, 0.0),
+        complex(P + S - 2.0 * Q, 0.0),
+        complex(P + Q - 2.0 * S, 0.0),
+        complex(3.0 * G[2, 2], 0.0),
+        complex(0.0, -c3 * G[2, 0]),
+        complex(0.0, -c3 * G[0, 2]),
+    )

@@ -334,7 +334,7 @@ def cmd_convergence(cfg: RunConfig) -> str:
     if direct_ok is not None and ewald_ok is not None:
         ratio = direct_ok / ewald_ok
         if ratio < 1000.0:
-            raise RuntimeError(
+            raise ArithmeticError(
                 f"term-count ratio {ratio:.1f} below 1000; acceleration claim broken"
             )
     _write_csv(

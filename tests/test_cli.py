@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from latticesum import dispersion
+from latticesum import cli, dispersion
 from latticesum.cli import ConfigError, RunConfig, main, parse_config
 from latticesum.ewald import f_constant
 from latticesum.model import j0_scale
@@ -207,6 +207,19 @@ def test_convergence_schema_and_claim(tmp_path):
     assert all(int(r[4]) > 0 for r in rows)
     # the series hits 1e-10 within its listed orders
     assert any(r[0] == "ewald" and float(r[3]) <= 1e-10 for r in rows)
+
+
+def test_convergence_ratio_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # with only n_max = 12 listed the series spends 625 terms; the window
+    # reaches 1e-6 at L = 300 (361 201 terms), a ratio of 578
+    monkeypatch.setattr(cli, "_EWALD_CONVERGENCE_ORDERS", range(12, 13))
+    cfg = {"b_over_a": 1.0, "ka_values": [0.5], "k_direction": 0.3}
+    code, op = run_cli(tmp_path, "convergence", cfg)
+    assert code == 2
+    assert not op.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: term-count ratio")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_convergence_deterministic_modulo_timing(tmp_path):

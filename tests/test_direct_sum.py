@@ -1,16 +1,14 @@
-"""Window-sum oracle: dyadic terms, backends, tail estimates, k = 0."""
+"""Window-sum oracle: dyadic terms, the kernel, tail estimates, k = 0."""
 
 import cmath
-import importlib.util
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latticesum import _core_py, direct_sum
+from latticesum import _core_py
 from latticesum.direct_sum import (
-    BACKEND,
     DirectSumConfig,
     d_tensor_direct,
     dyadic_term,
@@ -50,16 +48,6 @@ def test_config_validation():
         DirectSumConfig(5, -1)
 
 
-@pytest.mark.skipif(
-    importlib.util.find_spec("latticesum._core") is None,
-    reason="latticesum._core is not built; the NumPy fallback is active",
-)
-def test_compiled_backend_active():
-    # wherever the build produced the extension, dispatch must pick it;
-    # an extension that is present but fails to import fails here
-    assert BACKEND == "compiled"
-
-
 def _window_sums_by_loop(qx, qy, cutoff, lz_scaled, exclude_origin):
     """The six window sums, one dyadic_term at a time, summed with fsum."""
     pairs = ("xx", "yy", "zz", "xy", "xz", "yz")
@@ -80,14 +68,30 @@ def _window_sums_by_loop(qx, qy, cutoff, lz_scaled, exclude_origin):
     "layer_offset,b_over_a", [(0, 1.0), (1, 1.0), (1, 10.0), (2, 3.0)]
 )
 def test_backends_agree(layer_offset, b_over_a):
-    args = (0.83, -1.37, 40, layer_offset * b_over_a, layer_offset == 0)
-    fast = np.array(direct_sum._kernel.window_sums(*args))
-    slow = np.array(_core_py.window_sums(*args))
-    assert np.max(np.abs(fast - slow)) <= 1e-12
-    # without the extension fast and slow are one module; the plain loop
-    # keeps the kernel that actually runs checked
-    loop = _window_sums_by_loop(*args)
-    assert np.max(np.abs(fast - loop)) <= 1e-12
+    # a generic k, both lattice axes and the zone corner; k = 0 in-plane,
+    # where nothing oscillates and the window is closest to the 1/L tail
+    ks = [(0.83, -1.37), (0.9, 0.0), (0.0, -1.2), (math.pi, math.pi)]
+    if layer_offset == 0:
+        ks.append((0.0, 0.0))
+    for qx, qy in ks:
+        args = (qx, qy, 40, layer_offset * b_over_a, layer_offset == 0)
+        sums = _core_py.window_sums(*args)
+        loop = _window_sums_by_loop(*args)
+        assert np.max(np.abs(np.array(sums) - loop)) <= 1e-12
+        # parity makes xx, yy, zz and xy real and xz, yz imaginary exactly
+        xx, yy, zz, xy, xz, yz = sums
+        assert xx.imag == yy.imag == zz.imag == xy.imag == 0.0
+        assert xz.real == yz.real == 0.0
+
+
+@pytest.mark.parametrize("lz_scaled", [0.0, 1.5])
+def test_stripe_seams(monkeypatch, lz_scaled):
+    # L = 37 has 38 quadrant rows: twelve stripes of 3 and a last one of 2
+    args = (0.83, -1.37, 37, lz_scaled, lz_scaled == 0.0)
+    whole = np.array(_core_py.window_sums(*args))
+    monkeypatch.setattr(_core_py, "_STRIPE", 3 * 38)
+    striped = np.array(_core_py.window_sums(*args))
+    assert np.max(np.abs(striped - whole)) <= 1e-13
 
 
 def test_minus_k_conjugates_exactly():
