@@ -1,8 +1,8 @@
 """Dipolar lattice sums and exciton dispersion for stacked square monolayers.
 
-Two interchangeable engines compute the dimensionless coupling tensors:
-a brute-force window sum (the oracle) and exponentially convergent series
-(the fast path), plus closed long-wavelength forms. On top of those sit
+Three interchangeable engines compute the dimensionless coupling tensors:
+a brute-force window sum (the oracle), exponentially convergent series
+(the fast path) and closed long-wavelength forms. On top of those sit
 the dipole contractions J(k), J'(k), two-plane splittings and N-plane
 stack spectra, and a CSV-producing command line.
 """
@@ -29,16 +29,12 @@ from .direct_sum import (
 )
 from .ewald import (
     EwaldConfig,
-    d_inter_ewald,
-    d_inter_longwave,
-    d_intra_ewald,
-    d_xy_intra,
     f_constant,
+    inter_longwave_tensors,
+    inter_series,
     inter_tensors,
+    intra_series,
     intra_tensors,
-    s_inter_partials,
-    s_inter_series,
-    s_intra_axis,
 )
 from .dispersion import (
     Direct,
@@ -46,15 +42,11 @@ from .dispersion import (
     LongWave,
     Method,
     ModeSpectrum,
-    coupling_from_tensor,
     couplings,
-    j_inter,
-    j_intra,
     pair_energies,
     polarization_splitting,
     splitting,
     stack_matrices,
-    stack_matrix,
     symmetric_eigen,
 )
 

@@ -15,7 +15,10 @@ so the lanes that would only gather roundoff are exact zeros. The diagonal
 terms are written as (ly^2 + c^2 - 2 lx^2)/r^5 and its permutations, so all
 six sums are entries of one 3x3 matrix G = X R Y^T and the trace cancels
 to roundoff. R is built in row stripes of at most ``_STRIPE`` elements in
-two reused buffers, which keeps the working set near 0.25 MB at any L.
+two reused buffers, which keeps the working set near 0.25 MB up to
+L = 16383 (L + 1 = _STRIPE). Beyond that a stripe is a single row of L + 1
+elements, and the working set grows as O(L), like the six phase tables of
+length L + 1 beside it.
 The sums agree with a ``math.fsum`` loop over ``dyadic_term`` to 1e-12
 (tests/test_direct_sum.py).
 """

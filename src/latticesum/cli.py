@@ -28,7 +28,7 @@ from .dispersion import (
     stack_matrices,
     symmetric_eigen,
 )
-from .ewald import EwaldConfig, d_inter_ewald
+from .ewald import EwaldConfig, inter_tensors
 from .model import (
     EnergyScale,
     LatticeGeometry,
@@ -115,7 +115,7 @@ def _want_theta(path, value):
 def _parse_ewald(value) -> EwaldConfig:
     if not isinstance(value, dict):
         raise ConfigError(f"ewald: expected an object, got {value!r}")
-    known = {"n_max", "l_max", "bessel_n_max"}
+    known = {"n_max", "l_max"}
     for key in value:
         if key not in known:
             raise ConfigError(f"ewald.{key}: unknown key")
@@ -305,9 +305,7 @@ def cmd_convergence(cfg: RunConfig) -> str:
     d = float(cfg.k_direction)
     ka = cfg.ka_values[0]
     k = WaveVector(ka * math.cos(d), ka * math.sin(d))
-    ref = d_inter_ewald(
-        k, cfg.b_over_a, replace(cfg.ewald, n_max=12)
-    ).zz.real
+    ref = inter_tensors([k], cfg.b_over_a, replace(cfg.ewald, n_max=12))[0, 2, 2].real
 
     rows = []
     direct_ok = None
@@ -323,7 +321,8 @@ def cmd_convergence(cfg: RunConfig) -> str:
     ewald_ok = None
     for n_max in _EWALD_CONVERGENCE_ORDERS:
         t0 = time.perf_counter_ns()
-        val = d_inter_ewald(k, cfg.b_over_a, replace(cfg.ewald, n_max=n_max)).zz.real
+        orders = replace(cfg.ewald, n_max=n_max)
+        val = inter_tensors([k], cfg.b_over_a, orders)[0, 2, 2].real
         elapsed = time.perf_counter_ns() - t0
         terms = (2 * n_max + 1) ** 2
         err = abs(val - ref)

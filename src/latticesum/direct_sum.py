@@ -10,8 +10,9 @@ self-interaction".
 The kernel, ``_core_py.window_sums``, folds the window onto the quadrant
 lx, ly >= 0 by the parity of each component, so every sum is a real
 bilinear form over a quarter of the terms; it builds the quadrant in row
-stripes of fixed size, so memory stays flat at any L. Components that
-parity makes real or imaginary come out exactly so, with the other lane 0.
+stripes of at most 2^14 elements, so its memory stays near 0.25 MB up to
+L = 16383 and grows as O(L) beyond that. Components that parity makes
+real or imaginary come out exactly so, with the other lane 0.
 The tests hold the six sums to 1e-12 of a ``math.fsum`` loop over
 :func:`dyadic_term` at L = 40, on and off the lattice axes.
 """

@@ -6,8 +6,7 @@ stacks through its ``intra(ks)`` and ``inter(ks, b_over_a)`` methods.
 Contracting them with the transition dipole gives J(k) and J'(k) in units
 of J0; N-plane stack matrices are assembled from one coupling table per
 plane separation and diagonalized in one batched LAPACK call
-(``np.linalg.eigvalsh``). The single-k functions (``j_intra``,
-``stack_matrix``, ...) are slices of the batched ones.
+(``np.linalg.eigvalsh``).
 
 Sign conventions: the symmetric two-plane mode carries +J', so the pair
 energies are E_A + J0 (Jt +- Jt') and the splitting is 2 |Jt'|.
@@ -44,14 +43,10 @@ __all__ = [
     "ModeSpectrum",
     "origin_tensor",
     "couplings",
-    "coupling_from_tensor",
-    "j_intra",
-    "j_inter",
     "pair_energies",
     "splitting",
     "polarization_splitting",
     "stack_matrices",
-    "stack_matrix",
     "symmetric_eigen",
 ]
 
@@ -66,47 +61,28 @@ def origin_tensor(cutoff: int, layer_offset: int, b_over_a: float) -> CouplingTe
     )
 
 
-@dataclass(frozen=True)
-class Direct:
-    """Brute-force window engine: one window sum per k and separation."""
-
-    cutoff: int = 500
-
-    def intra(self, ks) -> np.ndarray:
-        """In-plane tensors at every k of ``ks``, a (K, 3, 3) stack."""
-        return self._windows(ks, 0, 1.0)
-
-    def inter(self, ks, b_over_a: float) -> np.ndarray:
-        """Tensors to the plane b_over_a away at every k, a (K, 3, 3) stack."""
-        return self._windows(ks, 1, b_over_a)
-
-    def _windows(self, ks, layer_offset: int, b_over_a: float) -> np.ndarray:
-        cfg = DirectSumConfig(self.cutoff, layer_offset)
-        tensors = [d_tensor_direct(k, cfg, b_over_a).entries for k in ks]
-        return np.array(tensors, dtype=complex).reshape(-1, 3, 3)
-
-
-class _Series:
-    """Engines whose closed forms or series miss k = 0 exactly, which is
-    non-analytic: that point takes the window sum of half-width
-    ``origin_cutoff`` plus its k = 0 tail correction instead."""
+class _Engine:
+    """Shared k = 0 rule of the engines. Every other k takes the engine's
+    batched ``_tensors``; k = 0 exactly, where the series and closed forms
+    are non-analytic and a bare window misses its O(1/L) tail, takes the
+    window sum of half-width ``origin_cutoff`` plus its k = 0 tail
+    correction."""
 
     def intra(self, ks) -> np.ndarray:
         """In-plane tensors at every k of ``ks``, a (K, 3, 3) stack."""
-        return self._or_origin(self._intra, ks, 0, 1.0)
+        return self._or_origin(ks, 0, 1.0)
 
     def inter(self, ks, b_over_a: float) -> np.ndarray:
         """Tensors to the plane b_over_a away at every k, a (K, 3, 3) stack."""
-        return self._or_origin(
-            lambda part: self._inter(part, b_over_a), ks, 1, b_over_a
-        )
+        return self._or_origin(ks, 1, b_over_a)
 
-    def _or_origin(self, series, ks, layer_offset: int, b_over_a: float) -> np.ndarray:
+    def _or_origin(self, ks, layer_offset: int, b_over_a: float) -> np.ndarray:
         ks = list(ks)
         at_origin = np.array([k.kxa == 0.0 and k.kya == 0.0 for k in ks], dtype=bool)
         out = np.empty((len(ks), 3, 3), dtype=complex)
         if not at_origin.all():
-            out[~at_origin] = series([k for k, z in zip(ks, at_origin) if not z])
+            rest = [k for k, z in zip(ks, at_origin) if not z]
+            out[~at_origin] = self._tensors(rest, layer_offset, b_over_a)
         if at_origin.any():
             window = origin_tensor(self.origin_cutoff, layer_offset, b_over_a)
             out[at_origin] = window.entries
@@ -114,31 +90,46 @@ class _Series:
 
 
 @dataclass(frozen=True)
-class Ewald(_Series):
+class Direct(_Engine):
+    """Brute-force window engine: one window sum per k and separation, of
+    half-width ``cutoff``; k = 0 takes that window with its tail correction."""
+
+    cutoff: int = 500
+
+    @property
+    def origin_cutoff(self) -> int:
+        return self.cutoff
+
+    def _tensors(self, ks, layer_offset, b_over_a):
+        cfg = DirectSumConfig(self.cutoff, layer_offset)
+        tensors = [d_tensor_direct(k, cfg, b_over_a).entries for k in ks]
+        return np.array(tensors, dtype=complex).reshape(-1, 3, 3)
+
+
+@dataclass(frozen=True)
+class Ewald(_Engine):
     """Accelerated-series engine."""
 
     config: EwaldConfig = EwaldConfig()
     origin_cutoff: int = 500
 
-    def _intra(self, ks):
-        return intra_tensors(ks, self.config)
-
-    def _inter(self, ks, b_over_a):
+    def _tensors(self, ks, layer_offset, b_over_a):
+        if layer_offset == 0:
+            return intra_tensors(ks, self.config)
         return inter_tensors(ks, b_over_a, self.config)
 
 
 @dataclass(frozen=True)
-class LongWave(_Series):
+class LongWave(_Engine):
     """Closed forms valid for ka << 1: constant in-plane tensor
     diag(-F, -F, 2F) and the single-term inter-plane forms."""
 
     origin_cutoff: int = 500
 
-    def _intra(self, ks):
-        f = f_constant()
-        return np.broadcast_to(np.diag([-f, -f, 2.0 * f]), (len(ks), 3, 3))
-
-    def _inter(self, ks, b_over_a):
+    def _tensors(self, ks, layer_offset, b_over_a):
+        if layer_offset == 0:
+            f = f_constant()
+            return np.broadcast_to(np.diag([-f, -f, 2.0 * f]), (len(ks), 3, 3))
         return inter_longwave_tensors(ks, b_over_a)
 
 
@@ -165,7 +156,10 @@ def couplings(tensors, dipole: TransitionDipole) -> np.ndarray:
     """sum_ij m_i m_j Dt_ij for every tensor of a (K, 3, 3) stack, as (K,).
 
     Real for Hermitian tensors and real m: the imaginary residual is
-    asserted below 1e-12 and then discarded.
+    asserted below 1e-12 and then discarded. Between planes the xz and yz
+    entries are purely imaginary, so the m_x m_z and m_y m_z cross terms
+    drop out; the long-wave forms give Jt' = 2 pi (ka) e^{-kb}
+    [(m_par . khat)^2 - m_z^2].
     """
     m = np.asarray(dipole.direction)
     vals = (m @ np.asarray(tensors)) @ m
@@ -173,29 +167,6 @@ def couplings(tensors, dipole: TransitionDipole) -> np.ndarray:
     if resid > _IMAG_TOL:
         raise ArithmeticError(f"contraction has imaginary residual {resid:.3e}")
     return vals.real
-
-
-def coupling_from_tensor(tensor: CouplingTensor, dipole: TransitionDipole) -> float:
-    """sum_ij m_i m_j Dt_ij for one tensor; see :func:`couplings`."""
-    return float(couplings(tensor.entries[None], dipole)[0])
-
-
-def j_intra(k: WaveVector, dipole: TransitionDipole, method: Method) -> float:
-    """In-plane coupling Jt(k) in units of J0."""
-    return float(couplings(method.intra([k]), dipole)[0])
-
-
-def j_inter(
-    k: WaveVector, dipole: TransitionDipole, b_over_a: float, method: Method
-) -> float:
-    """Inter-plane coupling Jt'(k) in units of J0 for plane separation b.
-
-    For LongWave this equals 2 pi (ka) e^{-kb} [(m_par . khat)^2 - m_z^2];
-    the m_x m_z and m_y m_z cross terms drop out for every engine because
-    the xz, yz components are purely imaginary and the contraction keeps
-    2 Re of them.
-    """
-    return float(couplings(method.inter([k], b_over_a), dipole)[0])
 
 
 def pair_energies(
@@ -206,8 +177,8 @@ def pair_energies(
     scale: EnergyScale,
 ) -> ModeSpectrum:
     """Two-plane hybrid modes E_A + J0 (Jt +- Jt'), value-sorted."""
-    j = j_intra(k, dipole, method)
-    jp = j_inter(k, dipole, b_over_a, method)
+    j = float(couplings(method.intra([k]), dipole)[0])
+    jp = float(couplings(method.inter([k], b_over_a), dipole)[0])
     lo, hi = sorted((j - jp, j + jp))
     return ModeSpectrum(
         k=k,
@@ -220,7 +191,7 @@ def splitting(
     k: WaveVector, dipole: TransitionDipole, b_over_a: float, method: Method
 ) -> float:
     """Two-plane splitting 2 |Jt'(k)| in units of J0."""
-    return 2.0 * abs(j_inter(k, dipole, b_over_a, method))
+    return 2.0 * abs(float(couplings(method.inter([k], b_over_a), dipole)[0]))
 
 
 def polarization_splitting(f: float) -> float:
@@ -262,17 +233,6 @@ def stack_matrices(
         mats[:, idx[:-sep], idx[sep:]] = jp[:, None]
         mats[:, idx[sep:], idx[:-sep]] = jp[:, None]
     return j, jps, mats
-
-
-def stack_matrix(
-    k: WaveVector,
-    dipole: TransitionDipole,
-    geometry: LatticeGeometry,
-    method: Method,
-    nearest_only: bool = False,
-) -> np.ndarray:
-    """N-plane coupling matrix at one k; see :func:`stack_matrices`."""
-    return stack_matrices([k], dipole, geometry, method, nearest_only)[2][0]
 
 
 def symmetric_eigen(matrix) -> np.ndarray:

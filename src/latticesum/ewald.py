@@ -22,8 +22,7 @@ assembled tensors against the brute-force window sums.
 Each series has one NumPy kernel that evaluates a block of k points at
 once: :func:`intra_series` for the in-plane sums and :func:`inter_series`
 for the inter-plane sum and its derivatives. The ``*_tensors`` functions
-assemble checked (K, 3, 3) stacks from them, and the single-k functions
-(``d_intra_ewald``, ``s_inter_series``, ...) are slices of those.
+assemble checked (K, 3, 3) stacks from them.
 """
 
 from __future__ import annotations
@@ -34,23 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CouplingTensor, WaveVector, k_array, tensors_from_components
+from .model import k_array, tensors_from_components
 from .specfun import bessel_k
 
 __all__ = [
     "EwaldConfig",
     "inter_series",
     "inter_tensors",
-    "s_inter_series",
-    "s_inter_partials",
-    "d_inter_ewald",
     "inter_longwave_tensors",
-    "d_inter_longwave",
     "intra_series",
     "intra_tensors",
-    "s_intra_axis",
-    "d_xy_intra",
-    "d_intra_ewald",
     "f_constant",
 ]
 
@@ -60,6 +52,10 @@ _ARG_CUTOFF = 700.0
 # Below this the K_n products are replaced by their x -> 0 limits
 # (x K1 -> 1, x^2 K0 -> 0); the switch error is O(x^2 log x) ~ 1e-11.
 _LAM_EPS = 1e-6
+
+# f_constant sums n, m <= _F_ORDER; the first omitted terms (n or m = 9)
+# are about 3e-21 of the sum.
+_F_ORDER = 8
 
 # k points per kernel call. It bounds the in-plane work arrays, of shape
 # (2, _BLOCK, l_max, 2 n_max + 1), to about 200 kB each at the default
@@ -77,10 +73,9 @@ class EwaldConfig:
 
     n_max: int = 6
     l_max: int = 30
-    bessel_n_max: int = 8
 
     def __post_init__(self):
-        if self.n_max < 1 or self.l_max < 1 or self.bessel_n_max < 1:
+        if self.n_max < 1 or self.l_max < 1:
             raise ValueError("all truncation orders must be >= 1")
 
 
@@ -134,42 +129,16 @@ def inter_series(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The scalar series and its term-wise k-derivatives at every k of ``ks``.
 
+    St = sum (1 + beta Gamma) exp(-beta Gamma) = (3 a^2 b^3 / 2 pi) S.
     Returns a (6, K) array with rows (St, dSt/dkxa, dSt/dkya,
     d2St/dkxa^2, d2St/dkya^2, d2St/dkxa dkya), and a (K,) mask of the k
     that sit on a reciprocal-lattice point (including k = 0). St is
-    defined everywhere; the derivative rows are meaningless where the mask
-    is set, because the series is non-analytic there.
+    defined everywhere, with the (0, 0) term exactly 1 at k = 0; the
+    derivative rows are meaningless where the mask is set, because the
+    series is non-analytic there.
     """
     _check_spacing(b_over_a)
     return tuple(_by_block(_inter_block, ks, 2.0 * b_over_a, cfg.n_max))
-
-
-def _require_off_lattice(on_lattice: np.ndarray) -> None:
-    if np.any(on_lattice):
-        raise ValueError(
-            "k sits on a reciprocal-lattice point (this includes ka = 0); "
-            "the series derivatives are non-analytic there, use the direct "
-            "sum for that single point"
-        )
-
-
-def s_inter_series(k: WaveVector, b_over_a: float, cfg: EwaldConfig = EwaldConfig()) -> float:
-    """Dimensionless scalar series St(k) = sum (1 + beta Gamma) exp(-beta Gamma).
-
-    Normalization: St = (3 a^2 b^3 / 2 pi) * S. Well defined for every k
-    including k = 0, where the (0,0) term contributes exactly 1.
-    """
-    rows, _on_lattice = inter_series([k], b_over_a, cfg)
-    return float(rows[0, 0])
-
-
-def s_inter_partials(
-    k: WaveVector, b_over_a: float, cfg: EwaldConfig = EwaldConfig()
-) -> tuple[float, float, float]:
-    """(St, dSt/d kxa, d2St/d kxa^2), all evaluated term-analytically."""
-    rows, on_lattice = inter_series([k], b_over_a, cfg)
-    _require_off_lattice(on_lattice)
-    return float(rows[0, 0]), float(rows[1, 0]), float(rows[3, 0])
 
 
 def inter_tensors(ks, b_over_a: float, cfg: EwaldConfig = EwaldConfig()) -> np.ndarray:
@@ -179,7 +148,12 @@ def inter_tensors(ks, b_over_a: float, cfg: EwaldConfig = EwaldConfig()) -> np.n
     must lie off the reciprocal lattice.
     """
     (sf, fx, fy, fxx, fyy, fxy), on_lattice = inter_series(ks, b_over_a, cfg)
-    _require_off_lattice(on_lattice)
+    if np.any(on_lattice):
+        raise ValueError(
+            "k sits on a reciprocal-lattice point (this includes ka = 0); "
+            "the series derivatives are non-analytic there, use the direct "
+            "sum for that single point"
+        )
     rho = b_over_a
     pref = 2.0 * math.pi / (3.0 * rho**3)
     rho2 = rho * rho
@@ -191,13 +165,6 @@ def inter_tensors(ks, b_over_a: float, cfg: EwaldConfig = EwaldConfig()) -> np.n
         1j * (2.0 * math.pi / rho2) * fx,
         1j * (2.0 * math.pi / rho2) * fy,
     )
-
-
-def d_inter_ewald(
-    k: WaveVector, b_over_a: float, cfg: EwaldConfig = EwaldConfig()
-) -> CouplingTensor:
-    """Full inter-plane tensor from term-wise derivatives of the series."""
-    return CouplingTensor(inter_tensors([k], b_over_a, cfg)[0])
 
 
 def inter_longwave_tensors(ks, b_over_a: float) -> np.ndarray:
@@ -225,11 +192,6 @@ def inter_longwave_tensors(ks, b_over_a: float) -> np.ndarray:
         -1j * two_pi_e * kx,
         -1j * two_pi_e * ky,
     )
-
-
-def d_inter_longwave(k: WaveVector, b_over_a: float) -> CouplingTensor:
-    """Closed-form ka << 1 tensor at one k; see :func:`inter_longwave_tensors`."""
-    return CouplingTensor(inter_longwave_tensors([k], b_over_a)[0])
 
 
 def _intra_block(kxy: np.ndarray, cfg: EwaldConfig):
@@ -285,32 +247,15 @@ def intra_tensors(ks, cfg: EwaldConfig = EwaldConfig()) -> np.ndarray:
     )
 
 
-def s_intra_axis(k: WaveVector, axis: str, cfg: EwaldConfig = EwaldConfig()) -> float:
-    """In-plane scalar series S_x (axis="x") or S_y (axis="y") at one k."""
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return float(intra_series([k], cfg)[0 if axis == "x" else 1, 0])
-
-
-def d_xy_intra(k: WaveVector, cfg: EwaldConfig = EwaldConfig()) -> float:
-    """In-plane Dt_xy series at one k; see :func:`intra_series`."""
-    return float(intra_series([k], cfg)[2, 0])
-
-
-def d_intra_ewald(k: WaveVector, cfg: EwaldConfig = EwaldConfig()) -> CouplingTensor:
-    """In-plane tensor at one k; see :func:`intra_tensors`."""
-    return CouplingTensor(intra_tensors([k], cfg)[0])
-
-
 @functools.lru_cache(maxsize=None)
-def f_constant(cfg: EwaldConfig = EwaldConfig()) -> float:
+def f_constant() -> float:
     """Lattice constant F = 4 pi^2/9 + (32 pi^2/3) sum_{n,m>=1} n^2 K2(2 pi n m).
 
     Controls the k -> 0 in-plane tensor, diag(-F, -F, 2F); about 4.517,
     i.e. within half a percent of 9/2 (a nearest-neighbor-only sum would
     give exactly 4).
     """
-    n = np.arange(1, cfg.bessel_n_max + 1, dtype=float)
+    n = np.arange(1, _F_ORDER + 1, dtype=float)
     x = 2.0 * math.pi * n[:, None] * n[None, :]
     weight = np.broadcast_to(n[:, None] * n[:, None], x.shape)
     keep = x <= _ARG_CUTOFF

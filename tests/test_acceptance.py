@@ -20,21 +20,19 @@ from latticesum.cli import main
 from latticesum.direct_sum import DirectSumConfig, d_tensor_direct, k0_tail_correction
 from latticesum.dispersion import (
     Ewald,
-    j_inter,
-    j_intra,
+    couplings,
     pair_energies,
     splitting,
-    stack_matrix,
+    stack_matrices,
     symmetric_eigen,
 )
 from latticesum.ewald import (
     EwaldConfig,
-    d_inter_ewald,
-    d_inter_longwave,
-    d_intra_ewald,
     f_constant,
-    s_inter_partials,
-    s_inter_series,
+    inter_longwave_tensors,
+    inter_series,
+    inter_tensors,
+    intra_tensors,
 )
 from latticesum.model import (
     EnergyScale,
@@ -47,7 +45,8 @@ from latticesum.specfun import bessel_k
 
 from bessel_oracle import bessel_k_oracle
 
-# every tensor computed in criteria 3-6 lands here for criterion 9
+# every tensor computed in criteria 3-6 lands here, as a 3 x 3 array, for
+# criterion 9
 _TENSORS = []
 
 # verdict lines, re-emitted by conftest once capture is released
@@ -114,15 +113,16 @@ def test_criterion_03():
         start = time.perf_counter()
         window = DirectSumConfig(cutoff=500, layer_offset=1)
         worst = 0.0
+        ks = [
+            WaveVector(ka * math.cos(ang), ka * math.sin(ang))
+            for ka in (0.7, 1.2, 2.0, math.pi)
+            for ang in (0.35, 0.75, 1.05, 1.35)
+        ]
         for b_over_a in (1.0, 2.0, 10.0):
-            for ka in (0.7, 1.2, 2.0, math.pi):
-                for ang in (0.35, 0.75, 1.05, 1.35):
-                    k = WaveVector(ka * math.cos(ang), ka * math.sin(ang))
-                    got = d_inter_ewald(k, b_over_a)
-                    ref = d_tensor_direct(k, window, b_over_a)
-                    _TENSORS.extend([got, ref])
-                    diff = float(np.max(np.abs(got.entries - ref.entries)))
-                    worst = max(worst, diff)
+            for k, got in zip(ks, inter_tensors(ks, b_over_a)):
+                ref = d_tensor_direct(k, window, b_over_a).entries
+                _TENSORS.extend([got, ref])
+                worst = max(worst, float(np.max(np.abs(got - ref))))
         elapsed = time.perf_counter() - start
         assert worst <= 1e-6, f"worst component gap {worst:.3g}"
         assert elapsed < 10.0
@@ -138,13 +138,11 @@ def test_criterion_04():
             (0.8, 0.45), (0.8, 1.12), (1.3, 0.6), (1.3, 0.95),
             (1.9, 0.45), (1.9, 1.12), (2.6, 0.7), (2.9, 0.85),
         ]
-        for ka, ang in points:
-            k = WaveVector(ka * math.cos(ang), ka * math.sin(ang))
-            got = d_intra_ewald(k, series)
-            ref = d_tensor_direct(k, window, 1.0)
+        ks = [WaveVector(ka * math.cos(ang), ka * math.sin(ang)) for ka, ang in points]
+        for k, got in zip(ks, intra_tensors(ks, series)):
+            ref = d_tensor_direct(k, window, 1.0).entries
             _TENSORS.extend([got, ref])
-            diff = float(np.max(np.abs(got.entries - ref.entries)))
-            worst = max(worst, diff)
+            worst = max(worst, float(np.max(np.abs(got - ref))))
         elapsed = time.perf_counter() - start
         assert worst <= 1e-5, f"worst component gap {worst:.3g}"
         assert elapsed < 30.0
@@ -163,10 +161,10 @@ def test_criterion_05():
         k = WaveVector(1e-3 * math.cos(0.6), 1e-3 * math.sin(0.6))
 
         def closed_and_series(b_over_a):
-            got = d_inter_longwave(k, b_over_a)
-            ref = d_inter_ewald(k, b_over_a)
+            got = inter_longwave_tensors([k], b_over_a)[0]
+            ref = inter_tensors([k], b_over_a)[0]
             _TENSORS.extend([got, ref])
-            return got.entries, ref.entries
+            return got, ref
 
         got, ref = closed_and_series(10.0)
         far = float(np.max(np.abs(got - ref) / np.abs(ref)))
@@ -214,9 +212,9 @@ def test_criterion_06(tmp_path):
         assert abs(peak - 6.2206e-3) <= 2e-7
         assert elapsed < 1.0
         # tensors behind a few of the swept rows, audited by criterion 9
-        for ang in (0.0, 0.7, 1.4, 2.1, 2.8, 3.5):
-            kvec = WaveVector(1e-3 * math.cos(ang), 1e-3 * math.sin(ang))
-            _TENSORS.append(d_inter_ewald(kvec, 10.0))
+        angles = (0.0, 0.7, 1.4, 2.1, 2.8, 3.5)
+        kvecs = [WaveVector(1e-3 * math.cos(a), 1e-3 * math.sin(a)) for a in angles]
+        _TENSORS.extend(inter_tensors(kvecs, 10.0))
 
 
 def test_criterion_07():
@@ -225,10 +223,10 @@ def test_criterion_07():
         k = WaveVector(0.9 * math.cos(0.7), 0.9 * math.sin(0.7))
         dipole = dipole_from_theta(math.pi / 5)
         method = Ewald()
-        j = j_intra(k, dipole, method)
-        jp = j_inter(k, dipole, 2.0, method)
+        j = couplings(method.intra([k]), dipole)[0]
+        jp = couplings(method.inter([k], 2.0), dipole)[0]
         geometry = LatticeGeometry(a=1000.0, b_over_a=2.0, n_planes=2)
-        evals = symmetric_eigen(stack_matrix(k, dipole, geometry, method))
+        evals = symmetric_eigen(stack_matrices([k], dipole, geometry, method)[2][0])
         expect = np.sort([j - jp, j + jp])
         assert float(np.max(np.abs(evals - expect))) <= 1e-12
         gap = splitting(k, dipole, 2.0, method)
@@ -249,7 +247,10 @@ def test_criterion_08():
         k = WaveVector(ka * math.cos(0.3), ka * math.sin(0.3))
         dipole = dipole_from_theta(math.pi / 2)
         spacings = np.linspace(5.0, 15.0, 11)
-        logs = [math.log(abs(j_inter(k, dipole, b, Ewald()))) for b in spacings]
+        logs = [
+            math.log(abs(couplings(Ewald().inter([k], b), dipole)[0]))
+            for b in spacings
+        ]
         slope = np.polyfit(spacings, logs, 1)[0]
         elapsed = time.perf_counter() - start
         assert abs(slope + ka) / ka <= 1e-3, f"slope {slope:.12g}"
@@ -261,8 +262,7 @@ def test_criterion_09():
         assert len(_TENSORS) >= 100
         worst_h = 0.0
         worst_t = 0.0
-        for tensor in _TENSORS:
-            m = tensor.entries
+        for m in _TENSORS:
             worst_h = max(worst_h, float(np.max(np.abs(m - m.conj().T))))
             worst_t = max(worst_t, abs(complex(np.trace(m))))
         assert worst_h <= 1e-10, f"worst Hermiticity residual {worst_h:.3g}"
@@ -328,18 +328,20 @@ def test_criterion_12():
                 continue
             points.append((kx, ky))
         h = 1e-5
-        worst1 = 0.0
-        worst2 = 0.0
-        for kx, ky in points:
-            _, sx, sxx = s_inter_partials(WaveVector(kx, ky), 1.0)
-            fd1 = (s_inter_series(WaveVector(kx + h, ky), 1.0)
-                   - s_inter_series(WaveVector(kx - h, ky), 1.0)) / (2 * h)
-            # second derivative differenced from the analytic first, which
-            # keeps the subtraction above the roundoff floor
-            fd2 = (s_inter_partials(WaveVector(kx + h, ky), 1.0)[1]
-                   - s_inter_partials(WaveVector(kx - h, ky), 1.0)[1]) / (2 * h)
-            worst1 = max(worst1, abs(sx - fd1) / max(abs(sx), abs(fd1)))
-            worst2 = max(worst2, abs(sxx - fd2) / max(abs(sxx), abs(fd2)))
+
+        def rows(shift):
+            return inter_series([WaveVector(kx + shift, ky) for kx, ky in points], 1.0)
+
+        (_, sx, _, sxx, _, _), on_lattice = rows(0.0)
+        assert not on_lattice.any()
+        (s_hi, sx_hi, *_), _ = rows(h)
+        (s_lo, sx_lo, *_), _ = rows(-h)
+        fd1 = (s_hi - s_lo) / (2 * h)
+        # second derivative differenced from the analytic first, which
+        # keeps the subtraction above the roundoff floor
+        fd2 = (sx_hi - sx_lo) / (2 * h)
+        worst1 = float(np.max(np.abs(sx - fd1) / np.maximum(np.abs(sx), np.abs(fd1))))
+        worst2 = float(np.max(np.abs(sxx - fd2) / np.maximum(np.abs(sxx), np.abs(fd2))))
         elapsed = time.perf_counter() - start
         assert worst1 <= 1e-7, f"first derivative gap {worst1:.3g}"
         assert worst2 <= 1e-7, f"second derivative gap {worst2:.3g}"

@@ -51,6 +51,7 @@ def test_theta_scalar_becomes_tuple():
         ('{"method": "magic"}', "method"),
         ('{"ewald": {"n_max": 2, "junk": 3}}', "ewald.junk"),
         ('{"ewald": 5}', "ewald"),
+        ('{"ewald": {"bessel_n_max": 8}}', "ewald.bessel_n_max"),
         ('{"nearest_only": 1}', "nearest_only"),
         ('{"output_path": ""}', "output_path"),
         ("[1, 2]", "top level"),
@@ -179,16 +180,23 @@ def test_dispersion_single_plane(tmp_path):
     assert float(rows[0][3]) == 0.0
 
 
-def test_dispersion_grid_includes_origin(tmp_path):
-    cfg = {"k_direction": "grid", "n_sites": 4, "n_planes": 2, "theta": [0.5]}
+@pytest.mark.parametrize("method", ["ewald", "direct"])
+def test_dispersion_grid_includes_origin(tmp_path, method):
+    cfg = {
+        "method": method,
+        "k_direction": "grid",
+        "n_sites": 4,
+        "n_planes": 2,
+        "theta": [0.5],
+    }
     code, op = run_cli(tmp_path, "dispersion", cfg)
     assert code == 0
     _, rows = read_rows(op)
     assert len(rows) == 9 * 2
     origin = [r for r in rows if float(r[0]) == 0.0 and float(r[1]) == 0.0]
     assert len(origin) == 2
-    # k = 0 rows fall back to the corrected window sum; the in-plane
-    # coupling there is F (2 cos^2 theta - sin^2 theta)
+    # k = 0 rows take the corrected window sum with every engine; the
+    # in-plane coupling there is F (2 cos^2 theta - sin^2 theta)
     f = f_constant()
     want = f * (2.0 * math.cos(0.5) ** 2 - math.sin(0.5) ** 2)
     assert float(origin[0][2]) == pytest.approx(want, rel=1e-6)

@@ -11,14 +11,12 @@ from latticesum.dispersion import (
     Ewald,
     LongWave,
     ModeSpectrum,
-    coupling_from_tensor,
+    couplings,
     origin_tensor,
-    j_inter,
-    j_intra,
     pair_energies,
     polarization_splitting,
     splitting,
-    stack_matrix,
+    stack_matrices,
     symmetric_eigen,
 )
 from latticesum import ewald
@@ -34,11 +32,11 @@ from latticesum.model import (
 
 
 def test_coupling_contraction():
-    t = CouplingTensor.from_components(1.0, 1.0, -2.0, 0.5, 0.0, 0.0)
-    assert coupling_from_tensor(t, TransitionDipole((1.0, 0.0, 0.0))) == 1.0
+    t = [CouplingTensor.from_components(1.0, 1.0, -2.0, 0.5, 0.0, 0.0).entries]
+    assert couplings(t, TransitionDipole((1.0, 0.0, 0.0)))[0] == 1.0
     s = math.sqrt(0.5)
     diag = TransitionDipole((s, s, 0.0))
-    assert coupling_from_tensor(t, diag) == pytest.approx(1.5)
+    assert couplings(t, diag)[0] == pytest.approx(1.5)
 
 
 @pytest.mark.parametrize(
@@ -62,19 +60,19 @@ def test_batched_engines_match_single_k(method):
         for k, got in zip(ks, batch):
             want = alone(k)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    if not isinstance(method, Direct):
-        # k = 0 takes the corrected window, in-plane and between planes
-        origin = special.index((0.0, 0.0))
-        intra, inter = method.intra(ks)[origin], method.inter(ks, 1.5)[origin]
-        assert np.array_equal(intra, origin_tensor(20, 0, 1.0).entries)
-        assert np.array_equal(inter, origin_tensor(20, 1, 1.5).entries)
+    # k = 0 takes the corrected window, in-plane and between planes
+    origin = special.index((0.0, 0.0))
+    intra, inter = method.intra(ks)[origin], method.inter(ks, 1.5)[origin]
+    cutoff = method.origin_cutoff
+    assert np.array_equal(intra, origin_tensor(cutoff, 0, 1.0).entries)
+    assert np.array_equal(inter, origin_tensor(cutoff, 1, 1.5).entries)
 
 
 def test_longwave_intra_and_polarization_gap():
     f = f_constant()
-    k = WaveVector(1e-4, 0.0)
-    j_par = j_intra(k, dipole_from_theta(math.pi / 2.0), LongWave())
-    j_z = j_intra(k, dipole_from_theta(0.0), LongWave())
+    tensors = LongWave().intra([WaveVector(1e-4, 0.0)])
+    j_par = couplings(tensors, dipole_from_theta(math.pi / 2.0))[0]
+    j_z = couplings(tensors, dipole_from_theta(0.0))[0]
     assert j_par == pytest.approx(-f, rel=1e-12)
     assert j_z == pytest.approx(2.0 * f, rel=1e-12)
     assert polarization_splitting(f) == pytest.approx(j_z - j_par, rel=1e-12)
@@ -85,23 +83,25 @@ def test_longwave_intra_and_polarization_gap():
 def test_j_inter_longwave_closed_form():
     ka, b, phi = 0.5, 2.0, 0.7
     k = WaveVector(ka * math.cos(phi), ka * math.sin(phi))
+    tensors = LongWave().inter([k], b)
     for theta in (0.0, 0.6, math.pi / 2.0):
         want = (
             2.0 * math.pi * ka * math.exp(-ka * b)
             * (math.sin(theta) ** 2 * math.cos(phi) ** 2 - math.cos(theta) ** 2)
         )
-        got = j_inter(k, dipole_from_theta(theta), b, LongWave())
+        got = couplings(tensors, dipole_from_theta(theta))[0]
         assert got == pytest.approx(want, abs=1e-14)
 
 
 def test_engines_agree_on_couplings():
     k = WaveVector(2.0 * math.cos(0.75), 2.0 * math.sin(0.75))
     dip = dipole_from_theta(0.9)
-    assert j_intra(k, dip, Ewald()) == pytest.approx(
-        j_intra(k, dip, Direct(cutoff=200)), abs=5e-6
+    series, window = Ewald(), Direct(cutoff=200)
+    assert couplings(series.intra([k]), dip)[0] == pytest.approx(
+        couplings(window.intra([k]), dip)[0], abs=5e-6
     )
-    assert j_inter(k, dip, 1.0, Ewald()) == pytest.approx(
-        j_inter(k, dip, 1.0, Direct(cutoff=200)), abs=5e-6
+    assert couplings(series.inter([k], 1.0), dip)[0] == pytest.approx(
+        couplings(window.inter([k], 1.0), dip)[0], abs=5e-6
     )
 
 
@@ -109,8 +109,8 @@ def test_pair_energies_and_splitting():
     k = WaveVector(0.5 * math.cos(0.3), 0.5 * math.sin(0.3))
     dip = dipole_from_theta(math.pi / 3.0)
     scale = EnergyScale(2e-8, ea_ev=1.0)
-    j = j_intra(k, dip, Ewald())
-    jp = j_inter(k, dip, 2.0, Ewald())
+    j = couplings(Ewald().intra([k]), dip)[0]
+    jp = couplings(Ewald().inter([k], 2.0), dip)[0]
     modes = pair_energies(k, dip, 2.0, Ewald(), scale)
     assert modes.energies_j0 == pytest.approx(sorted((j - jp, j + jp)), abs=1e-14)
     assert modes.energies_ev[0] == pytest.approx(1.0 + 2e-8 * modes.energies_j0[0])
@@ -129,7 +129,7 @@ def test_stack_matrix_structure():
     k = WaveVector(0.5 * math.cos(0.3), 0.5 * math.sin(0.3))
     dip = dipole_from_theta(math.pi / 2.0)
     geom = LatticeGeometry(1000.0, 10.0, n_planes=4)
-    m = stack_matrix(k, dip, geom, LongWave())
+    m = stack_matrices([k], dip, geom, LongWave())[2][0]
     assert m.shape == (4, 4)
     assert np.array_equal(m, m.T)
     assert np.all(np.diag(m) == m[0, 0])
@@ -137,7 +137,7 @@ def test_stack_matrix_structure():
     decay = math.exp(-0.5 * 10.0)
     assert m[0, 2] / m[0, 1] == pytest.approx(decay, rel=1e-12)
     assert m[0, 3] / m[0, 2] == pytest.approx(decay, rel=1e-12)
-    near = stack_matrix(k, dip, geom, LongWave(), nearest_only=True)
+    near = stack_matrices([k], dip, geom, LongWave(), nearest_only=True)[2][0]
     assert near[0, 2] == 0.0 and near[0, 3] == 0.0
     assert near[0, 1] == m[0, 1]
     assert np.array_equal(np.diag(near), np.diag(m))
@@ -147,9 +147,9 @@ def test_two_plane_stack_matches_pair_formula():
     k = WaveVector(0.8, -0.2)
     dip = dipole_from_theta(0.4)
     geom = LatticeGeometry(1000.0, 5.0, n_planes=2)
-    evals = symmetric_eigen(stack_matrix(k, dip, geom, Ewald()))
-    j = j_intra(k, dip, Ewald())
-    jp = j_inter(k, dip, 5.0, Ewald())
+    evals = symmetric_eigen(stack_matrices([k], dip, geom, Ewald())[2][0])
+    j = couplings(Ewald().intra([k]), dip)[0]
+    jp = couplings(Ewald().inter([k], 5.0), dip)[0]
     assert evals == pytest.approx(sorted((j - jp, j + jp)), abs=1e-12)
 
 
@@ -159,8 +159,9 @@ def test_nearest_only_error_has_second_neighbor_scale():
     k = WaveVector(0.5 * math.cos(0.3), 0.5 * math.sin(0.3))
     dip = dipole_from_theta(math.pi / 2.0)
     geom = LatticeGeometry(1000.0, 10.0, n_planes=5)
-    full = symmetric_eigen(stack_matrix(k, dip, geom, Ewald()))
-    near = symmetric_eigen(stack_matrix(k, dip, geom, Ewald(), nearest_only=True))
+    _j, _jps, full = stack_matrices([k], dip, geom, Ewald())
+    _j, _jps, near = stack_matrices([k], dip, geom, Ewald(), nearest_only=True)
+    full, near = symmetric_eigen(full[0]), symmetric_eigen(near[0])
     gap = float(np.max(np.abs(full - near)))
     scale = math.pi * math.exp(-10.0)
     assert 0.2 * scale < gap < 5.0 * scale
