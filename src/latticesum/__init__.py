@@ -1,10 +1,10 @@
 """Dipolar lattice sums and exciton dispersion for stacked square monolayers.
 
 Three interchangeable engines compute the dimensionless coupling tensors:
-a brute-force window sum (the oracle), exponentially convergent series
-(the fast path) and closed long-wavelength forms. On top of those sit
-the dipole contractions J(k), J'(k), two-plane splittings and N-plane
-stack spectra, and a CSV-producing command line.
+a brute-force window sum (the oracle), the 2D Ewald kernel (the fast
+path) and closed long-wavelength forms. On top of those sit the dipole
+contractions J(k), J'(k), two-plane splittings and N-plane stack
+spectra, and a CSV-producing command line.
 """
 
 from .model import (
@@ -27,15 +27,7 @@ from .direct_sum import (
     k0_tail_correction,
     tail_bound,
 )
-from .ewald import (
-    EwaldConfig,
-    f_constant,
-    inter_longwave_tensors,
-    inter_series,
-    inter_tensors,
-    intra_series,
-    intra_tensors,
-)
+from .ewald import f_constant, inter_longwave_tensors, lattice_tensors
 from .dispersion import (
     Direct,
     Ewald,

@@ -2,7 +2,7 @@
 
 Four subcommands: ``sweep-phi`` (anisotropy curves J'(phi)), ``dispersion``
 (stack eigenmodes along a k path or grid), ``convergence`` (direct-window
-vs accelerated-series error/cost table) and ``stack`` (N-plane spectra).
+vs Ewald-kernel error/cost table) and ``stack`` (N-plane spectra).
 Output is deliberately plain CSV with fixed headers; floats are written
 with shortest round-trip formatting and LF line endings so identical
 configs produce byte-identical files (the wall-time column of
@@ -28,7 +28,7 @@ from .dispersion import (
     stack_matrices,
     symmetric_eigen,
 )
-from .ewald import EwaldConfig, inter_tensors
+from .ewald import _lattice_sums
 from .model import (
     EnergyScale,
     LatticeGeometry,
@@ -60,7 +60,7 @@ _DEFAULT_THETAS = (
 )
 
 _DIRECT_CONVERGENCE_CUTOFFS = (10, 30, 100, 300, 1000)
-_EWALD_CONVERGENCE_ORDERS = range(1, 9)
+_EWALD_CONVERGENCE_SHELLS = range(1, 7)
 
 
 class ConfigError(Exception):
@@ -81,7 +81,6 @@ class RunConfig:
     n_planes: int = 2
     method: str = "ewald"
     direct_cutoff: int = 500
-    ewald: EwaldConfig = EwaldConfig()
     nearest_only: bool = False
     output_path: str = "out.csv"
 
@@ -112,22 +111,11 @@ def _want_theta(path, value):
     return v
 
 
-def _parse_ewald(value) -> EwaldConfig:
-    if not isinstance(value, dict):
-        raise ConfigError(f"ewald: expected an object, got {value!r}")
-    known = {"n_max", "l_max"}
-    for key in value:
-        if key not in known:
-            raise ConfigError(f"ewald.{key}: unknown key")
-    kwargs = {key: _want_int(f"ewald.{key}", v, 1) for key, v in value.items()}
-    return EwaldConfig(**kwargs)
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config; unknown keys are rejected.
 
     Defaults are the reference setup: a = 1000 A, b = 10 a, mu = 1 e A,
-    E_A = 1 eV, ka = [1e-3], accelerated-series engine.
+    E_A = 1 eV, ka = [1e-3], Ewald engine.
     """
     try:
         raw = json.loads(text)
@@ -179,8 +167,6 @@ def parse_config(text: str) -> RunConfig:
             out[key] = value
         elif key == "direct_cutoff":
             out[key] = _want_int(key, value, 1)
-        elif key == "ewald":
-            out[key] = _parse_ewald(value)
         elif key == "nearest_only":
             if not isinstance(value, bool):
                 raise ConfigError(f"{key}: expected true or false, got {value!r}")
@@ -212,8 +198,8 @@ def _engine(cfg: RunConfig) -> Method:
     if cfg.method == "direct":
         return Direct(cfg.direct_cutoff)
     if cfg.method == "ewald":
-        return Ewald(cfg.ewald, cfg.direct_cutoff)
-    return LongWave(cfg.direct_cutoff)
+        return Ewald()
+    return LongWave()
 
 
 def _scale(cfg: RunConfig) -> EnergyScale:
@@ -294,18 +280,22 @@ def cmd_dispersion(cfg: RunConfig) -> str:
 
 
 def cmd_convergence(cfg: RunConfig) -> str:
-    """Error/cost table: direct windows vs series orders at one k.
+    """Error/cost table: direct windows vs Ewald shells at one k.
 
-    Reference is the series at n_max = 12. Also checks the headline cost
-    claim: where both engines reach their target accuracy (1e-10 for the
-    series, 1e-6 for the window), the term-count ratio must be >= 1000.
+    Compares the inter-plane zz entry of direct windows of half-width L,
+    (2L + 1)^2 terms, with the Ewald kernel summed over R shells,
+    2 (2R + 1)^2 terms; the reference is the kernel at R = 10. The rows
+    are unchecked sums, since a truncated tensor is only traceless once
+    converged. Also checks the headline cost claim: where both reach their
+    target accuracy (1e-10 for the kernel, 1e-6 for the window), the
+    term-count ratio must be >= 1000.
     """
     if cfg.k_direction == "grid":
         raise ConfigError("k_direction: convergence needs a single direction, not grid")
     d = float(cfg.k_direction)
     ka = cfg.ka_values[0]
     k = WaveVector(ka * math.cos(d), ka * math.sin(d))
-    ref = inter_tensors([k], cfg.b_over_a, replace(cfg.ewald, n_max=12))[0, 2, 2].real
+    ref = _lattice_sums([k], cfg.b_over_a, 10)[2][0].real
 
     rows = []
     direct_ok = None
@@ -319,12 +309,11 @@ def cmd_convergence(cfg: RunConfig) -> str:
             direct_ok = terms
         rows.append(["direct", str(terms), _fmt(val), _fmt(err), str(elapsed)])
     ewald_ok = None
-    for n_max in _EWALD_CONVERGENCE_ORDERS:
+    for shells in _EWALD_CONVERGENCE_SHELLS:
         t0 = time.perf_counter_ns()
-        orders = replace(cfg.ewald, n_max=n_max)
-        val = inter_tensors([k], cfg.b_over_a, orders)[0, 2, 2].real
+        val = _lattice_sums([k], cfg.b_over_a, shells)[2][0].real
         elapsed = time.perf_counter_ns() - t0
-        terms = (2 * n_max + 1) ** 2
+        terms = 2 * (2 * shells + 1) ** 2
         err = abs(val - ref)
         if ewald_ok is None and err <= 1e-10:
             ewald_ok = terms
@@ -397,8 +386,8 @@ def main(argv=None) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError) as exc:
-        # an accepted config the numerics cannot serve (a reciprocal-lattice
-        # k, an unconverged series): one line, no traceback
+        # an accepted config the numerics cannot serve (a plane spacing so
+        # small that the tensor checks trip): one line, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(path)

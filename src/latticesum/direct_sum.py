@@ -1,6 +1,6 @@
 """Brute-force window sums of the Fourier-weighted dipole dyadic.
 
-This is the slow oracle the accelerated series are tested against. The sum
+This is the slow oracle the Ewald kernel is tested against. The sum
 runs over a square window lx, ly in [-L, L] (square, not circular: window
 shape effects are folded into :func:`tail_bound`), with only the origin
 excluded in the in-plane case; terms whose numerator happens to vanish are

@@ -14,19 +14,14 @@ energies are E_A + J0 (Jt +- Jt') and the splitting is 2 |Jt'|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .direct_sum import DirectSumConfig, d_tensor_direct, k0_tail_correction
-from .ewald import (
-    EwaldConfig,
-    f_constant,
-    inter_longwave_tensors,
-    inter_tensors,
-    intra_tensors,
-)
+from .ewald import _check_spacing, f_constant, inter_longwave_tensors, lattice_tensors
 from .model import (
     CouplingTensor,
     EnergyScale,
@@ -61,76 +56,81 @@ def origin_tensor(cutoff: int, layer_offset: int, b_over_a: float) -> CouplingTe
     )
 
 
-class _Engine:
-    """Shared k = 0 rule of the engines. Every other k takes the engine's
-    batched ``_tensors``; k = 0 exactly, where the series and closed forms
-    are non-analytic and a bare window misses its O(1/L) tail, takes the
-    window sum of half-width ``origin_cutoff`` plus its k = 0 tail
-    correction."""
+def _on_reciprocal_lattice(k: WaveVector) -> bool:
+    two_pi = 2.0 * math.pi
+    return math.remainder(k.kxa, two_pi) == 0.0 and math.remainder(k.kya, two_pi) == 0.0
+
+
+@dataclass(frozen=True)
+class Direct:
+    """Brute-force window engine: one window sum per k and separation, of
+    half-width ``cutoff``. On the reciprocal lattice, k = 0 included, no
+    phase oscillates and the bare window misses an O(1/L) tail, so there
+    it takes the k = 0 window with its tail correction
+    (:func:`origin_tensor`)."""
+
+    cutoff: int = 500
 
     def intra(self, ks) -> np.ndarray:
         """In-plane tensors at every k of ``ks``, a (K, 3, 3) stack."""
-        return self._or_origin(ks, 0, 1.0)
+        return self._tensors(ks, 0, 1.0)
 
     def inter(self, ks, b_over_a: float) -> np.ndarray:
         """Tensors to the plane b_over_a away at every k, a (K, 3, 3) stack."""
-        return self._or_origin(ks, 1, b_over_a)
+        return self._tensors(ks, 1, b_over_a)
 
-    def _or_origin(self, ks, layer_offset: int, b_over_a: float) -> np.ndarray:
+    def _tensors(self, ks, layer_offset, b_over_a):
+        ks = list(ks)
+        cfg = DirectSumConfig(self.cutoff, layer_offset)
+        on_lattice = np.array([_on_reciprocal_lattice(k) for k in ks], dtype=bool)
+        out = np.empty((len(ks), 3, 3), dtype=complex)
+        for i, k in enumerate(ks):
+            if not on_lattice[i]:
+                out[i] = d_tensor_direct(k, cfg, b_over_a).entries
+        if on_lattice.any():
+            window = origin_tensor(self.cutoff, layer_offset, b_over_a)
+            out[on_lattice] = window.entries
+        return out
+
+
+@dataclass(frozen=True)
+class Ewald:
+    """2D Ewald engine: every k goes to :func:`~latticesum.ewald.lattice_tensors`."""
+
+    def intra(self, ks) -> np.ndarray:
+        """In-plane tensors at every k of ``ks``, a (K, 3, 3) stack."""
+        return lattice_tensors(ks, 0.0)
+
+    def inter(self, ks, b_over_a: float) -> np.ndarray:
+        """Tensors to the plane b_over_a away at every k, a (K, 3, 3) stack."""
+        _check_spacing(b_over_a)
+        return lattice_tensors(ks, b_over_a)
+
+
+@dataclass(frozen=True)
+class LongWave:
+    """Closed forms valid for ka << 1: the constant in-plane tensor
+    diag(-F, -F, 2F), exact at k = 0, and the single-term inter-plane
+    forms, which k = 0 replaces by the Ewald kernel's value."""
+
+    def intra(self, ks) -> np.ndarray:
+        """In-plane tensors at every k of ``ks``, a (K, 3, 3) stack."""
+        f = f_constant()
+        diag = np.diag([-f, -f, 2.0 * f]).astype(complex)
+        return np.broadcast_to(diag, (len(ks), 3, 3))
+
+    def inter(self, ks, b_over_a: float) -> np.ndarray:
+        """Tensors to the plane b_over_a away at every k, a (K, 3, 3) stack."""
+        _check_spacing(b_over_a)
         ks = list(ks)
         at_origin = np.array([k.kxa == 0.0 and k.kya == 0.0 for k in ks], dtype=bool)
         out = np.empty((len(ks), 3, 3), dtype=complex)
         if not at_origin.all():
             rest = [k for k, z in zip(ks, at_origin) if not z]
-            out[~at_origin] = self._tensors(rest, layer_offset, b_over_a)
+            out[~at_origin] = inter_longwave_tensors(rest, b_over_a)
         if at_origin.any():
-            window = origin_tensor(self.origin_cutoff, layer_offset, b_over_a)
-            out[at_origin] = window.entries
+            out[at_origin] = lattice_tensors([WaveVector(0.0, 0.0)], b_over_a)
         return out
-
-
-@dataclass(frozen=True)
-class Direct(_Engine):
-    """Brute-force window engine: one window sum per k and separation, of
-    half-width ``cutoff``; k = 0 takes that window with its tail correction."""
-
-    cutoff: int = 500
-
-    @property
-    def origin_cutoff(self) -> int:
-        return self.cutoff
-
-    def _tensors(self, ks, layer_offset, b_over_a):
-        cfg = DirectSumConfig(self.cutoff, layer_offset)
-        tensors = [d_tensor_direct(k, cfg, b_over_a).entries for k in ks]
-        return np.array(tensors, dtype=complex).reshape(-1, 3, 3)
-
-
-@dataclass(frozen=True)
-class Ewald(_Engine):
-    """Accelerated-series engine."""
-
-    config: EwaldConfig = EwaldConfig()
-    origin_cutoff: int = 500
-
-    def _tensors(self, ks, layer_offset, b_over_a):
-        if layer_offset == 0:
-            return intra_tensors(ks, self.config)
-        return inter_tensors(ks, b_over_a, self.config)
-
-
-@dataclass(frozen=True)
-class LongWave(_Engine):
-    """Closed forms valid for ka << 1: constant in-plane tensor
-    diag(-F, -F, 2F) and the single-term inter-plane forms."""
-
-    origin_cutoff: int = 500
-
-    def _tensors(self, ks, layer_offset, b_over_a):
-        if layer_offset == 0:
-            f = f_constant()
-            return np.broadcast_to(np.diag([-f, -f, 2.0 * f]), (len(ks), 3, 3))
-        return inter_longwave_tensors(ks, b_over_a)
 
 
 Method = Union[Direct, Ewald, LongWave]

@@ -2,13 +2,17 @@
 
 import json
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from latticesum import cli, dispersion
 from latticesum.cli import ConfigError, RunConfig, main, parse_config
-from latticesum.ewald import f_constant
-from latticesum.model import j0_scale
+from latticesum.dispersion import couplings
+from latticesum.ewald import f_constant, lattice_tensors
+from latticesum.model import WaveVector, dipole_from_theta, j0_scale
 
 
 def run_cli(tmp_path, command, cfg, name="run"):
@@ -31,6 +35,12 @@ def test_defaults():
     assert len(cfg.theta) == 6
 
 
+def test_readme_config_table_lists_the_config_fields():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    keys = re.findall(r"^\| `(\w+)` \|", readme, flags=re.MULTILINE)
+    assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+
+
 def test_theta_scalar_becomes_tuple():
     assert parse_config('{"theta": 0.5}').theta == (0.5,)
     assert parse_config('{"theta": [0.5, 1.0]}').theta == (0.5, 1.0)
@@ -49,9 +59,8 @@ def test_theta_scalar_becomes_tuple():
         ('{"ka_values": [0.5, -1.0]}', "ka_values[1]"),
         ('{"n_sites": 12}', "n_sites"),
         ('{"method": "magic"}', "method"),
-        ('{"ewald": {"n_max": 2, "junk": 3}}', "ewald.junk"),
         ('{"ewald": 5}', "ewald"),
-        ('{"ewald": {"bessel_n_max": 8}}', "ewald.bessel_n_max"),
+        ('{"ewald": {"n_max": 6}}', "ewald: unknown key"),
         ('{"nearest_only": 1}', "nearest_only"),
         ('{"output_path": ""}', "output_path"),
         ("[1, 2]", "top level"),
@@ -84,10 +93,9 @@ def test_exit_codes(tmp_path):
 @pytest.mark.parametrize(
     "cfg",
     [
-        # the inter-plane series has not converged: the trace check trips
+        # the tensor's 1/c^3 scale puts its roundoff-level trace residual
+        # far past the absolute 1e-10 check
         {"b_over_a": 1e-9, "ka_values": [0.5]},
-        # phi = 0 puts k on the reciprocal-lattice point (2 pi, 0)
-        {"ka_values": [6.283185307179586], "k_direction": 0.0},
     ],
 )
 def test_numerical_failures_exit_2_with_one_line(tmp_path, capsys, cfg):
@@ -96,6 +104,31 @@ def test_numerical_failures_exit_2_with_one_line(tmp_path, capsys, cfg):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["ewald", "direct"])
+def test_reciprocal_lattice_point_runs_as_zone_centre(tmp_path, method):
+    # phi = 0 puts k on the reciprocal-lattice point (2 pi, 0), where the
+    # tensor is the one at k = 0
+    cfg = {
+        "method": method,
+        "direct_cutoff": 20,
+        "b_over_a": 0.5,
+        "theta": [0.3],
+        "phi_points": 4,
+        "ka_values": [2.0 * math.pi],
+    }
+    code, op = run_cli(tmp_path, "sweep-phi", cfg)
+    assert code == 0
+    _, rows = read_rows(op)
+    assert float(rows[0][1]) == 0.0
+    origin = [WaveVector(0.0, 0.0)]
+    if method == "ewald":
+        tensors = lattice_tensors(origin, 0.5)
+    else:
+        tensors = [dispersion.origin_tensor(20, 1, 0.5).entries]
+    want = couplings(tensors, dipole_from_theta(0.3))[0]
+    assert float(rows[0][4]) == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
 def test_stack_has_no_plane_cap(tmp_path):
@@ -195,8 +228,8 @@ def test_dispersion_grid_includes_origin(tmp_path, method):
     assert len(rows) == 9 * 2
     origin = [r for r in rows if float(r[0]) == 0.0 and float(r[1]) == 0.0]
     assert len(origin) == 2
-    # k = 0 rows take the corrected window sum with every engine; the
-    # in-plane coupling there is F (2 cos^2 theta - sin^2 theta)
+    # the k = 0 rows take the Ewald kernel or the corrected window sum;
+    # the in-plane coupling there is F (2 cos^2 theta - sin^2 theta)
     f = f_constant()
     want = f * (2.0 * math.cos(0.5) ** 2 - math.sin(0.5) ** 2)
     assert float(origin[0][2]) == pytest.approx(want, rel=1e-6)
@@ -213,14 +246,14 @@ def test_convergence_schema_and_claim(tmp_path):
     engines = {r[0] for r in rows}
     assert engines == {"direct", "ewald"}
     assert all(int(r[4]) > 0 for r in rows)
-    # the series hits 1e-10 within its listed orders
+    # the kernel hits 1e-10 within its listed shells
     assert any(r[0] == "ewald" and float(r[3]) <= 1e-10 for r in rows)
 
 
 def test_convergence_ratio_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
-    # with only n_max = 12 listed the series spends 625 terms; the window
-    # reaches 1e-6 at L = 300 (361 201 terms), a ratio of 578
-    monkeypatch.setattr(cli, "_EWALD_CONVERGENCE_ORDERS", range(12, 13))
+    # with only R = 7 listed the kernel spends 2 (2R + 1)^2 = 450 terms; the
+    # window reaches 1e-6 at L = 300 (361 201 terms), a ratio of 803
+    monkeypatch.setattr(cli, "_EWALD_CONVERGENCE_SHELLS", range(7, 8))
     cfg = {"b_over_a": 1.0, "ka_values": [0.5], "k_direction": 0.3}
     code, op = run_cli(tmp_path, "convergence", cfg)
     assert code == 2

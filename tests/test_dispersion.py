@@ -39,15 +39,14 @@ def test_coupling_contraction():
     assert couplings(t, diag)[0] == pytest.approx(1.5)
 
 
-@pytest.mark.parametrize(
-    "method", [Ewald(origin_cutoff=20), LongWave(origin_cutoff=20), Direct(cutoff=6)]
-)
+@pytest.mark.parametrize("method", [Ewald(), LongWave(), Direct(cutoff=6)])
 def test_batched_engines_match_single_k(method):
-    # lattice axes, near the zone centre, the zone edges, k = 0 and generic
-    # k, more than two kernel blocks in all
+    # lattice axes, near the zone centre, the zone edges, k = 0, a
+    # reciprocal-lattice point and generic k, more than two kernel blocks
     special = [
         (1e-3, 0.0), (0.0, 1e-3), (0.8, 0.0), (0.0, -1.7), (math.pi, 0.3),
         (-math.pi, -math.pi), (0.4, math.pi), (-math.pi, 0.0), (0.0, 0.0),
+        (2.0 * math.pi, 0.0),
     ]
     rng = np.random.default_rng(11)
     generic = rng.uniform(-math.pi, math.pi, size=(2 * ewald._BLOCK + 5, 2))
@@ -60,16 +59,28 @@ def test_batched_engines_match_single_k(method):
         for k, got in zip(ks, batch):
             want = alone(k)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    # k = 0 takes the corrected window, in-plane and between planes
-    origin = special.index((0.0, 0.0))
-    intra, inter = method.intra(ks)[origin], method.inter(ks, 1.5)[origin]
-    cutoff = method.origin_cutoff
-    assert np.array_equal(intra, origin_tensor(cutoff, 0, 1.0).entries)
-    assert np.array_equal(inter, origin_tensor(cutoff, 1, 1.5).entries)
+    # in the plane, k = (2 pi, 0) is k = 0 for every engine
+    intra = method.intra(ks)
+    origin, lattice = intra[special.index((0.0, 0.0))], intra[len(special) - 1]
+    assert np.max(np.abs(lattice - origin)) <= 1e-14 * np.max(np.abs(origin))
+
+
+def test_direct_takes_corrected_window_on_reciprocal_lattice():
+    # the bare window misses its O(1/L) tail wherever no phase oscillates
+    method = Direct(cutoff=6)
+    ks = [WaveVector(0.0, 0.0), WaveVector(2.0 * math.pi, 0.0),
+          WaveVector(-2.0 * math.pi, 4.0 * math.pi)]
+    for got in method.intra(ks):
+        assert np.array_equal(got, origin_tensor(6, 0, 1.0).entries)
+    for got in method.inter(ks, 1.5):
+        assert np.array_equal(got, origin_tensor(6, 1, 1.5).entries)
 
 
 def test_longwave_intra_and_polarization_gap():
     f = f_constant()
+    # diag(-F, -F, 2F) at every k, and exactly so at k = 0
+    origin = LongWave().intra([WaveVector(0.0, 0.0)])[0]
+    assert np.array_equal(origin, np.diag([-f, -f, 2.0 * f]))
     tensors = LongWave().intra([WaveVector(1e-4, 0.0)])
     j_par = couplings(tensors, dipole_from_theta(math.pi / 2.0))[0]
     j_z = couplings(tensors, dipole_from_theta(0.0))[0]
@@ -91,16 +102,19 @@ def test_j_inter_longwave_closed_form():
         )
         got = couplings(tensors, dipole_from_theta(theta))[0]
         assert got == pytest.approx(want, abs=1e-14)
+    # k = 0, where the closed form has no limit, takes the Ewald kernel
+    origin = [WaveVector(0.0, 0.0)]
+    assert np.array_equal(LongWave().inter(origin, b), ewald.lattice_tensors(origin, b))
 
 
 def test_engines_agree_on_couplings():
     k = WaveVector(2.0 * math.cos(0.75), 2.0 * math.sin(0.75))
     dip = dipole_from_theta(0.9)
-    series, window = Ewald(), Direct(cutoff=200)
-    assert couplings(series.intra([k]), dip)[0] == pytest.approx(
+    kernel, window = Ewald(), Direct(cutoff=200)
+    assert couplings(kernel.intra([k]), dip)[0] == pytest.approx(
         couplings(window.intra([k]), dip)[0], abs=5e-6
     )
-    assert couplings(series.inter([k], 1.0), dip)[0] == pytest.approx(
+    assert couplings(kernel.inter([k], 1.0), dip)[0] == pytest.approx(
         couplings(window.inter([k], 1.0), dip)[0], abs=5e-6
     )
 

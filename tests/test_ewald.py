@@ -1,4 +1,5 @@
-"""Accelerated series: frozen values, closed forms, window-oracle checks."""
+"""Ewald kernel and closed forms: plane-wave, eta-independence and window
+references, frozen values and symmetries."""
 
 import math
 
@@ -6,76 +7,115 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from latticesum import ewald
 from latticesum.direct_sum import DirectSumConfig, d_tensor_direct
-from latticesum.ewald import (
-    EwaldConfig,
-    f_constant,
-    inter_longwave_tensors,
-    inter_series,
-    inter_tensors,
-    intra_series,
-    intra_tensors,
-)
+from latticesum.dispersion import Ewald, LongWave, origin_tensor
+from latticesum.ewald import f_constant, inter_longwave_tensors, lattice_tensors
 from latticesum.model import WaveVector
 
+from plane_wave_oracle import plane_wave_tensor
+
 ORIGIN = WaveVector(0.0, 0.0)
+TWO_PI = 2.0 * math.pi
+
+# the failing points of the fixed-order series this kernel replaced: the
+# lattice axes, the zone centre and a reciprocal-lattice point
+IN_PLANE_POINTS = [
+    (0.8, 0.0), (0.0, -1.7), (0.2, 1.9), (0.05, 0.02), (1e-3, 0.0), (TWO_PI, TWO_PI),
+]
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EwaldConfig(n_max=0)
-    with pytest.raises(ValueError):
-        EwaldConfig(l_max=0)
+    # the plane offset is the kernel's only input besides k
+    k = WaveVector(0.5, 0.2)
+    for bad in (-1e-12, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            lattice_tensors([k], bad)
 
 
 def test_scalar_series_frozen_values():
-    # b = a: all reciprocal terms contribute visibly
-    assert inter_series([ORIGIN], 1.0)[0][0, 0] == pytest.approx(
-        1.060161164136149, rel=1e-12
-    )
-    # b = 10 a: every (n,m) != (0,0) term is below double precision, so
-    # k = 0 gives exactly 1 and ka = 1e-3 the single term (1 + kb) e^{-kb}
-    st = inter_series([ORIGIN, WaveVector(1e-3, 0.0)], 10.0)[0][0]
-    assert st[0] == 1.0
-    want = (1.0 + 0.01) * math.exp(-0.01)
-    assert st[1] == pytest.approx(want, rel=1e-15)
+    # b = 10 a, k = 0: a uniform dipole sheet has no field outside it, up to
+    # the e^{-2 pi b/a} images
+    assert np.max(np.abs(lattice_tensors([ORIGIN], 10.0))) <= 1e-25
+    # b = a, k = 0: the images the long-wave form drops (criterion 05)
+    diag = lattice_tensors([ORIGIN], 1.0)[0].real.diagonal()
+    want = [0.16373231415904563, 0.16373231415904563, -0.32746462831809153]
+    assert diag == pytest.approx(want, rel=1e-12)
+    t = lattice_tensors([WaveVector(0.8, 0.3)], 0.0)[0]
+    assert t[0, 0].real == pytest.approx(-0.3585670242621526, rel=1e-12)
+    assert t[0, 1].real == pytest.approx(1.2337696066654136, rel=1e-12)
+    t = lattice_tensors([WaveVector(0.8, 0.3)], 1.0)[0]
+    assert t[2, 2].real == pytest.approx(-2.6460881566980143, rel=1e-12)
+    assert t[0, 2].imag == pytest.approx(-2.0422538122098532, rel=1e-12)
 
 
 def test_series_truncation_settled():
-    # raising n_max from 4 to 8 moves the sum below the omitted-term
-    # scale; at b = a the n = 5 ring still contributes ~1e-11
-    k = WaveVector(0.7, -0.3)
-    for b, tol in ((1.0, 1e-10), (2.0, 1e-12), (10.0, 1e-12)):
-        lo = inter_series([k], b, EwaldConfig(n_max=4))[0][0, 0]
-        hi = inter_series([k], b, EwaldConfig(n_max=8))[0][0, 0]
-        assert abs(lo - hi) <= tol
+    # doubling the shells of both sums moves nothing: the first omitted
+    # terms at the default are below 1e-21
+    ks = [WaveVector(0.7, -0.3), WaveVector(math.pi, 0.0), WaveVector(1e-3, 0.0),
+          ORIGIN]
+    for c in (0.0, 0.05, 1.0, 10.0):
+        lo = lattice_tensors(ks, c)
+        hi = lattice_tensors(ks, c, shells=8)
+        scale = np.max(np.abs(hi), axis=(1, 2), keepdims=True)
+        assert np.max(np.abs(lo - hi) / np.maximum(scale, 1e-300)) <= 1e-13
 
 
 def test_partials_match_series_and_finite_differences():
-    k = WaveVector(0.9, 0.4)
-    h = 1e-5
-    ks = [k, WaveVector(k.kxa + h, k.kya), WaveVector(k.kxa - h, k.kya)]
-    (s, sx, _sy, sxx, _syy, _sxy), _ = inter_series(ks, 1.0)
-    fd1 = (s[1] - s[2]) / (2.0 * h)
-    assert sx[0] == pytest.approx(fd1, rel=1e-7)
-    # second derivative: difference the analytic first derivative, not
-    # the double difference of s itself (noise floor)
-    fd2 = (sx[1] - sx[2]) / (2.0 * h)
-    assert sxx[0] == pytest.approx(fd2, rel=1e-7)
+    # term by term, d/dkx D_xz - d/dky D_yz = i c (D_xx - D_yy) and
+    # d/dky D_xz = d/dkx D_yz = i c D_xy, since D_xz carries -3 l_x c / r^5
+    kx, ky, h = 0.9, 0.4, 1e-5
+    ks = [WaveVector(kx, ky), WaveVector(kx + h, ky), WaveVector(kx - h, ky),
+          WaveVector(kx, ky + h), WaveVector(kx, ky - h)]
+    for c in (0.3, 1.0):
+        t, xp, xm, yp, ym = lattice_tensors(ks, c)
+        dxz_dx = (xp[0, 2] - xm[0, 2]) / (2 * h)
+        dyz_dy = (yp[1, 2] - ym[1, 2]) / (2 * h)
+        dxz_dy = (yp[0, 2] - ym[0, 2]) / (2 * h)
+        dyz_dx = (xp[1, 2] - xm[1, 2]) / (2 * h)
+        scale = np.max(np.abs(t))
+        assert abs(dxz_dx - dyz_dy - 1j * c * (t[0, 0] - t[1, 1])) <= 1e-7 * scale
+        assert abs(dxz_dy - 1j * c * t[0, 1]) <= 1e-7 * scale
+        assert abs(dyz_dx - 1j * c * t[0, 1]) <= 1e-7 * scale
 
 
-def test_partials_reject_reciprocal_lattice_points():
-    # the scalar series stays defined there, in a batch too; only the
-    # tensors, built from the derivative rows, reject the point
-    generic = WaveVector(0.5, 0.2)
-    lattice_point = WaveVector(2.0 * math.pi, 0.0)
-    rows, on_lattice = inter_series([generic, ORIGIN, lattice_point], 1.0)
-    assert on_lattice.tolist() == [False, True, True]
-    assert rows[0, 1] == inter_series([ORIGIN], 1.0)[0][0, 0]
-    assert rows[0, 0] == inter_series([generic], 1.0)[0][0, 0]
-    for ks in ([generic, ORIGIN], [ORIGIN], [lattice_point]):
-        with pytest.raises(ValueError):
-            inter_tensors(ks, 1.0)
+def test_reciprocal_lattice_points_equal_zone_centre():
+    # D is periodic in k, and every k is defined, in a batch too
+    ks = [ORIGIN, WaveVector(TWO_PI, 0.0), WaveVector(-TWO_PI, 2.0 * TWO_PI)]
+    for c in (0.0, 1.0):
+        origin, *lattice = lattice_tensors([WaveVector(0.5, 0.2)] + ks, c)[1:]
+        scale = np.max(np.abs(origin))
+        for t in lattice:
+            assert np.max(np.abs(t - origin)) <= 1e-15 * scale
+
+
+def test_kernel_is_eta_independent_in_plane(monkeypatch):
+    # any error in the split makes the sum depend on the splitting parameter
+    ks = [WaveVector(kx, ky) for kx, ky in IN_PLANE_POINTS]
+    want = lattice_tensors(ks, 0.0)
+    for eta in (1.0, 3.0):
+        monkeypatch.setattr(ewald, "_ETA", eta)
+        got = lattice_tensors(ks, 0.0, shells=10)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("b", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 6.0])
+def test_kernel_matches_plane_wave_sum_between_planes(b):
+    points = [(0.8, 0.3), (0.8, 0.0), (0.0, -1.7), (0.05, 0.02), (1e-3, 0.0),
+              (0.0, 0.0), (TWO_PI, 0.0)]
+    got = lattice_tensors([WaveVector(kx, ky) for kx, ky in points], b)
+    for (kx, ky), g in zip(points, got):
+        want = plane_wave_tensor(kx, ky, b)
+        assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_kernel_matches_corrected_window_at_k0():
+    # 1e-10 is the L = 2000 window's own residual after its tail correction
+    intra = lattice_tensors([ORIGIN], 0.0)[0]
+    assert np.max(np.abs(intra - origin_tensor(2000, 0, 1.0).entries)) <= 1e-10
+    inter = lattice_tensors([ORIGIN], 1.0)[0]
+    assert np.max(np.abs(inter - origin_tensor(2000, 1, 1.0).entries)) <= 1e-10
 
 
 def test_longwave_closed_form_components():
@@ -90,7 +130,7 @@ def test_longwave_closed_form_components():
 def test_longwave_matches_series_at_small_k():
     k = WaveVector(1e-3 * math.cos(0.6), 1e-3 * math.sin(0.6))
     lw = inter_longwave_tensors([k], 10.0)[0]
-    ew = inter_tensors([k], 10.0)[0]
+    ew = lattice_tensors([k], 10.0)[0]
     assert np.max(np.abs(lw - ew)) <= 1e-10 * np.max(np.abs(ew))
 
 
@@ -102,54 +142,52 @@ def test_longwave_rejects_k0():
 def test_inter_series_matches_window():
     k = WaveVector(1.3 * math.cos(0.6), 1.3 * math.sin(0.6))
     for b in (1.0, 2.0):
-        series = inter_tensors([k], b)[0]
+        kernel = lattice_tensors([k], b)[0]
         window = d_tensor_direct(k, DirectSumConfig(300, 1), b).entries
-        assert np.max(np.abs(series - window)) <= 1e-6
+        assert np.max(np.abs(kernel - window)) <= 1e-6
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.5, 4.0))
 def test_inter_conjugation_symmetry(kx, ky, b):
     assume(math.hypot(kx, ky) > 1e-3)
-    plus, minus = inter_tensors([WaveVector(kx, ky), WaveVector(-kx, -ky)], b)
+    plus, minus = lattice_tensors([WaveVector(kx, ky), WaveVector(-kx, -ky)], b)
     scale = max(1.0, float(np.max(np.abs(plus))))
     assert np.max(np.abs(minus - np.conj(plus))) <= 1e-12 * scale
 
 
 def test_intra_axis_swap_symmetry():
-    sx, sy, _xy = intra_series([WaveVector(0.8, 0.3), WaveVector(0.3, 0.8)])
-    assert sx[0] == pytest.approx(sy[1], rel=1e-14)
+    a, b = lattice_tensors([WaveVector(0.8, 0.3), WaveVector(0.3, 0.8)], 0.0)
+    scale = np.max(np.abs(a))
+    assert abs(a[0, 0] - b[1, 1]) <= 1e-14 * scale
+    assert abs(a[2, 2] - b[2, 2]) <= 1e-14 * scale
+    assert abs(a[0, 1] - b[0, 1]) <= 1e-14 * scale
 
 
 def test_intra_xy_vanishes_on_axis():
-    # +-n pairing cancels at kya = 0, up to accumulation roundoff
-    assert abs(intra_series([WaveVector(1.1, 0.0)])[2, 0]) <= 1e-12
+    assert abs(lattice_tensors([WaveVector(1.1, 0.0)], 0.0)[0, 0, 1]) <= 1e-12
 
 
 def test_intra_xy_matches_window():
     k = WaveVector(1.0, 1.0)
     window = d_tensor_direct(k, DirectSumConfig(2000, 0), 1.0)
-    assert intra_series([k], EwaldConfig(n_max=8, l_max=60))[2, 0] == pytest.approx(
+    assert lattice_tensors([k], 0.0)[0, 0, 1].real == pytest.approx(
         window.xy.real, abs=1e-6
     )
 
 
 def test_intra_tensor_matches_window():
     k = WaveVector(1.9 * math.cos(0.45), 1.9 * math.sin(0.45))
-    series = intra_tensors([k], EwaldConfig(n_max=8, l_max=60))[0]
+    kernel = lattice_tensors([k], 0.0)[0]
     window = d_tensor_direct(k, DirectSumConfig(400, 0), 1.0).entries
-    assert np.max(np.abs(series - window)) <= 1e-5
+    assert np.max(np.abs(kernel - window)) <= 1e-5
 
 
 def test_intra_k_to_zero_approaches_isotropic_form():
-    # exactly at k = 0 the l-sum loses its exponential factor and its
-    # truncation error is the bare tail (8/3) sum_{l>l_max} 1/l^2, about
-    # 1.3e-3 per axis sum at l_max = 2000 (doubled in the zz assembly)
+    # exact at k = 0: the in-plane tensor there is diag(-F, -F, 2F)
     f = f_constant()
-    t = intra_tensors([ORIGIN], EwaldConfig(l_max=2000))[0].real
-    assert t[0, 0] == pytest.approx(-f, abs=2e-3)
-    assert t[1, 1] == pytest.approx(-f, abs=2e-3)
-    assert t[2, 2] == pytest.approx(2.0 * f, abs=4e-3)
+    t = lattice_tensors([ORIGIN], 0.0)[0]
+    assert np.max(np.abs(t - np.diag([-f, -f, 2.0 * f]))) <= 1e-13
 
 
 def test_f_constant_value():
@@ -162,8 +200,10 @@ def test_f_constant_value():
 def test_rejects_nonpositive_spacing():
     k = WaveVector(0.5, 0.2)
     with pytest.raises(ValueError):
-        inter_series([k], 0.0)
-    with pytest.raises(ValueError):
-        inter_tensors([k], -1.0)
-    with pytest.raises(ValueError):
         inter_longwave_tensors([k], 0.0)
+    for method in (Ewald(), LongWave()):
+        for b in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                method.inter([k], b)
+            with pytest.raises(ValueError):
+                method.inter([ORIGIN], b)

@@ -20,7 +20,7 @@ def test_frozen_reference_values():
 
 
 def test_oracle_sweep():
-    # one array-valued call per order, as the series kernels make them
+    # one array-valued call per order, as f_constant makes them
     xs = np.logspace(math.log10(0.05), math.log10(30.0), 50)
     worst = 0.0
     for n in (0, 1, 2):
