@@ -175,6 +175,15 @@ def parse_config(text: str) -> RunConfig:
             if not isinstance(value, str) or not value:
                 raise ConfigError(f"{key}: expected a non-empty string")
             out[key] = value
+        elif key == "ewald":
+            # the kernel's shells are fixed; name what an older config set
+            dropped = ""
+            if isinstance(value, dict):
+                dropped = ", ".join(f"ewald.{k}" for k in value)
+            raise ConfigError(
+                "ewald: unknown key; the Ewald kernel takes no settings"
+                + (f", drop {dropped}" if dropped else "")
+            )
         else:
             raise ConfigError(f"{key}: unknown key")
     return RunConfig(**out)

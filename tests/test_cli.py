@@ -59,7 +59,9 @@ def test_theta_scalar_becomes_tuple():
         ('{"ka_values": [0.5, -1.0]}', "ka_values[1]"),
         ('{"n_sites": 12}', "n_sites"),
         ('{"method": "magic"}', "method"),
+        ('{"ewald": {"n_max": 2, "junk": 3}}', "ewald.junk"),
         ('{"ewald": 5}', "ewald"),
+        ('{"ewald": {"bessel_n_max": 8}}', "ewald.bessel_n_max"),
         ('{"ewald": {"n_max": 6}}', "ewald: unknown key"),
         ('{"nearest_only": 1}', "nearest_only"),
         ('{"output_path": ""}', "output_path"),
