@@ -21,11 +21,10 @@ from .model import (
 from .specfun import bessel_k
 from .direct_sum import (
     BACKEND,
-    DirectSumConfig,
-    d_tensor_direct,
     dyadic_term,
     k0_tail_correction,
     tail_bound,
+    window_tensors,
 )
 from .ewald import f_constant, inter_longwave_tensors, lattice_tensors
 from .dispersion import (

@@ -7,12 +7,12 @@ excluded in the in-plane case; terms whose numerator happens to vanish are
 kept, they cost nothing and simplify the exclusion rule to "no
 self-interaction".
 
-The kernel, ``_core_py.window_sums``, folds the window onto the quadrant
-lx, ly >= 0 by the parity of each component, so every sum is a real
-bilinear form over a quarter of the terms; it builds the quadrant in row
-stripes of at most 2^14 elements, so its memory stays near 0.25 MB up to
-L = 16383 and grows as O(L) beyond that. Components that parity makes
-real or imaginary come out exactly so, with the other lane 0.
+:func:`window_tensors` sums every k of a call in one kernel pass,
+``_core_py.window_sums``: it folds the window onto the quadrant lx, ly >= 0
+by parity and builds the k-independent quadrant 1/r^5 once per block of
+16 k, in stripes of at most 2^14 elements, so the phase tables take
+O(16 L) memory. Components that parity makes real or imaginary come out
+exactly so, with the other lane 0.
 The tests hold the six sums to 1e-12 of a ``math.fsum`` loop over
 :func:`dyadic_term` at L = 40, on and off the lattice axes.
 """
@@ -20,21 +20,19 @@ The tests hold the six sums to 1e-12 of a ``math.fsum`` loop over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _core_py
-from .model import CouplingTensor, WaveVector
+from .model import k_array, tensors_from_components
 
 # the window kernel's name, as benchmark records report it
 BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",
-    "DirectSumConfig",
     "dyadic_term",
-    "d_tensor_direct",
+    "window_tensors",
     "tail_bound",
     "k0_tail_correction",
 ]
@@ -42,18 +40,13 @@ __all__ = [
 _AXES = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
 
 
-@dataclass(frozen=True)
-class DirectSumConfig:
-    """Window half-width L and plane offset (0 = in-plane)."""
-
-    cutoff: int
-    layer_offset: int = 0
-
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-        if self.layer_offset < 0:
-            raise ValueError(f"layer_offset must be >= 0, got {self.layer_offset}")
+def _check_window(cutoff: int, offset: float) -> float:
+    c = float(offset)
+    if cutoff < 1 or not (math.isfinite(c) and c >= 0.0):
+        raise ValueError(
+            f"need cutoff >= 1 and a finite plane offset >= 0, got {cutoff}, {offset}"
+        )
+    return c
 
 
 def dyadic_term(lx: int, ly: int, lz_scaled: float, i, j) -> float:
@@ -69,25 +62,20 @@ def dyadic_term(lx: int, ly: int, lz_scaled: float, i, j) -> float:
     return diag - 3.0 * r[ii] * r[jj] * ir5
 
 
-def d_tensor_direct(k: WaveVector, cfg: DirectSumConfig, b_over_a: float) -> CouplingTensor:
-    """Sum dyadic_term * exp(i k.l) over the window; Hermitian by assembly.
+def window_tensors(ks, offset: float, cutoff: int) -> np.ndarray:
+    """Window sums of dyadic_term * exp(i k.l) at every k, a checked (K, 3, 3) stack.
 
-    The six independent sums fill the upper triangle; conjugates fill the
-    lower one. Inter-plane xz and yz come out purely imaginary for real k
-    (the coefficient is odd under l -> -l), which is exactly what the
-    Hermitian assembly expects.
+    ``offset`` is the plane offset c in units of a, 0 for the site's own
+    plane (origin excluded), and ``cutoff`` the half-width L. Inter-plane
+    xz and yz come out purely imaginary for real k (the coefficient is odd
+    under l -> -l); the lower triangle is the conjugate of the upper one.
     """
-    if not b_over_a > 0:
-        raise ValueError(f"b_over_a must be positive, got {b_over_a}")
-    lz_scaled = cfg.layer_offset * b_over_a
-    xx, yy, zz, xy, xz, yz = _core_py.window_sums(
-        k.kxa, k.kya, cfg.cutoff, lz_scaled, cfg.layer_offset == 0
-    )
-    return CouplingTensor.from_components(xx, yy, zz, xy, xz, yz)
+    c = _check_window(cutoff, offset)
+    return tensors_from_components(*_core_py.window_sums(k_array(ks), int(cutoff), c))
 
 
-def tail_bound(cfg: DirectSumConfig) -> float:
-    """Truncation-error estimate for d_tensor_direct at generic interior k.
+def tail_bound(cutoff: int, offset: float) -> float:
+    """Truncation-error estimate for window_tensors at generic interior k.
 
     In-plane: the 1/r^3 pieces dominate and the exterior integral gives
     2 pi / L; the oscillatory phase makes this quite conservative away
@@ -101,14 +89,13 @@ def tail_bound(cfg: DirectSumConfig) -> float:
     true error can exceed this estimate by two orders of magnitude;
     exactly at k = 0 nothing oscillates at all, use k0_tail_correction.
     """
-    L = cfg.cutoff
-    if cfg.layer_offset == 0:
-        return 2.0 * math.pi / L
-    return 4.0 * math.pi / L**3
+    if _check_window(cutoff, offset) == 0.0:
+        return 2.0 * math.pi / cutoff
+    return 4.0 * math.pi / cutoff**3
 
 
-def k0_tail_correction(cfg: DirectSumConfig, b_over_a: float) -> CouplingTensor:
-    """Analytic exterior tail of the window sum at k = 0 exactly.
+def k0_tail_correction(cutoff: int, offset: float) -> np.ndarray:
+    """Analytic exterior tail of the window sum at k = 0 exactly, a (3, 3) array.
 
     At k = 0 the window truncation error is O(1/L) and does not oscillate
     away; adding the continuum integral of the dyadic over the window
@@ -116,7 +103,7 @@ def k0_tail_correction(cfg: DirectSumConfig, b_over_a: float) -> CouplingTensor:
     residuals. Off-diagonal integrals vanish by parity, so the correction
     is a traceless real diagonal.
 
-    For offset c = layer_offset * b_over_a the two exterior integrals are
+    For offset c the two exterior integrals are
 
         A = int_ext dA / (rho^2+c^2)^(3/2) = (8/c) atan(c / v0)
         B = int_ext dA / (rho^2+c^2)^(5/2)
@@ -124,10 +111,8 @@ def k0_tail_correction(cfg: DirectSumConfig, b_over_a: float) -> CouplingTensor:
     with v0 = sqrt(2 M^2 + c^2), and the diagonal corrections are
     T_xx = T_yy = -A/2 + (3/2) c^2 B and T_zz = A - 3 c^2 B.
     """
-    if not b_over_a > 0:
-        raise ValueError(f"b_over_a must be positive, got {b_over_a}")
-    M = cfg.cutoff + 0.5
-    c = cfg.layer_offset * b_over_a
+    c = _check_window(cutoff, offset)
+    M = cutoff + 0.5
     if c == 0.0:
         A = 4.0 * math.sqrt(2.0) / M
         txx = -0.5 * A
@@ -141,4 +126,4 @@ def k0_tail_correction(cfg: DirectSumConfig, b_over_a: float) -> CouplingTensor:
         )
         txx = -0.5 * A + 1.5 * c * c * B
         tzz = A - 3.0 * c * c * B
-    return CouplingTensor(np.diag([txx, txx, tzz]).astype(complex))
+    return np.diag([txx, txx, tzz]).astype(complex)

@@ -14,20 +14,25 @@ energies are E_A + J0 (Jt +- Jt') and the splitting is 2 |Jt'|.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .direct_sum import DirectSumConfig, d_tensor_direct, k0_tail_correction
-from .ewald import _check_spacing, f_constant, inter_longwave_tensors, lattice_tensors
+from .direct_sum import k0_tail_correction, window_tensors
+from .ewald import (
+    _check_spacing,
+    _fold_into_zone,
+    f_constant,
+    inter_longwave_tensors,
+    lattice_tensors,
+)
 from .model import (
-    CouplingTensor,
     EnergyScale,
     LatticeGeometry,
     TransitionDipole,
     WaveVector,
+    k_array,
 )
 
 __all__ = [
@@ -48,48 +53,38 @@ __all__ = [
 _IMAG_TOL = 1e-12
 
 
-def origin_tensor(cutoff: int, layer_offset: int, b_over_a: float) -> CouplingTensor:
-    """Tensor at k = 0 exactly: the window sum plus its analytic exterior tail."""
-    cfg = DirectSumConfig(cutoff, layer_offset)
-    return d_tensor_direct(WaveVector(0.0, 0.0), cfg, b_over_a) + k0_tail_correction(
-        cfg, b_over_a
-    )
-
-
-def _on_reciprocal_lattice(k: WaveVector) -> bool:
-    two_pi = 2.0 * math.pi
-    return math.remainder(k.kxa, two_pi) == 0.0 and math.remainder(k.kya, two_pi) == 0.0
+def origin_tensor(cutoff: int, offset: float) -> np.ndarray:
+    """Tensor at k = 0 exactly, (3, 3): the window sum plus its exterior tail."""
+    window = window_tensors([WaveVector(0.0, 0.0)], offset, cutoff)[0]
+    return window + k0_tail_correction(cutoff, offset)
 
 
 @dataclass(frozen=True)
 class Direct:
-    """Brute-force window engine: one window sum per k and separation, of
-    half-width ``cutoff``. On the reciprocal lattice, k = 0 included, no
-    phase oscillates and the bare window misses an O(1/L) tail, so there
-    it takes the k = 0 window with its tail correction
-    (:func:`origin_tensor`)."""
+    """Brute-force window engine: one window sum of half-width ``cutoff``
+    per k and separation, all k of a call in one kernel pass. On the
+    reciprocal lattice, k = 0 included, no phase oscillates and the bare
+    window misses an O(1/L) tail, so there it takes the k = 0 window with
+    its tail correction (:func:`origin_tensor`)."""
 
     cutoff: int = 500
 
     def intra(self, ks) -> np.ndarray:
         """In-plane tensors at every k of ``ks``, a (K, 3, 3) stack."""
-        return self._tensors(ks, 0, 1.0)
+        return self._tensors(ks, 0.0)
 
     def inter(self, ks, b_over_a: float) -> np.ndarray:
         """Tensors to the plane b_over_a away at every k, a (K, 3, 3) stack."""
-        return self._tensors(ks, 1, b_over_a)
+        _check_spacing(b_over_a)
+        return self._tensors(ks, b_over_a)
 
-    def _tensors(self, ks, layer_offset, b_over_a):
+    def _tensors(self, ks, offset):
         ks = list(ks)
-        cfg = DirectSumConfig(self.cutoff, layer_offset)
-        on_lattice = np.array([_on_reciprocal_lattice(k) for k in ks], dtype=bool)
-        out = np.empty((len(ks), 3, 3), dtype=complex)
-        for i, k in enumerate(ks):
-            if not on_lattice[i]:
-                out[i] = d_tensor_direct(k, cfg, b_over_a).entries
+        on_lattice = ~_fold_into_zone(k_array(ks)).any(axis=1)
+        batch = [WaveVector(0.0, 0.0) if on else k for k, on in zip(ks, on_lattice)]
+        out = window_tensors(batch, offset, self.cutoff)
         if on_lattice.any():
-            window = origin_tensor(self.cutoff, layer_offset, b_over_a)
-            out[on_lattice] = window.entries
+            out[on_lattice] += k0_tail_correction(self.cutoff, offset)
         return out
 
 
@@ -111,7 +106,8 @@ class Ewald:
 class LongWave:
     """Closed forms valid for ka << 1: the constant in-plane tensor
     diag(-F, -F, 2F), exact at k = 0, and the single-term inter-plane
-    forms, which k = 0 replaces by the Ewald kernel's value."""
+    forms at k folded into the zone, which k = 0 replaces by the Ewald
+    kernel's value."""
 
     def intra(self, ks) -> np.ndarray:
         """In-plane tensors at every k of ``ks``, a (K, 3, 3) stack."""
@@ -122,11 +118,12 @@ class LongWave:
     def inter(self, ks, b_over_a: float) -> np.ndarray:
         """Tensors to the plane b_over_a away at every k, a (K, 3, 3) stack."""
         _check_spacing(b_over_a)
-        ks = list(ks)
-        at_origin = np.array([k.kxa == 0.0 and k.kya == 0.0 for k in ks], dtype=bool)
-        out = np.empty((len(ks), 3, 3), dtype=complex)
+        # D is periodic in k, and the closed form holds near the zone centre
+        kxy = _fold_into_zone(k_array(ks))
+        at_origin = ~kxy.any(axis=1)
+        out = np.empty((len(kxy), 3, 3), dtype=complex)
         if not at_origin.all():
-            rest = [k for k, z in zip(ks, at_origin) if not z]
+            rest = [WaveVector(*k) for k in kxy[~at_origin]]
             out[~at_origin] = inter_longwave_tensors(rest, b_over_a)
         if at_origin.any():
             out[at_origin] = lattice_tensors([WaveVector(0.0, 0.0)], b_over_a)

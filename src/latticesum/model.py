@@ -35,8 +35,8 @@ __all__ = [
 # rather than a hand-typed literal (~14.3996 eV A).
 COULOMB_EV_ANGSTROM = elementary_charge / (4.0 * math.pi * epsilon_0) * 1e10
 
-_HERMITICITY_TOL = 1e-10
-_TRACE_TOL = 1e-10
+# largest Hermitian residual and |trace| relative to the largest entry
+_INVARIANT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -107,20 +107,25 @@ def check_tensors(m) -> np.ndarray:
     """Validate a (..., 3, 3) stack of coupling tensors; return it as complex.
 
     The dipole dyadic delta_ij/r^3 - 3 r_i r_j / r^5 is traceless term by
-    term, so any lattice sum of it must be traceless too; every matrix of
-    the stack must be Hermitian and traceless to within 1e-10.
+    term, so any lattice sum of it must be traceless too. Every matrix of
+    the stack must be finite, and Hermitian and traceless to within 1e-10
+    of its own largest entry: the entries scale as 1/c^3 at small plane
+    offsets c, and so does their roundoff.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
     if m.size == 0:
         return m
-    herm = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))))
-    if herm > _HERMITICITY_TOL:
-        raise ValueError(f"tensor is not Hermitian: residual {herm:.3e}")
-    tr = np.max(np.abs(m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2]))
-    if tr > _TRACE_TOL:
-        raise ValueError(f"tensor is not traceless: |trace| = {tr:.3e}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("tensor has non-finite entries")
+    bound = _INVARIANT_TOL * np.max(np.abs(m), axis=(-2, -1))
+    herm = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), axis=(-2, -1))
+    if np.any(herm > bound):
+        raise ValueError(f"tensor is not Hermitian: residual {np.max(herm):.3e}")
+    tr = np.abs(m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2])
+    if np.any(tr > bound):
+        raise ValueError(f"tensor is not traceless: |trace| = {np.max(tr):.3e}")
     return m
 
 

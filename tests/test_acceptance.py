@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from latticesum.cli import main
-from latticesum.direct_sum import DirectSumConfig, d_tensor_direct, k0_tail_correction
+from latticesum.direct_sum import k0_tail_correction, window_tensors
 from latticesum.dispersion import (
     Ewald,
     couplings,
@@ -80,10 +80,9 @@ def test_criterion_01():
         # oracle: plain window sum at k = 0 plus the analytic tail of the
         # missing exterior, no shared code with the Bessel sum;
         # built before the clock starts, so the limit times f_constant
-        cfg = DirectSumConfig(cutoff=2000, layer_offset=0)
-        oracle = d_tensor_direct(WaveVector(0.0, 0.0), cfg, 1.0)
-        oracle = oracle + k0_tail_correction(cfg, 1.0)
-        f_direct = 0.5 * float(oracle.zz.real)
+        oracle = window_tensors([WaveVector(0.0, 0.0)], 0.0, 2000)[0]
+        oracle = oracle + k0_tail_correction(2000, 0.0)
+        f_direct = 0.5 * float(oracle[2, 2].real)
         start = time.perf_counter()
         f = f_constant()
         elapsed = time.perf_counter() - start
@@ -105,7 +104,6 @@ def test_criterion_02():
 def test_criterion_03():
     with criterion(3, "inter-plane Ewald kernel vs 500-cutoff window, 48 pairs"):
         start = time.perf_counter()
-        window = DirectSumConfig(cutoff=500, layer_offset=1)
         worst = 0.0
         ks = [
             WaveVector(ka * math.cos(ang), ka * math.sin(ang))
@@ -113,8 +111,8 @@ def test_criterion_03():
             for ang in (0.35, 0.75, 1.05, 1.35)
         ]
         for b_over_a in (1.0, 2.0, 10.0):
-            for k, got in zip(ks, lattice_tensors(ks, b_over_a)):
-                ref = d_tensor_direct(k, window, b_over_a).entries
+            refs = window_tensors(ks, b_over_a, 500)
+            for got, ref in zip(lattice_tensors(ks, b_over_a), refs):
                 _TENSORS.extend([got, ref])
                 worst = max(worst, float(np.max(np.abs(got - ref))))
         elapsed = time.perf_counter() - start
@@ -125,15 +123,13 @@ def test_criterion_03():
 def test_criterion_04():
     with criterion(4, "in-plane Ewald kernel vs 2000-cutoff window, 8 generic k"):
         start = time.perf_counter()
-        window = DirectSumConfig(cutoff=2000, layer_offset=0)
         worst = 0.0
         points = [
             (0.8, 0.45), (0.8, 1.12), (1.3, 0.6), (1.3, 0.95),
             (1.9, 0.45), (1.9, 1.12), (2.6, 0.7), (2.9, 0.85),
         ]
         ks = [WaveVector(ka * math.cos(ang), ka * math.sin(ang)) for ka, ang in points]
-        for k, got in zip(ks, lattice_tensors(ks, 0.0)):
-            ref = d_tensor_direct(k, window, 1.0).entries
+        for got, ref in zip(lattice_tensors(ks, 0.0), window_tensors(ks, 0.0, 2000)):
             _TENSORS.extend([got, ref])
             worst = max(worst, float(np.max(np.abs(got - ref))))
         elapsed = time.perf_counter() - start
@@ -147,9 +143,8 @@ def test_criterion_05():
         # leave a finite k -> 0 tensor (zz about -0.327) while the closed
         # form decays like ka; the corrected k = 0 window gives those
         # images with no code shared with the kernel or the closed form
-        window = DirectSumConfig(cutoff=200, layer_offset=1)
-        images = (d_tensor_direct(WaveVector(0.0, 0.0), window, 1.0)
-                  + k0_tail_correction(window, 1.0)).entries
+        images = (window_tensors([WaveVector(0.0, 0.0)], 1.0, 200)[0]
+                  + k0_tail_correction(200, 1.0))
         start = time.perf_counter()
         k = WaveVector(1e-3 * math.cos(0.6), 1e-3 * math.sin(0.6))
 

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from latticesum import cli, dispersion
+from latticesum import _core_py, cli, dispersion
 from latticesum.cli import ConfigError, RunConfig, main, parse_config
+from latticesum.direct_sum import window_tensors
 from latticesum.dispersion import couplings
 from latticesum.ewald import f_constant, lattice_tensors
 from latticesum.model import WaveVector, dipole_from_theta, j0_scale
@@ -95,8 +96,7 @@ def test_exit_codes(tmp_path):
 @pytest.mark.parametrize(
     "cfg",
     [
-        # the tensor's 1/c^3 scale puts its roundoff-level trace residual
-        # far past the absolute 1e-10 check
+        # below the stated spacing floor, refused before any numerics run
         {"b_over_a": 1e-9, "ka_values": [0.5]},
     ],
 )
@@ -104,11 +104,11 @@ def test_numerical_failures_exit_2_with_one_line(tmp_path, capsys, cfg):
     code, _ = run_cli(tmp_path, "sweep-phi", cfg)
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("config error: b_over_a")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("method", ["ewald", "direct"])
+@pytest.mark.parametrize("method", ["ewald", "direct", "longwave"])
 def test_reciprocal_lattice_point_runs_as_zone_centre(tmp_path, method):
     # phi = 0 puts k on the reciprocal-lattice point (2 pi, 0), where the
     # tensor is the one at k = 0
@@ -125,12 +125,33 @@ def test_reciprocal_lattice_point_runs_as_zone_centre(tmp_path, method):
     _, rows = read_rows(op)
     assert float(rows[0][1]) == 0.0
     origin = [WaveVector(0.0, 0.0)]
-    if method == "ewald":
-        tensors = lattice_tensors(origin, 0.5)
+    if method == "direct":
+        tensors = [dispersion.origin_tensor(20, 0.5)]
     else:
-        tensors = [dispersion.origin_tensor(20, 1, 0.5).entries]
+        # the long-wave engine takes the kernel's value at k = 0
+        tensors = lattice_tensors(origin, 0.5)
     want = couplings(tensors, dipole_from_theta(0.3))[0]
     assert float(rows[0][4]) == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("b", [0.01, 0.02])
+def test_small_spacings_match_the_window(tmp_path, b):
+    # the tensors scale as 2/c^3 here, and so does their roundoff, which an
+    # absolute trace check would reject; off the axes the L = 300 window
+    # matches the coupling to 9e-14 (b = 0.01) and 7e-13 (b = 0.02)
+    cfg = {
+        "b_over_a": b,
+        "ka_values": [math.hypot(0.8, 0.3)],
+        "k_direction": math.atan2(0.3, 0.8),
+        "theta": [0.7],
+    }
+    code, op = run_cli(tmp_path, "dispersion", cfg)
+    assert code == 0
+    _, rows = read_rows(op)
+    k = WaveVector(float(rows[0][0]), float(rows[0][1]))
+    window = window_tensors([k], b, 300)
+    want = couplings(window, dipole_from_theta(0.7))[0]
+    assert float(rows[0][3]) == pytest.approx(want, rel=1e-12)
 
 
 def test_stack_has_no_plane_cap(tmp_path):
@@ -140,21 +161,20 @@ def test_stack_has_no_plane_cap(tmp_path):
     assert [int(r[2]) for r in rows] == list(range(65))
 
 
-def test_direct_windows_once_per_k_and_separation(tmp_path, monkeypatch):
+def test_direct_window_kernel_once_per_separation(tmp_path, monkeypatch):
     calls = []
-    window = dispersion.d_tensor_direct
+    kernel = _core_py.window_sums
 
-    def counting(k, cfg, b_over_a):
-        calls.append((k, cfg.layer_offset))
-        return window(k, cfg, b_over_a)
+    def counting(kxy, cutoff, offset):
+        calls.append((len(kxy), offset))
+        return kernel(kxy, cutoff, offset)
 
-    monkeypatch.setattr(dispersion, "d_tensor_direct", counting)
-    cfg = {"method": "direct", "direct_cutoff": 5, "n_planes": 2}
+    monkeypatch.setattr(_core_py, "window_sums", counting)
+    cfg = {"method": "direct", "direct_cutoff": 5, "n_planes": 2, "b_over_a": 1.5}
     code, _ = run_cli(tmp_path, "dispersion", {**cfg, "ka_values": [0.5, 1.0]})
     assert code == 0
-    # one in-plane and one inter-plane window per k
-    assert len(calls) == 4
-    assert len(set(calls)) == 4
+    # one kernel call in the plane and one between planes, each over both k
+    assert sorted(calls) == [(2, 0.0), (2, 1.5)]
 
 
 def test_sweep_phi_schema_and_closed_form(tmp_path):

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from latticesum import _core_py
 from latticesum.direct_sum import (
-    DirectSumConfig,
-    d_tensor_direct,
     dyadic_term,
     k0_tail_correction,
     tail_bound,
+    window_tensors,
 )
+from latticesum.dispersion import Direct
 from latticesum.ewald import f_constant
 from latticesum.model import WaveVector
 
@@ -43,18 +43,23 @@ def test_dyadic_term_zero_separation():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        DirectSumConfig(0)
-    with pytest.raises(ValueError):
-        DirectSumConfig(5, -1)
+        window_tensors([ORIGIN], 0.0, 0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            window_tensors([ORIGIN], bad, 5)
+        with pytest.raises(ValueError):
+            k0_tail_correction(5, bad)
+        with pytest.raises(ValueError):
+            tail_bound(5, bad)
 
 
-def _window_sums_by_loop(qx, qy, cutoff, lz_scaled, exclude_origin):
+def _window_sums_by_loop(qx, qy, cutoff, lz_scaled):
     """The six window sums, one dyadic_term at a time, summed with fsum."""
     pairs = ("xx", "yy", "zz", "xy", "xz", "yz")
     parts = [([], []) for _ in pairs]
     for lx in range(-cutoff, cutoff + 1):
         for ly in range(-cutoff, cutoff + 1):
-            if exclude_origin and lx == ly == 0:
+            if lz_scaled == 0.0 and lx == ly == 0:
                 continue
             phase = cmath.exp(1j * (qx * lx + qy * ly))
             for (re, im), (i, j) in zip(parts, pairs):
@@ -73,119 +78,143 @@ def test_backends_agree(layer_offset, b_over_a):
     ks = [(0.83, -1.37), (0.9, 0.0), (0.0, -1.2), (math.pi, math.pi)]
     if layer_offset == 0:
         ks.append((0.0, 0.0))
-    for qx, qy in ks:
-        args = (qx, qy, 40, layer_offset * b_over_a, layer_offset == 0)
-        sums = _core_py.window_sums(*args)
-        loop = _window_sums_by_loop(*args)
-        assert np.max(np.abs(np.array(sums) - loop)) <= 1e-12
+    c = layer_offset * b_over_a
+    sums = _core_py.window_sums(np.array(ks), 40, c)
+    assert sums.shape == (6, len(ks))
+    for (qx, qy), col in zip(ks, sums.T):
+        loop = _window_sums_by_loop(qx, qy, 40, c)
+        assert np.max(np.abs(col - loop)) <= 1e-12
         # parity makes xx, yy, zz and xy real and xz, yz imaginary exactly
-        xx, yy, zz, xy, xz, yz = sums
-        assert xx.imag == yy.imag == zz.imag == xy.imag == 0.0
-        assert xz.real == yz.real == 0.0
+        assert not np.any(col[:4].imag)
+        assert not np.any(col[4:].real)
 
 
 @pytest.mark.parametrize("lz_scaled", [0.0, 1.5])
 def test_stripe_seams(monkeypatch, lz_scaled):
     # L = 37 has 38 quadrant rows: twelve stripes of 3 and a last one of 2
-    args = (0.83, -1.37, 37, lz_scaled, lz_scaled == 0.0)
-    whole = np.array(_core_py.window_sums(*args))
+    args = (np.array([[0.83, -1.37]]), 37, lz_scaled)
+    whole = _core_py.window_sums(*args)
     monkeypatch.setattr(_core_py, "_STRIPE", 3 * 38)
-    striped = np.array(_core_py.window_sums(*args))
+    striped = _core_py.window_sums(*args)
     assert np.max(np.abs(striped - whole)) <= 1e-13
+
+
+@pytest.mark.parametrize("offset", [0.0, 1.5])
+def test_k_block_seams(monkeypatch, offset):
+    # 7 k in blocks of 3: two full blocks and a last one of 1; each k's sums
+    # are independent of its neighbours, so the split changes no bit
+    ks = np.random.default_rng(3).uniform(-math.pi, math.pi, size=(7, 2))
+    whole = _core_py.window_sums(ks, 23, offset)
+    monkeypatch.setattr(_core_py, "_BLOCK", 3)
+    assert np.array_equal(_core_py.window_sums(ks, 23, offset), whole)
+
+
+def test_direct_batch_equals_single_k():
+    # a generic k, both axes, near the zone centre, the zone corner, k = 0
+    # and a reciprocal-lattice point, which takes the corrected k = 0 window
+    ks = [WaveVector(x, y) for x, y in (
+        (0.83, -1.37), (0.9, 0.0), (0.0, -1.2), (1e-3, 0.0),
+        (math.pi, math.pi), (0.0, 0.0), (2.0 * math.pi, 0.0),
+    )]
+    method = Direct(cutoff=40)
+    for tensors, alone in (
+        (method.intra(ks), lambda k: method.intra([k])[0]),
+        (method.inter(ks, 1.5), lambda k: method.inter([k], 1.5)[0]),
+    ):
+        for k, got in zip(ks, tensors):
+            assert np.array_equal(got, alone(k))
 
 
 def test_minus_k_conjugates_exactly():
     k = WaveVector(0.6, 1.1)
-    cfg = DirectSumConfig(25, 1)
-    plus = d_tensor_direct(k, cfg, 2.0)
-    minus = d_tensor_direct(-k, cfg, 2.0)
-    assert np.array_equal(minus.entries, np.conj(plus.entries))
+    plus, minus = window_tensors([k, -k], 2.0, 25)
+    assert np.array_equal(minus, np.conj(plus))
 
 
 def test_intra_diagonal_real_inter_xz_imaginary():
     k = WaveVector(0.9, 0.4)
-    intra = d_tensor_direct(k, DirectSumConfig(50, 0), 1.0)
-    assert abs(intra.xx.imag) <= 1e-12 * abs(intra.xx)
-    assert abs(intra.xz) == 0.0
-    inter = d_tensor_direct(k, DirectSumConfig(50, 1), 1.0)
-    assert abs(inter.xz.real) <= 1e-12 * abs(inter.xz)
-    assert abs(inter.yz.real) <= 1e-12 * abs(inter.yz)
+    intra = window_tensors([k], 0.0, 50)[0]
+    assert abs(intra[0, 0].imag) <= 1e-12 * abs(intra[0, 0])
+    assert abs(intra[0, 2]) == 0.0
+    inter = window_tensors([k], 1.0, 50)[0]
+    assert abs(inter[0, 2].real) <= 1e-12 * abs(inter[0, 2])
+    assert abs(inter[1, 2].real) <= 1e-12 * abs(inter[1, 2])
 
 
 def test_tail_bound_values():
-    assert tail_bound(DirectSumConfig(100, 0)) == pytest.approx(2.0 * math.pi / 100.0)
-    assert tail_bound(DirectSumConfig(100, 1)) == pytest.approx(4.0 * math.pi / 1e6)
-    assert tail_bound(DirectSumConfig(1, 1)) > 0.0
+    assert tail_bound(100, 0.0) == pytest.approx(2.0 * math.pi / 100.0)
+    assert tail_bound(100, 1.0) == pytest.approx(4.0 * math.pi / 1e6)
+    assert tail_bound(1, 1.0) > 0.0
 
 
 def test_window_error_within_tail_bound():
     # generic interior k (off-axis); L = 800 stands in for the full sum
     k = WaveVector(0.8 * math.cos(0.45), 0.8 * math.sin(0.45))
-    for off in (0, 1):
-        ref = d_tensor_direct(k, DirectSumConfig(800, off), 1.5).entries
+    for c in (0.0, 1.5):
+        ref = window_tensors([k], c, 800)[0]
         errs = []
         for L in (100, 200, 400):
-            cfg = DirectSumConfig(L, off)
-            err = float(np.max(np.abs(d_tensor_direct(k, cfg, 1.5).entries - ref)))
-            assert err <= tail_bound(cfg)
+            err = float(np.max(np.abs(window_tensors([k], c, L)[0] - ref)))
+            assert err <= tail_bound(L, c)
             errs.append(err)
         assert errs[0] > errs[-1]
 
 
 def test_doubling_difference_within_tail_bound():
     k = WaveVector(1.3 * math.cos(0.6), 1.3 * math.sin(0.6))
-    for off in (0, 1):
+    for c in (0.0, 1.0):
         for L in (100, 200):
-            a = d_tensor_direct(k, DirectSumConfig(L, off), 1.0).entries
-            b = d_tensor_direct(k, DirectSumConfig(2 * L, off), 1.0).entries
-            assert np.max(np.abs(a - b)) <= tail_bound(DirectSumConfig(L, off))
+            a = window_tensors([k], c, L)[0]
+            b = window_tensors([k], c, 2 * L)[0]
+            assert np.max(np.abs(a - b)) <= tail_bound(L, c)
+
+
+def _corrected_k0(cutoff, c):
+    return window_tensors([ORIGIN], c, cutoff)[0] + k0_tail_correction(cutoff, c)
 
 
 def test_k0_correction_cancels_window_tail():
     # bare window error at k = 0 is O(1/L); the corrected value settles
     # orders of magnitude faster
-    for off, b in ((0, 1.0), (1, 10.0), (1, 1.0)):
-        coarse, fine = DirectSumConfig(60, off), DirectSumConfig(240, off)
-        bare = d_tensor_direct(ORIGIN, coarse, b).entries
-        corr = (d_tensor_direct(ORIGIN, coarse, b) + k0_tail_correction(coarse, b)).entries
-        ref = (d_tensor_direct(ORIGIN, fine, b) + k0_tail_correction(fine, b)).entries
+    for c in (0.0, 10.0, 1.0):
+        bare = window_tensors([ORIGIN], c, 60)[0]
+        ref = _corrected_k0(240, c)
         bare_err = np.max(np.abs(bare - ref))
-        corr_err = np.max(np.abs(corr - ref))
+        corr_err = np.max(np.abs(_corrected_k0(60, c) - ref))
         assert corr_err < 1e-3 * bare_err
 
 
 def test_k0_in_plane_matches_lattice_constant():
-    cfg = DirectSumConfig(2000, 0)
-    t = d_tensor_direct(ORIGIN, cfg, 1.0) + k0_tail_correction(cfg, 1.0)
+    t = _corrected_k0(2000, 0.0)
     f = f_constant()
-    assert t.xx.real == pytest.approx(-f, abs=1e-9)
-    assert t.yy.real == pytest.approx(-f, abs=1e-9)
-    assert t.zz.real == pytest.approx(2.0 * f, abs=1e-9)
+    assert t[0, 0].real == pytest.approx(-f, abs=1e-9)
+    assert t[1, 1].real == pytest.approx(-f, abs=1e-9)
+    assert t[2, 2].real == pytest.approx(2.0 * f, abs=1e-9)
 
 
 def test_k0_inter_plane_far_separation_vanishes():
     # b = 10 a: the corrected k = 0 tensor is zero up to discreteness
     # corrections of order e^{-2 pi b/a}
-    cfg = DirectSumConfig(2000, 1)
-    t = d_tensor_direct(ORIGIN, cfg, 10.0) + k0_tail_correction(cfg, 10.0)
-    assert abs(t.zz) <= 1e-10
-    assert abs(t.xx) <= 1e-10
+    t = _corrected_k0(2000, 10.0)
+    assert abs(t[2, 2]) <= 1e-10
+    assert abs(t[0, 0]) <= 1e-10
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.integers(0, 2))
 def test_window_tensors_hermitian_traceless(kx, ky, off):
-    # construction enforces Hermiticity and zero trace at 1e-10; getting
-    # a tensor back at all means the sums satisfied both
-    t = d_tensor_direct(WaveVector(kx, ky), DirectSumConfig(15, off), 1.25)
-    m = t.entries
+    # the stack is checked Hermitian and traceless relative to each
+    # tensor's largest entry; getting one back means the sums passed
+    m = window_tensors([WaveVector(kx, ky)], off * 1.25, 15)[0]
     scale = max(1.0, float(np.max(np.abs(m))))
     assert np.max(np.abs(m - m.conj().T)) <= 1e-12 * scale
-    assert abs(np.trace(m)) <= tail_bound(DirectSumConfig(15, off))
+    assert abs(np.trace(m)) <= tail_bound(15, off * 1.25)
 
 
 def test_rejects_nonpositive_spacing():
     with pytest.raises(ValueError):
-        d_tensor_direct(ORIGIN, DirectSumConfig(5, 1), 0.0)
+        Direct(cutoff=5).inter([ORIGIN], 0.0)
     with pytest.raises(ValueError):
-        k0_tail_correction(DirectSumConfig(5, 1), -1.0)
+        window_tensors([ORIGIN], -1.0, 5)
+    with pytest.raises(ValueError):
+        k0_tail_correction(5, -1.0)

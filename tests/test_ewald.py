@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from latticesum import ewald
-from latticesum.direct_sum import DirectSumConfig, d_tensor_direct
-from latticesum.dispersion import Ewald, LongWave, origin_tensor
+from latticesum.direct_sum import window_tensors
+from latticesum.dispersion import Direct, Ewald, LongWave, origin_tensor
 from latticesum.ewald import f_constant, inter_longwave_tensors, lattice_tensors
 from latticesum.model import WaveVector
 
@@ -113,9 +113,9 @@ def test_kernel_matches_plane_wave_sum_between_planes(b):
 def test_kernel_matches_corrected_window_at_k0():
     # 1e-10 is the L = 2000 window's own residual after its tail correction
     intra = lattice_tensors([ORIGIN], 0.0)[0]
-    assert np.max(np.abs(intra - origin_tensor(2000, 0, 1.0).entries)) <= 1e-10
+    assert np.max(np.abs(intra - origin_tensor(2000, 0.0))) <= 1e-10
     inter = lattice_tensors([ORIGIN], 1.0)[0]
-    assert np.max(np.abs(inter - origin_tensor(2000, 1, 1.0).entries)) <= 1e-10
+    assert np.max(np.abs(inter - origin_tensor(2000, 1.0))) <= 1e-10
 
 
 def test_longwave_closed_form_components():
@@ -143,7 +143,7 @@ def test_inter_series_matches_window():
     k = WaveVector(1.3 * math.cos(0.6), 1.3 * math.sin(0.6))
     for b in (1.0, 2.0):
         kernel = lattice_tensors([k], b)[0]
-        window = d_tensor_direct(k, DirectSumConfig(300, 1), b).entries
+        window = window_tensors([k], b, 300)[0]
         assert np.max(np.abs(kernel - window)) <= 1e-6
 
 
@@ -170,16 +170,16 @@ def test_intra_xy_vanishes_on_axis():
 
 def test_intra_xy_matches_window():
     k = WaveVector(1.0, 1.0)
-    window = d_tensor_direct(k, DirectSumConfig(2000, 0), 1.0)
+    window = window_tensors([k], 0.0, 2000)[0]
     assert lattice_tensors([k], 0.0)[0, 0, 1].real == pytest.approx(
-        window.xy.real, abs=1e-6
+        window[0, 1].real, abs=1e-6
     )
 
 
 def test_intra_tensor_matches_window():
     k = WaveVector(1.9 * math.cos(0.45), 1.9 * math.sin(0.45))
     kernel = lattice_tensors([k], 0.0)[0]
-    window = d_tensor_direct(k, DirectSumConfig(400, 0), 1.0).entries
+    window = window_tensors([k], 0.0, 400)[0]
     assert np.max(np.abs(kernel - window)) <= 1e-5
 
 
@@ -201,8 +201,9 @@ def test_rejects_nonpositive_spacing():
     k = WaveVector(0.5, 0.2)
     with pytest.raises(ValueError):
         inter_longwave_tensors([k], 0.0)
-    for method in (Ewald(), LongWave()):
-        for b in (0.0, -1.0):
+    # 9e-4 sits below the stated floor of 1e-3 a
+    for method in (Ewald(), LongWave(), Direct(cutoff=5)):
+        for b in (0.0, -1.0, 9e-4, math.nan):
             with pytest.raises(ValueError):
                 method.inter([k], b)
             with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from latticesum.model import (
     LatticeGeometry,
     TransitionDipole,
     WaveVector,
+    check_tensors,
     dipole_from_theta,
     j0_scale,
     make_k_grid,
@@ -159,3 +160,15 @@ def test_k_grid_spacing():
     xs = sorted({k.kxa for k in ks})
     assert np.diff(xs) == pytest.approx(np.full(10, 2.0 * math.pi / 10.0))
     assert max(xs) == pytest.approx(math.pi)
+
+
+def test_invariant_checks_are_relative():
+    # a trace of 1e-12 of the largest entry passes however large the
+    # entries are; one that is large next to a tiny tensor's entries
+    # fails, as does a non-finite entry
+    big = np.diag([1e9, -1e9 + 1e-3, 0.0])
+    assert check_tensors(big[None]).shape == (1, 3, 3)
+    with pytest.raises(ValueError):
+        check_tensors(np.diag([1e-20, 1e-20, -1e-20]))
+    with pytest.raises(ValueError):
+        check_tensors(np.diag([math.nan, 0.0, 0.0]))
