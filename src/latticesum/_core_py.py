@@ -32,7 +32,7 @@ import numpy as np
 # elements per stripe of the quadrant
 _STRIPE = 1 << 14
 
-# k per pass over the quadrant, like ewald._BLOCK
+# k per pass over the quadrant: bounds the tables' memory, untuned (README)
 _BLOCK = 16
 
 

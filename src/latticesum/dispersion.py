@@ -32,6 +32,7 @@ from .model import (
     LatticeGeometry,
     TransitionDipole,
     WaveVector,
+    check_tensors,
     k_array,
 )
 
@@ -55,8 +56,7 @@ _IMAG_TOL = 1e-12
 
 def origin_tensor(cutoff: int, offset: float) -> np.ndarray:
     """Tensor at k = 0 exactly, (3, 3): the window sum plus its exterior tail."""
-    window = window_tensors([WaveVector(0.0, 0.0)], offset, cutoff)[0]
-    return window + k0_tail_correction(cutoff, offset)
+    return Direct(cutoff)._tensors([WaveVector(0.0, 0.0)], offset)[0]
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,8 @@ class Direct:
         batch = [WaveVector(0.0, 0.0) if on else k for k, on in zip(ks, on_lattice)]
         out = window_tensors(batch, offset, self.cutoff)
         if on_lattice.any():
-            out[on_lattice] += k0_tail_correction(self.cutoff, offset)
+            tail = k0_tail_correction(self.cutoff, offset)
+            out[on_lattice] = check_tensors(out[on_lattice] + tail)
         return out
 
 

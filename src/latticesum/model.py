@@ -35,7 +35,7 @@ __all__ = [
 # rather than a hand-typed literal (~14.3996 eV A).
 COULOMB_EV_ANGSTROM = elementary_charge / (4.0 * math.pi * epsilon_0) * 1e10
 
-# largest Hermitian residual and |trace| relative to the largest entry
+# largest Hermitian residual and |trace| per unit of max(1, largest entry)
 _INVARIANT_TOL = 1e-10
 
 
@@ -109,8 +109,8 @@ def check_tensors(m) -> np.ndarray:
     The dipole dyadic delta_ij/r^3 - 3 r_i r_j / r^5 is traceless term by
     term, so any lattice sum of it must be traceless too. Every matrix of
     the stack must be finite, and Hermitian and traceless to within 1e-10
-    of its own largest entry: the entries scale as 1/c^3 at small plane
-    offsets c, and so does their roundoff.
+    of the larger of 1 and its largest entry: entries and roundoff grow as
+    1/c^3 at small plane offsets c, and decay to subnormals at large ones.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2:] != (3, 3):
@@ -119,7 +119,7 @@ def check_tensors(m) -> np.ndarray:
         return m
     if not np.all(np.isfinite(m)):
         raise ValueError("tensor has non-finite entries")
-    bound = _INVARIANT_TOL * np.max(np.abs(m), axis=(-2, -1))
+    bound = _INVARIANT_TOL * np.maximum(np.max(np.abs(m), axis=(-2, -1)), 1.0)
     herm = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), axis=(-2, -1))
     if np.any(herm > bound):
         raise ValueError(f"tensor is not Hermitian: residual {np.max(herm):.3e}")

@@ -154,6 +154,17 @@ def test_small_spacings_match_the_window(tmp_path, b):
     assert float(rows[0][3]) == pytest.approx(want, rel=1e-12)
 
 
+def test_subnormal_interplane_tensors_run(tmp_path):
+    # at b = 300a and ka = 2.45, e^{-q b} is below 1e-308: the inter-plane
+    # entries are subnormal and the trace keeps a few ulps of roundoff,
+    # which a bound relative to the largest entry alone would reject
+    cfg = {"method": "ewald", "b_over_a": 300.0, "ka_values": [2.45]}
+    code, op = run_cli(tmp_path, "dispersion", cfg)
+    assert code == 0
+    _, rows = read_rows(op)
+    assert 0.0 < abs(float(rows[0][3])) < 1e-300
+
+
 def test_stack_has_no_plane_cap(tmp_path):
     code, op = run_cli(tmp_path, "stack", {"n_planes": 65, "n_sites": 4})
     assert code == 0

@@ -19,7 +19,8 @@ from latticesum.dispersion import (
     stack_matrices,
     symmetric_eigen,
 )
-from latticesum import ewald
+from latticesum import dispersion, ewald
+from latticesum.direct_sum import k0_tail_correction, window_tensors
 from latticesum.ewald import f_constant
 from latticesum.model import (
     CouplingTensor,
@@ -70,10 +71,20 @@ def test_direct_takes_corrected_window_on_reciprocal_lattice():
     method = Direct(cutoff=6)
     ks = [WaveVector(0.0, 0.0), WaveVector(2.0 * math.pi, 0.0),
           WaveVector(-2.0 * math.pi, 4.0 * math.pi)]
-    for got in method.intra(ks):
-        assert np.array_equal(got, origin_tensor(6, 0.0))
-    for got in method.inter(ks, 1.5):
-        assert np.array_equal(got, origin_tensor(6, 1.5))
+    for c, got in [(0.0, method.intra(ks)), (1.5, method.inter(ks, 1.5))]:
+        want = window_tensors([ks[0]], c, 6)[0] + k0_tail_correction(6, c)
+        assert np.array_equal(origin_tensor(6, c), want)
+        for tensor in got:
+            assert np.array_equal(tensor, want)
+
+
+def test_direct_checks_the_corrected_window(monkeypatch):
+    # the tail is added after the window's own check; the sum is checked too
+    monkeypatch.setattr(dispersion, "k0_tail_correction", lambda *_: np.eye(3))
+    with pytest.raises(ValueError, match="traceless"):
+        Direct(cutoff=6).intra([WaveVector(2.0 * math.pi, 0.0)])
+    with pytest.raises(ValueError, match="traceless"):
+        origin_tensor(6, 1.5)
 
 
 def test_longwave_intra_and_polarization_gap():

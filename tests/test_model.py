@@ -164,11 +164,17 @@ def test_k_grid_spacing():
 
 def test_invariant_checks_are_relative():
     # a trace of 1e-12 of the largest entry passes however large the
-    # entries are; one that is large next to a tiny tensor's entries
-    # fails, as does a non-finite entry
+    # entries are, and one of 1e-8 of it fails; below 1 the bound is an
+    # absolute 1e-10, so subnormal entries with a few ulps of trace pass;
+    # a non-finite entry fails
     big = np.diag([1e9, -1e9 + 1e-3, 0.0])
     assert check_tensors(big[None]).shape == (1, 3, 3)
     with pytest.raises(ValueError):
-        check_tensors(np.diag([1e-20, 1e-20, -1e-20]))
+        check_tensors(np.diag([1e3, 1e3, -2e3 + 2e-5]))
+    ulp = np.nextafter(0.0, 1.0)
+    tiny = np.diag([2000 * ulp, 2000 * ulp, -3999 * ulp])
+    assert check_tensors(tiny).shape == (3, 3)
+    with pytest.raises(ValueError):
+        check_tensors(np.diag([1.0, 1.0, -2.0 + 1e-9]))
     with pytest.raises(ValueError):
         check_tensors(np.diag([math.nan, 0.0, 0.0]))
