@@ -26,7 +26,7 @@ from .direct_sum import (
     tail_bound,
     window_tensors,
 )
-from .ewald import f_constant, inter_longwave_tensors, lattice_tensors
+from .ewald import f_constant, lattice_tensors
 from .dispersion import (
     Direct,
     Ewald,

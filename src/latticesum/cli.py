@@ -28,8 +28,9 @@ from .dispersion import (
     stack_matrices,
     symmetric_eigen,
 )
-from .ewald import _MIN_SPACING, _lattice_sums
+from .ewald import _lattice_sums
 from .model import (
+    MIN_OFFSET,
     EnergyScale,
     LatticeGeometry,
     TransitionDipole,
@@ -128,8 +129,8 @@ def parse_config(text: str) -> RunConfig:
     for key, value in raw.items():
         if key in ("a_angstrom", "b_over_a", "mu_e_angstrom", "ea_ev"):
             out[key] = _want_real(key, value, positive=True)
-            if key == "b_over_a" and out[key] < _MIN_SPACING:
-                raise ConfigError(f"{key}: must be >= {_MIN_SPACING}, got {value!r}")
+            if key == "b_over_a" and out[key] < MIN_OFFSET:
+                raise ConfigError(f"{key}: must be >= {MIN_OFFSET}, got {value!r}")
         elif key == "theta":
             if isinstance(value, list):
                 if not value:
@@ -219,9 +220,7 @@ def _scale(cfg: RunConfig) -> EnergyScale:
 
 def _k_list(cfg: RunConfig) -> list[WaveVector]:
     if cfg.k_direction == "grid":
-        geom = LatticeGeometry(
-            cfg.a_angstrom, cfg.b_over_a, n_sites=cfg.n_sites, n_planes=cfg.n_planes
-        )
+        geom = LatticeGeometry(cfg.b_over_a, n_sites=cfg.n_sites, n_planes=cfg.n_planes)
         return make_k_grid(geom)
     d = float(cfg.k_direction)
     return [WaveVector(ka * math.cos(d), ka * math.sin(d)) for ka in cfg.ka_values]
@@ -233,9 +232,7 @@ def _spectra(cfg: RunConfig, ks: list[WaveVector], dipole: TransitionDipole, met
     One coupling table per plane separation, one batched eigen-solve. Jt'
     is zero for a single plane.
     """
-    geom = LatticeGeometry(
-        cfg.a_angstrom, cfg.b_over_a, n_sites=1, n_planes=cfg.n_planes
-    )
+    geom = LatticeGeometry(cfg.b_over_a, n_planes=cfg.n_planes)
     j, jps, mats = stack_matrices(ks, dipole, geom, method, cfg.nearest_only)
     return j, (jps[0] if jps else [0.0] * len(ks)), symmetric_eigen(mats)
 
@@ -248,10 +245,10 @@ def cmd_sweep_phi(cfg: RunConfig) -> str:
         for i in range(cfg.phi_points)
     ]
     ks = [WaveVector(ka * math.cos(phi), ka * math.sin(phi)) for ka, phi in points]
-    tensors = _engine(cfg).inter(ks, cfg.b_over_a)
+    tensors = _engine(cfg).tensors(ks, cfg.b_over_a)
     rows = []
     for theta in cfg.theta:
-        jps = couplings(tensors, dipole_from_theta(theta, cfg.mu_e_angstrom))
+        jps = couplings(tensors, dipole_from_theta(theta))
         for (ka, phi), jp in zip(points, jps):
             rows.append(
                 [_fmt(theta), _fmt(phi), _fmt(ka), _fmt(cfg.b_over_a), _fmt(jp)]
@@ -268,7 +265,7 @@ def cmd_dispersion(cfg: RunConfig) -> str:
     """
     method = _engine(cfg)
     scale = _scale(cfg)
-    dip = dipole_from_theta(cfg.theta[0], cfg.mu_e_angstrom)
+    dip = dipole_from_theta(cfg.theta[0])
     ks = _k_list(cfg)
     js, jps, evals = _spectra(cfg, ks, dip, method)
     rows = []
@@ -347,7 +344,7 @@ def cmd_stack(cfg: RunConfig) -> str:
     if cfg.n_planes < 2:
         raise ConfigError(f"n_planes: stack needs at least 2 planes, got {cfg.n_planes}")
     method = _engine(cfg)
-    dip = dipole_from_theta(cfg.theta[0], cfg.mu_e_angstrom)
+    dip = dipole_from_theta(cfg.theta[0])
     ks = _k_list(cfg)
     _js, _jps, evals = _spectra(cfg, ks, dip, method)
     rows = []
@@ -396,7 +393,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         # an accepted config the numerics cannot serve: one line, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2

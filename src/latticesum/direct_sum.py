@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from . import _core_py
-from .model import k_array, tensors_from_components
+from .model import check_offset, k_array, tensors_from_components
 
 # the window kernel's name, as benchmark records report it
 BACKEND = "numpy"
@@ -41,12 +41,9 @@ _AXES = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
 
 
 def _check_window(cutoff: int, offset: float) -> float:
-    c = float(offset)
-    if cutoff < 1 or not (math.isfinite(c) and c >= 0.0):
-        raise ValueError(
-            f"need cutoff >= 1 and a finite plane offset >= 0, got {cutoff}, {offset}"
-        )
-    return c
+    if cutoff < 1:
+        raise ValueError(f"need cutoff >= 1, got {cutoff}")
+    return check_offset(offset)
 
 
 def dyadic_term(lx: int, ly: int, lz_scaled: float, i, j) -> float:
@@ -66,7 +63,8 @@ def window_tensors(ks, offset: float, cutoff: int) -> np.ndarray:
     """Window sums of dyadic_term * exp(i k.l) at every k, a checked (K, 3, 3) stack.
 
     ``offset`` is the plane offset c in units of a, 0 for the site's own
-    plane (origin excluded), and ``cutoff`` the half-width L. Inter-plane
+    plane (origin excluded; see :func:`~latticesum.model.check_offset`),
+    and ``cutoff`` the half-width L. Inter-plane
     xz and yz come out purely imaginary for real k (the coefficient is odd
     under l -> -l); the lower triangle is the conjugate of the upper one.
     """

@@ -1,12 +1,12 @@
 """Exciton couplings and stack spectra built on the tensor engines.
 
 Each engine (:class:`Direct`, :class:`Ewald`, :class:`LongWave`) returns
-the in-plane and inter-plane tensors of a whole list of k as (K, 3, 3)
-stacks through its ``intra(ks)`` and ``inter(ks, b_over_a)`` methods.
-Contracting them with the transition dipole gives J(k) and J'(k) in units
-of J0; N-plane stack matrices are assembled from one coupling table per
-plane separation and diagonalized in one batched LAPACK call
-(``np.linalg.eigvalsh``).
+the tensors of a whole list of k to the plane at offset c (c = 0 for the
+site's own plane) as one (K, 3, 3) stack through its ``tensors(ks, offset)``
+method. Contracting them with the transition dipole gives J(k) at c = 0
+and J'(k) at c = b, in units of J0; N-plane stack matrices are assembled
+from one coupling table per plane separation s b, s = 0 included, and
+diagonalized in one batched LAPACK call (``np.linalg.eigvalsh``).
 
 Sign conventions: the symmetric two-plane mode carries +J', so the pair
 energies are E_A + J0 (Jt +- Jt') and the splitting is 2 |Jt'|.
@@ -14,26 +14,23 @@ energies are E_A + J0 (Jt +- Jt') and the splitting is 2 |Jt'|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .direct_sum import k0_tail_correction, window_tensors
-from .ewald import (
-    _check_spacing,
-    _fold_into_zone,
-    f_constant,
-    inter_longwave_tensors,
-    lattice_tensors,
-)
+from .ewald import _fold_into_zone, f_constant, lattice_tensors
 from .model import (
     EnergyScale,
     LatticeGeometry,
     TransitionDipole,
     WaveVector,
+    check_offset,
     check_tensors,
     k_array,
+    tensors_from_components,
 )
 
 __all__ = [
@@ -42,7 +39,6 @@ __all__ = [
     "LongWave",
     "Method",
     "ModeSpectrum",
-    "origin_tensor",
     "couplings",
     "pair_energies",
     "splitting",
@@ -54,31 +50,18 @@ __all__ = [
 _IMAG_TOL = 1e-12
 
 
-def origin_tensor(cutoff: int, offset: float) -> np.ndarray:
-    """Tensor at k = 0 exactly, (3, 3): the window sum plus its exterior tail."""
-    return Direct(cutoff)._tensors([WaveVector(0.0, 0.0)], offset)[0]
-
-
 @dataclass(frozen=True)
 class Direct:
     """Brute-force window engine: one window sum of half-width ``cutoff``
-    per k and separation, all k of a call in one kernel pass. On the
+    per k and offset, all k of a call in one kernel pass. On the
     reciprocal lattice, k = 0 included, no phase oscillates and the bare
     window misses an O(1/L) tail, so there it takes the k = 0 window with
-    its tail correction (:func:`origin_tensor`)."""
+    its tail correction (:func:`~latticesum.direct_sum.k0_tail_correction`)."""
 
     cutoff: int = 500
 
-    def intra(self, ks) -> np.ndarray:
-        """In-plane tensors at every k of ``ks``, a (K, 3, 3) stack."""
-        return self._tensors(ks, 0.0)
-
-    def inter(self, ks, b_over_a: float) -> np.ndarray:
-        """Tensors to the plane b_over_a away at every k, a (K, 3, 3) stack."""
-        _check_spacing(b_over_a)
-        return self._tensors(ks, b_over_a)
-
-    def _tensors(self, ks, offset):
+    def tensors(self, ks, offset: float) -> np.ndarray:
+        """(K, 3, 3) tensors to the plane ``offset`` away at every k of ``ks``."""
         ks = list(ks)
         on_lattice = ~_fold_into_zone(k_array(ks)).any(axis=1)
         batch = [WaveVector(0.0, 0.0) if on else k for k, on in zip(ks, on_lattice)]
@@ -93,41 +76,45 @@ class Direct:
 class Ewald:
     """2D Ewald engine: every k goes to :func:`~latticesum.ewald.lattice_tensors`."""
 
-    def intra(self, ks) -> np.ndarray:
-        """In-plane tensors at every k of ``ks``, a (K, 3, 3) stack."""
-        return lattice_tensors(ks, 0.0)
-
-    def inter(self, ks, b_over_a: float) -> np.ndarray:
-        """Tensors to the plane b_over_a away at every k, a (K, 3, 3) stack."""
-        _check_spacing(b_over_a)
-        return lattice_tensors(ks, b_over_a)
+    def tensors(self, ks, offset: float) -> np.ndarray:
+        """(K, 3, 3) tensors to the plane ``offset`` away at every k of ``ks``."""
+        return lattice_tensors(ks, offset)
 
 
 @dataclass(frozen=True)
 class LongWave:
-    """Closed forms valid for ka << 1: the constant in-plane tensor
-    diag(-F, -F, 2F), exact at k = 0, and the single-term inter-plane
-    forms at k folded into the zone, which k = 0 replaces by the Ewald
+    """Closed forms valid for ka << 1. In the plane: the constant tensor
+    diag(-F, -F, 2F), exact at k = 0. Between planes, at k folded into
+    the zone, only the (0, 0) reciprocal term survives:
+    Dt_xx = 2 pi (kxa)^2/(ka) e^{-kc},  Dt_zz = -2 pi (ka) e^{-kc},
+    Dt_xz = -2 pi i (kxa) e^{-kc}, and the obvious y-partners. At k = 0,
+    where the limit depends on the approach direction, it takes the Ewald
     kernel's value."""
 
-    def intra(self, ks) -> np.ndarray:
-        """In-plane tensors at every k of ``ks``, a (K, 3, 3) stack."""
-        f = f_constant()
-        diag = np.diag([-f, -f, 2.0 * f]).astype(complex)
-        return np.broadcast_to(diag, (len(ks), 3, 3))
-
-    def inter(self, ks, b_over_a: float) -> np.ndarray:
-        """Tensors to the plane b_over_a away at every k, a (K, 3, 3) stack."""
-        _check_spacing(b_over_a)
+    def tensors(self, ks, offset: float) -> np.ndarray:
+        """(K, 3, 3) tensors to the plane ``offset`` away at every k of ``ks``."""
+        c = check_offset(offset)
+        if c == 0.0:
+            f = f_constant()
+            diag = np.diag([-f, -f, 2.0 * f]).astype(complex)
+            return np.broadcast_to(diag, (len(ks), 3, 3))
         # D is periodic in k, and the closed form holds near the zone centre
-        kxy = _fold_into_zone(k_array(ks))
-        at_origin = ~kxy.any(axis=1)
-        out = np.empty((len(kxy), 3, 3), dtype=complex)
-        if not at_origin.all():
-            rest = [WaveVector(*k) for k in kxy[~at_origin]]
-            out[~at_origin] = inter_longwave_tensors(rest, b_over_a)
+        kx, ky = _fold_into_zone(k_array(ks)).T
+        q = np.hypot(kx, ky)
+        two_pi_e = 2.0 * math.pi * np.exp(-q * c)
+        # every entry carries a factor of k; the k = 0 rows are replaced below
+        at_origin = q == 0.0
+        q_div = np.where(at_origin, 1.0, q)
+        out = tensors_from_components(
+            two_pi_e * kx * kx / q_div,
+            two_pi_e * ky * ky / q_div,
+            -two_pi_e * q,
+            two_pi_e * kx * ky / q_div,
+            -1j * two_pi_e * kx,
+            -1j * two_pi_e * ky,
+        )
         if at_origin.any():
-            out[at_origin] = lattice_tensors([WaveVector(0.0, 0.0)], b_over_a)
+            out[at_origin] = lattice_tensors([WaveVector(0.0, 0.0)], c)
         return out
 
 
@@ -175,8 +162,8 @@ def pair_energies(
     scale: EnergyScale,
 ) -> ModeSpectrum:
     """Two-plane hybrid modes E_A + J0 (Jt +- Jt'), value-sorted."""
-    j = float(couplings(method.intra([k]), dipole)[0])
-    jp = float(couplings(method.inter([k], b_over_a), dipole)[0])
+    b = check_offset(b_over_a, spacing=True)
+    j, jp = (float(couplings(method.tensors([k], c), dipole)[0]) for c in (0.0, b))
     lo, hi = sorted((j - jp, j + jp))
     return ModeSpectrum(
         k=k,
@@ -189,7 +176,8 @@ def splitting(
     k: WaveVector, dipole: TransitionDipole, b_over_a: float, method: Method
 ) -> float:
     """Two-plane splitting 2 |Jt'(k)| in units of J0."""
-    return 2.0 * abs(float(couplings(method.inter([k], b_over_a), dipole)[0]))
+    b = check_offset(b_over_a, spacing=True)
+    return 2.0 * abs(float(couplings(method.tensors([k], b), dipole)[0]))
 
 
 def polarization_splitting(f: float) -> float:
@@ -214,15 +202,14 @@ def stack_matrices(
     nearest_only); and the (K, N, N) matrices, diagonal relative to E_A,
     with Jt' at separation |alpha - beta| b in entry (alpha, beta) and
     zero beyond the tables. Each tensor is evaluated once per k and
-    separation; the inter-plane engine is reused with a scaled separation,
-    because the Hamiltonian is pairwise and nothing else enters.
+    separation s, at plane offset s b; the Hamiltonian is pairwise and
+    nothing else enters.
     """
     n = geometry.n_planes
-    j = couplings(method.intra(ks), dipole)
     last = min(n - 1, 1) if nearest_only else n - 1
-    jps = [
-        couplings(method.inter(ks, sep * geometry.b_over_a), dipole)
-        for sep in range(1, last + 1)
+    j, *jps = [
+        couplings(method.tensors(ks, sep * geometry.b_over_a), dipole)
+        for sep in range(last + 1)
     ]
     mats = np.zeros((len(j), n, n))
     idx = np.arange(n)

@@ -1,7 +1,8 @@
-"""Ewald evaluation of the dyadic lattice sums, and the closed forms.
+"""Ewald evaluation of the dyadic lattice sums, and the in-plane constant F.
 
 The tensor between a site and the plane at height c (in units of a;
-c = 0 is the site's own plane) is
+c = 0 is the site's own plane, any other c is at least
+:data:`~latticesum.model.MIN_OFFSET`) is
 
     D_ij(k) = sum_l' e^{i k.l} T_ij(l + c z),   T_ij = -d_i d_j (1/r),
 
@@ -28,7 +29,8 @@ periodicity, A. Grzybowski, E. Gwozdz and A. Brodka, Phys. Rev. B 61,
 With eta = sqrt(pi) and both sums over |l|, |n| <= 4, every omitted term
 is below 1e-21 at any offset and any k (k is folded into the zone first,
 since D is periodic in k), so the truncation is fixed and needs no
-option.
+option. The long-wave closed forms are
+:class:`latticesum.dispersion.LongWave`.
 """
 
 from __future__ import annotations
@@ -39,17 +41,17 @@ import math
 import numpy as np
 from scipy.special import erfc, erfcx
 
-from .model import k_array, tensors_from_components
+from .model import check_offset, k_array, tensors_from_components
 from .specfun import bessel_k
 
-__all__ = ["lattice_tensors", "inter_longwave_tensors", "f_constant"]
+__all__ = ["lattice_tensors", "f_constant"]
 
 # Ewald splitting parameter in units of 1/a; sqrt(pi) balances the two
 # sums on the square lattice.
 _ETA = math.sqrt(math.pi)
 
 # Both sums run over |l_x|, |l_y| <= _SHELLS (real space) and
-# |n_x|, |n_y| <= _SHELLS (reciprocal space).
+# |n_x|, |n_y| <= _SHELLS (reciprocal space), read at call time.
 _SHELLS = 4
 
 # k points per reciprocal-space pass, which bounds its work arrays to
@@ -61,29 +63,18 @@ _BLOCK = 64
 _F_ORDER = 8
 
 
-# Smallest accepted plane spacing b/a. The tensors scale as 2/c^3 at small
-# offsets c and their roundoff with them: at c = 1e-3 the trace residual is
-# 4.8e-7 J0 (2.4e-16 of the largest entry), at c = 3e-4 already 3e-5 J0.
-_MIN_SPACING = 1e-3
-
-
-def _check_spacing(b_over_a: float) -> None:
-    if not b_over_a >= _MIN_SPACING:
-        raise ValueError(f"b_over_a must be >= {_MIN_SPACING}, got {b_over_a}")
-
-
 def _fold_into_zone(kxy: np.ndarray) -> np.ndarray:
     return kxy - 2.0 * math.pi * np.round(kxy / (2.0 * math.pi))
 
 
-def lattice_tensors(ks, offset: float, *, shells: int = _SHELLS) -> np.ndarray:
+def lattice_tensors(ks, offset: float) -> np.ndarray:
     """Tensors D(k) to the plane ``offset`` above, as a checked (K, 3, 3) stack.
 
     ``offset`` is the plane offset c in units of a, 0 for the site's own
-    plane; ``shells`` is the half-width of both Ewald sums. The lower
-    triangle is the conjugate of the upper one; xz and yz are imaginary.
+    plane (see :func:`~latticesum.model.check_offset`). The lower triangle
+    is the conjugate of the upper one; xz and yz are imaginary.
     """
-    return tensors_from_components(*_lattice_sums(ks, offset, shells))
+    return tensors_from_components(*_lattice_sums(ks, offset, _SHELLS))
 
 
 def _lattice_sums(ks, offset: float, shells: int):
@@ -91,9 +82,7 @@ def _lattice_sums(ks, offset: float, shells: int):
 
     Unchecked: with too few shells the truncated tensor is not traceless.
     """
-    c = float(offset)
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ValueError(f"plane offset must be finite and >= 0, got {offset}")
+    c = check_offset(offset)
     eta = _ETA
     n = np.arange(-shells, shells + 1, dtype=float)
     nx, ny = (a.ravel() for a in np.meshgrid(n, n, indexing="ij"))
@@ -150,33 +139,6 @@ def _lattice_sums(ks, offset: float, shells: int):
         # T_xz and T_yz vanish term by term in the plane
         xz = yz = np.zeros_like(xz)
     return xx, yy, zz, xy, xz, yz
-
-
-def inter_longwave_tensors(ks, b_over_a: float) -> np.ndarray:
-    """Closed-form ka << 1 tensors at every k of ``ks``, a checked (K, 3, 3) stack.
-
-    Only the (0,0) reciprocal term survives:
-    Dt_xx = 2 pi (kxa)^2/(ka) e^{-kb},  Dt_zz = -2 pi (ka) e^{-kb},
-    Dt_xz = -2 pi i (kxa) e^{-kb}, and the obvious y-partners. Rejected at
-    ka = 0, where the limit depends on the approach direction.
-    """
-    _check_spacing(b_over_a)
-    kx, ky = k_array(ks).T
-    q = np.hypot(kx, ky)
-    if np.any(q == 0.0):
-        raise ValueError(
-            "ka = 0 is a non-analytic point (the limit depends on direction); "
-            "use lattice_tensors there"
-        )
-    two_pi_e = 2.0 * math.pi * np.exp(-q * b_over_a)
-    return tensors_from_components(
-        two_pi_e * kx * kx / q,
-        two_pi_e * ky * ky / q,
-        -two_pi_e * q,
-        two_pi_e * kx * ky / q,
-        -1j * two_pi_e * kx,
-        -1j * two_pi_e * ky,
-    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,11 +18,13 @@ from scipy.constants import elementary_charge, epsilon_0
 
 __all__ = [
     "COULOMB_EV_ANGSTROM",
+    "MIN_OFFSET",
     "LatticeGeometry",
     "TransitionDipole",
     "WaveVector",
     "CouplingTensor",
     "EnergyScale",
+    "check_offset",
     "check_tensors",
     "tensors_from_components",
     "dipole_from_theta",
@@ -38,27 +40,43 @@ COULOMB_EV_ANGSTROM = elementary_charge / (4.0 * math.pi * epsilon_0) * 1e10
 # largest Hermitian residual and |trace| per unit of max(1, largest entry)
 _INVARIANT_TOL = 1e-10
 
+# Smallest accepted nonzero plane offset c/a, and so plane spacing b/a. The
+# tensors scale as 2/c^3 at small c and their roundoff with them: at
+# c = 1e-3 the trace residual is 4.8e-7 J0 (2.4e-16 of the largest entry),
+# at c = 3e-4 already 3e-5 J0.
+MIN_OFFSET = 1e-3
+
+
+def check_offset(offset: float, *, spacing: bool = False) -> float:
+    """The plane offset c in units of a, as a float, once it is accepted.
+
+    c = 0 is the site's own plane; any other c must be finite and at least
+    MIN_OFFSET. A plane ``spacing`` must not be 0 either, since offset 0
+    would silently give the in-plane tensor.
+    """
+    c = float(offset)
+    if (c == 0.0 and not spacing) or (math.isfinite(c) and c >= MIN_OFFSET):
+        return c
+    name = "plane spacing" if spacing else "nonzero plane offset"
+    raise ValueError(f"{name} must be finite and >= {MIN_OFFSET}, got {offset}")
+
 
 @dataclass(frozen=True)
 class LatticeGeometry:
-    """Square-lattice stack: lattice constant, plane spacing, extent.
+    """Square-lattice stack: plane spacing and extent.
 
-    ``a`` is in Angstrom, ``b_over_a`` is the plane separation in units of
-    ``a``, ``n_sites`` is the number of sites per plane (must be a perfect
+    ``b_over_a`` is the plane separation in units of the lattice constant
+    a, ``n_sites`` is the number of sites per plane (must be a perfect
     square: the plane is sqrt(N) x sqrt(N)), ``n_planes`` counts stacked
     planes.
     """
 
-    a: float
     b_over_a: float
     n_sites: int = 1
     n_planes: int = 1
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"lattice constant must be positive, got {self.a}")
-        if not self.b_over_a > 0:
-            raise ValueError(f"b_over_a must be positive, got {self.b_over_a}")
+        check_offset(self.b_over_a, spacing=True)
         if self.n_planes < 1:
             raise ValueError(f"n_planes must be >= 1, got {self.n_planes}")
         if self.n_sites < 1:
@@ -70,18 +88,15 @@ class LatticeGeometry:
 
 @dataclass(frozen=True)
 class TransitionDipole:
-    """Unit direction (m_x, m_y, m_z) plus physical magnitude in e*Angstrom."""
+    """Unit direction (m_x, m_y, m_z); the magnitude enters through J0."""
 
     direction: tuple[float, float, float]
-    magnitude: float = 1.0
 
     def __post_init__(self):
         mx, my, mz = self.direction
         norm2 = mx * mx + my * my + mz * mz
         if abs(norm2 - 1.0) > 1e-12:
             raise ValueError(f"direction must be a unit vector, |m|^2 = {norm2!r}")
-        if not self.magnitude > 0:
-            raise ValueError(f"magnitude must be positive, got {self.magnitude}")
 
 
 @dataclass(frozen=True)
@@ -209,13 +224,13 @@ class EnergyScale:
             raise ValueError(f"j0_ev must be positive, got {self.j0_ev}")
 
 
-def dipole_from_theta(theta: float, magnitude: float = 1.0) -> TransitionDipole:
+def dipole_from_theta(theta: float) -> TransitionDipole:
     """Dipole tilted by theta from the plane normal: (sin t, 0, cos t).
 
     The in-plane projection is fixed along x; anisotropy scans rotate the
     wave vector instead. Angle wrapping is the caller's business.
     """
-    return TransitionDipole((math.sin(theta), 0.0, math.cos(theta)), magnitude)
+    return TransitionDipole((math.sin(theta), 0.0, math.cos(theta)))
 
 
 def j0_scale(mu: float, a: float) -> float:

@@ -20,13 +20,14 @@ from latticesum.cli import main
 from latticesum.direct_sum import k0_tail_correction, window_tensors
 from latticesum.dispersion import (
     Ewald,
+    LongWave,
     couplings,
     pair_energies,
     splitting,
     stack_matrices,
     symmetric_eigen,
 )
-from latticesum.ewald import f_constant, inter_longwave_tensors, lattice_tensors
+from latticesum.ewald import f_constant, lattice_tensors
 from latticesum.model import (
     EnergyScale,
     LatticeGeometry,
@@ -149,7 +150,7 @@ def test_criterion_05():
         k = WaveVector(1e-3 * math.cos(0.6), 1e-3 * math.sin(0.6))
 
         def closed_and_kernel(b_over_a):
-            got = inter_longwave_tensors([k], b_over_a)[0]
+            got = LongWave().tensors([k], b_over_a)[0]
             ref = lattice_tensors([k], b_over_a)[0]
             _TENSORS.extend([got, ref])
             return got, ref
@@ -211,9 +212,9 @@ def test_criterion_07():
         k = WaveVector(0.9 * math.cos(0.7), 0.9 * math.sin(0.7))
         dipole = dipole_from_theta(math.pi / 5)
         method = Ewald()
-        j = couplings(method.intra([k]), dipole)[0]
-        jp = couplings(method.inter([k], 2.0), dipole)[0]
-        geometry = LatticeGeometry(a=1000.0, b_over_a=2.0, n_planes=2)
+        j = couplings(method.tensors([k], 0.0), dipole)[0]
+        jp = couplings(method.tensors([k], 2.0), dipole)[0]
+        geometry = LatticeGeometry(b_over_a=2.0, n_planes=2)
         evals = symmetric_eigen(stack_matrices([k], dipole, geometry, method)[2][0])
         expect = np.sort([j - jp, j + jp])
         assert float(np.max(np.abs(evals - expect))) <= 1e-12
@@ -236,7 +237,7 @@ def test_criterion_08():
         dipole = dipole_from_theta(math.pi / 2)
         spacings = np.linspace(5.0, 15.0, 11)
         logs = [
-            math.log(abs(couplings(Ewald().inter([k], b), dipole)[0]))
+            math.log(abs(couplings(Ewald().tensors([k], b), dipole)[0]))
             for b in spacings
         ]
         slope = np.polyfit(spacings, logs, 1)[0]

@@ -94,17 +94,22 @@ def test_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "cfg",
+    "command,cfg,prefix",
     [
         # below the stated spacing floor, refused before any numerics run
-        {"b_over_a": 1e-9, "ka_values": [0.5]},
+        ("sweep-phi", {"b_over_a": 1e-9, "ka_values": [0.5]}, "config error: b_over_a"),
+        # a window of 7 PiB, which NumPy refuses before touching memory
+        ("dispersion",
+         {"method": "direct", "direct_cutoff": 10**15, "ka_values": [0.5]},
+         "error: "),
     ],
+    ids=["cfg0", "cfg1"],
 )
-def test_numerical_failures_exit_2_with_one_line(tmp_path, capsys, cfg):
-    code, _ = run_cli(tmp_path, "sweep-phi", cfg)
+def test_numerical_failures_exit_2_with_one_line(tmp_path, capsys, command, cfg, prefix):
+    code, _ = run_cli(tmp_path, command, cfg)
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: b_over_a")
+    assert err.startswith(prefix)
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -126,7 +131,7 @@ def test_reciprocal_lattice_point_runs_as_zone_centre(tmp_path, method):
     assert float(rows[0][1]) == 0.0
     origin = [WaveVector(0.0, 0.0)]
     if method == "direct":
-        tensors = [dispersion.origin_tensor(20, 0.5)]
+        tensors = dispersion.Direct(20).tensors(origin, 0.5)
     else:
         # the long-wave engine takes the kernel's value at k = 0
         tensors = lattice_tensors(origin, 0.5)

@@ -118,8 +118,8 @@ def test_direct_batch_equals_single_k():
     )]
     method = Direct(cutoff=40)
     for tensors, alone in (
-        (method.intra(ks), lambda k: method.intra([k])[0]),
-        (method.inter(ks, 1.5), lambda k: method.inter([k], 1.5)[0]),
+        (method.tensors(ks, 0.0), lambda k: method.tensors([k], 0.0)[0]),
+        (method.tensors(ks, 1.5), lambda k: method.tensors([k], 1.5)[0]),
     ):
         for k, got in zip(ks, tensors):
             assert np.array_equal(got, alone(k))
@@ -212,8 +212,6 @@ def test_window_tensors_hermitian_traceless(kx, ky, off):
 
 
 def test_rejects_nonpositive_spacing():
-    with pytest.raises(ValueError):
-        Direct(cutoff=5).inter([ORIGIN], 0.0)
     with pytest.raises(ValueError):
         window_tensors([ORIGIN], -1.0, 5)
     with pytest.raises(ValueError):

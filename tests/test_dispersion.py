@@ -12,7 +12,6 @@ from latticesum.dispersion import (
     LongWave,
     ModeSpectrum,
     couplings,
-    origin_tensor,
     pair_energies,
     polarization_splitting,
     splitting,
@@ -23,6 +22,7 @@ from latticesum import dispersion, ewald
 from latticesum.direct_sum import k0_tail_correction, window_tensors
 from latticesum.ewald import f_constant
 from latticesum.model import (
+    MIN_OFFSET,
     CouplingTensor,
     EnergyScale,
     LatticeGeometry,
@@ -53,15 +53,15 @@ def test_batched_engines_match_single_k(method):
     generic = rng.uniform(-math.pi, math.pi, size=(2 * ewald._BLOCK + 5, 2))
     ks = [WaveVector(float(x), float(y)) for x, y in special + generic.tolist()]
     for batch, alone in (
-        (method.intra(ks), lambda k: method.intra([k])[0]),
-        (method.inter(ks, 1.5), lambda k: method.inter([k], 1.5)[0]),
+        (method.tensors(ks, 0.0), lambda k: method.tensors([k], 0.0)[0]),
+        (method.tensors(ks, 1.5), lambda k: method.tensors([k], 1.5)[0]),
     ):
         assert batch.shape == (len(ks), 3, 3)
         for k, got in zip(ks, batch):
             want = alone(k)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # in the plane, k = (2 pi, 0) is k = 0 for every engine
-    intra = method.intra(ks)
+    intra = method.tensors(ks, 0.0)
     origin, lattice = intra[special.index((0.0, 0.0))], intra[len(special) - 1]
     assert np.max(np.abs(lattice - origin)) <= 1e-14 * np.max(np.abs(origin))
 
@@ -71,9 +71,9 @@ def test_direct_takes_corrected_window_on_reciprocal_lattice():
     method = Direct(cutoff=6)
     ks = [WaveVector(0.0, 0.0), WaveVector(2.0 * math.pi, 0.0),
           WaveVector(-2.0 * math.pi, 4.0 * math.pi)]
-    for c, got in [(0.0, method.intra(ks)), (1.5, method.inter(ks, 1.5))]:
+    for c, got in [(0.0, method.tensors(ks, 0.0)), (1.5, method.tensors(ks, 1.5))]:
         want = window_tensors([ks[0]], c, 6)[0] + k0_tail_correction(6, c)
-        assert np.array_equal(origin_tensor(6, c), want)
+        assert np.array_equal(method.tensors(ks[:1], c)[0], want)
         for tensor in got:
             assert np.array_equal(tensor, want)
 
@@ -82,17 +82,17 @@ def test_direct_checks_the_corrected_window(monkeypatch):
     # the tail is added after the window's own check; the sum is checked too
     monkeypatch.setattr(dispersion, "k0_tail_correction", lambda *_: np.eye(3))
     with pytest.raises(ValueError, match="traceless"):
-        Direct(cutoff=6).intra([WaveVector(2.0 * math.pi, 0.0)])
+        Direct(cutoff=6).tensors([WaveVector(2.0 * math.pi, 0.0)], 0.0)
     with pytest.raises(ValueError, match="traceless"):
-        origin_tensor(6, 1.5)
+        Direct(cutoff=6).tensors([WaveVector(0.0, 0.0)], 1.5)
 
 
 def test_longwave_intra_and_polarization_gap():
     f = f_constant()
     # diag(-F, -F, 2F) at every k, and exactly so at k = 0
-    origin = LongWave().intra([WaveVector(0.0, 0.0)])[0]
+    origin = LongWave().tensors([WaveVector(0.0, 0.0)], 0.0)[0]
     assert np.array_equal(origin, np.diag([-f, -f, 2.0 * f]))
-    tensors = LongWave().intra([WaveVector(1e-4, 0.0)])
+    tensors = LongWave().tensors([WaveVector(1e-4, 0.0)], 0.0)
     j_par = couplings(tensors, dipole_from_theta(math.pi / 2.0))[0]
     j_z = couplings(tensors, dipole_from_theta(0.0))[0]
     assert j_par == pytest.approx(-f, rel=1e-12)
@@ -105,7 +105,7 @@ def test_longwave_intra_and_polarization_gap():
 def test_j_inter_longwave_closed_form():
     ka, b, phi = 0.5, 2.0, 0.7
     k = WaveVector(ka * math.cos(phi), ka * math.sin(phi))
-    tensors = LongWave().inter([k], b)
+    tensors = LongWave().tensors([k], b)
     for theta in (0.0, 0.6, math.pi / 2.0):
         want = (
             2.0 * math.pi * ka * math.exp(-ka * b)
@@ -115,18 +115,18 @@ def test_j_inter_longwave_closed_form():
         assert got == pytest.approx(want, abs=1e-14)
     # k = 0, where the closed form has no limit, takes the Ewald kernel
     origin = [WaveVector(0.0, 0.0)]
-    assert np.array_equal(LongWave().inter(origin, b), ewald.lattice_tensors(origin, b))
+    assert np.array_equal(LongWave().tensors(origin, b), ewald.lattice_tensors(origin, b))
 
 
 def test_engines_agree_on_couplings():
     k = WaveVector(2.0 * math.cos(0.75), 2.0 * math.sin(0.75))
     dip = dipole_from_theta(0.9)
     kernel, window = Ewald(), Direct(cutoff=200)
-    assert couplings(kernel.intra([k]), dip)[0] == pytest.approx(
-        couplings(window.intra([k]), dip)[0], abs=5e-6
+    assert couplings(kernel.tensors([k], 0.0), dip)[0] == pytest.approx(
+        couplings(window.tensors([k], 0.0), dip)[0], abs=5e-6
     )
-    assert couplings(kernel.inter([k], 1.0), dip)[0] == pytest.approx(
-        couplings(window.inter([k], 1.0), dip)[0], abs=5e-6
+    assert couplings(kernel.tensors([k], 1.0), dip)[0] == pytest.approx(
+        couplings(window.tensors([k], 1.0), dip)[0], abs=5e-6
     )
 
 
@@ -134,12 +134,35 @@ def test_pair_energies_and_splitting():
     k = WaveVector(0.5 * math.cos(0.3), 0.5 * math.sin(0.3))
     dip = dipole_from_theta(math.pi / 3.0)
     scale = EnergyScale(2e-8, ea_ev=1.0)
-    j = couplings(Ewald().intra([k]), dip)[0]
-    jp = couplings(Ewald().inter([k], 2.0), dip)[0]
+    j = couplings(Ewald().tensors([k], 0.0), dip)[0]
+    jp = couplings(Ewald().tensors([k], 2.0), dip)[0]
     modes = pair_energies(k, dip, 2.0, Ewald(), scale)
     assert modes.energies_j0 == pytest.approx(sorted((j - jp, j + jp)), abs=1e-14)
     assert modes.energies_ev[0] == pytest.approx(1.0 + 2e-8 * modes.energies_j0[0])
     assert splitting(k, dip, 2.0, Ewald()) == pytest.approx(2.0 * abs(jp), rel=1e-12)
+
+
+def test_plane_offset_rule():
+    # offset 0 is the site's own plane; any other offset is finite and at
+    # least MIN_OFFSET, 1e-3 a (9e-4 sits below it)
+    ks = [WaveVector(0.5, 0.2), WaveVector(0.0, 0.0)]
+    for method in (Ewald(), LongWave(), Direct(cutoff=5)):
+        for c in (-1.0, 9e-4, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                method.tensors(ks, c)
+        assert method.tensors(ks, 0.0).shape == (2, 3, 3)
+        assert method.tensors(ks, MIN_OFFSET).shape == (2, 3, 3)
+    assert np.array_equal(Ewald().tensors(ks, 0.0), ewald.lattice_tensors(ks, 0.0))
+    # a plane spacing must not be 0 either: offset 0 is the in-plane tensor
+    dip = dipole_from_theta(0.4)
+    for b in (0.0, 9e-4, math.nan):
+        with pytest.raises(ValueError):
+            pair_energies(ks[0], dip, b, Ewald(), EnergyScale(1e-3))
+        with pytest.raises(ValueError):
+            splitting(ks[0], dip, b, Ewald())
+        with pytest.raises(ValueError):
+            LatticeGeometry(b)
+    assert LatticeGeometry(MIN_OFFSET).b_over_a == MIN_OFFSET
 
 
 def test_mode_spectrum_validation():
@@ -153,7 +176,7 @@ def test_mode_spectrum_validation():
 def test_stack_matrix_structure():
     k = WaveVector(0.5 * math.cos(0.3), 0.5 * math.sin(0.3))
     dip = dipole_from_theta(math.pi / 2.0)
-    geom = LatticeGeometry(1000.0, 10.0, n_planes=4)
+    geom = LatticeGeometry(10.0, n_planes=4)
     m = stack_matrices([k], dip, geom, LongWave())[2][0]
     assert m.shape == (4, 4)
     assert np.array_equal(m, m.T)
@@ -171,10 +194,10 @@ def test_stack_matrix_structure():
 def test_two_plane_stack_matches_pair_formula():
     k = WaveVector(0.8, -0.2)
     dip = dipole_from_theta(0.4)
-    geom = LatticeGeometry(1000.0, 5.0, n_planes=2)
+    geom = LatticeGeometry(5.0, n_planes=2)
     evals = symmetric_eigen(stack_matrices([k], dip, geom, Ewald())[2][0])
-    j = couplings(Ewald().intra([k]), dip)[0]
-    jp = couplings(Ewald().inter([k], 5.0), dip)[0]
+    j = couplings(Ewald().tensors([k], 0.0), dip)[0]
+    jp = couplings(Ewald().tensors([k], 5.0), dip)[0]
     assert evals == pytest.approx(sorted((j - jp, j + jp)), abs=1e-12)
 
 
@@ -183,7 +206,7 @@ def test_nearest_only_error_has_second_neighbor_scale():
     # |Jt'(2b)| ~ pi e^{-2 k b}; here pi e^{-10}
     k = WaveVector(0.5 * math.cos(0.3), 0.5 * math.sin(0.3))
     dip = dipole_from_theta(math.pi / 2.0)
-    geom = LatticeGeometry(1000.0, 10.0, n_planes=5)
+    geom = LatticeGeometry(10.0, n_planes=5)
     _j, _jps, full = stack_matrices([k], dip, geom, Ewald())
     _j, _jps, near = stack_matrices([k], dip, geom, Ewald(), nearest_only=True)
     full, near = symmetric_eigen(full[0]), symmetric_eigen(near[0])

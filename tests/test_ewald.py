@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from latticesum import ewald
 from latticesum.direct_sum import window_tensors
-from latticesum.dispersion import Direct, Ewald, LongWave, origin_tensor
-from latticesum.ewald import f_constant, inter_longwave_tensors, lattice_tensors
+from latticesum.dispersion import Direct, LongWave
+from latticesum.ewald import f_constant, lattice_tensors
 from latticesum.model import WaveVector
 
 from plane_wave_oracle import plane_wave_tensor
@@ -49,14 +49,16 @@ def test_scalar_series_frozen_values():
     assert t[0, 2].imag == pytest.approx(-2.0422538122098532, rel=1e-12)
 
 
-def test_series_truncation_settled():
+def test_series_truncation_settled(monkeypatch):
     # doubling the shells of both sums moves nothing: the first omitted
     # terms at the default are below 1e-21
     ks = [WaveVector(0.7, -0.3), WaveVector(math.pi, 0.0), WaveVector(1e-3, 0.0),
           ORIGIN]
-    for c in (0.0, 0.05, 1.0, 10.0):
-        lo = lattice_tensors(ks, c)
-        hi = lattice_tensors(ks, c, shells=8)
+    offsets = (0.0, 0.05, 1.0, 10.0)
+    default = [lattice_tensors(ks, c) for c in offsets]
+    monkeypatch.setattr(ewald, "_SHELLS", 8)
+    for c, lo in zip(offsets, default):
+        hi = lattice_tensors(ks, c)
         scale = np.max(np.abs(hi), axis=(1, 2), keepdims=True)
         assert np.max(np.abs(lo - hi) / np.maximum(scale, 1e-300)) <= 1e-13
 
@@ -93,9 +95,10 @@ def test_kernel_is_eta_independent_in_plane(monkeypatch):
     # any error in the split makes the sum depend on the splitting parameter
     ks = [WaveVector(kx, ky) for kx, ky in IN_PLANE_POINTS]
     want = lattice_tensors(ks, 0.0)
+    monkeypatch.setattr(ewald, "_SHELLS", 10)
     for eta in (1.0, 3.0):
         monkeypatch.setattr(ewald, "_ETA", eta)
-        got = lattice_tensors(ks, 0.0, shells=10)
+        got = lattice_tensors(ks, 0.0)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
@@ -112,14 +115,15 @@ def test_kernel_matches_plane_wave_sum_between_planes(b):
 
 def test_kernel_matches_corrected_window_at_k0():
     # 1e-10 is the L = 2000 window's own residual after its tail correction
+    window = Direct(cutoff=2000)
     intra = lattice_tensors([ORIGIN], 0.0)[0]
-    assert np.max(np.abs(intra - origin_tensor(2000, 0.0))) <= 1e-10
+    assert np.max(np.abs(intra - window.tensors([ORIGIN], 0.0)[0])) <= 1e-10
     inter = lattice_tensors([ORIGIN], 1.0)[0]
-    assert np.max(np.abs(inter - origin_tensor(2000, 1.0))) <= 1e-10
+    assert np.max(np.abs(inter - window.tensors([ORIGIN], 1.0)[0])) <= 1e-10
 
 
 def test_longwave_closed_form_components():
-    t = inter_longwave_tensors([WaveVector(1e-3, 0.0)], 10.0)[0]
+    t = LongWave().tensors([WaveVector(1e-3, 0.0)], 10.0)[0]
     e = 2.0 * math.pi * 1e-3 * math.exp(-0.01)
     assert t[0, 0].real == pytest.approx(e, rel=1e-15)
     assert t[1, 1] == 0.0
@@ -129,14 +133,9 @@ def test_longwave_closed_form_components():
 
 def test_longwave_matches_series_at_small_k():
     k = WaveVector(1e-3 * math.cos(0.6), 1e-3 * math.sin(0.6))
-    lw = inter_longwave_tensors([k], 10.0)[0]
+    lw = LongWave().tensors([k], 10.0)[0]
     ew = lattice_tensors([k], 10.0)[0]
     assert np.max(np.abs(lw - ew)) <= 1e-10 * np.max(np.abs(ew))
-
-
-def test_longwave_rejects_k0():
-    with pytest.raises(ValueError):
-        inter_longwave_tensors([ORIGIN], 10.0)
 
 
 def test_inter_series_matches_window():
@@ -195,16 +194,3 @@ def test_f_constant_value():
     assert f == pytest.approx(4.516810841550474, rel=1e-12)
     assert 4.51 <= f <= 4.52
     assert abs(f - 4.5) / 4.5 < 5e-3
-
-
-def test_rejects_nonpositive_spacing():
-    k = WaveVector(0.5, 0.2)
-    with pytest.raises(ValueError):
-        inter_longwave_tensors([k], 0.0)
-    # 9e-4 sits below the stated floor of 1e-3 a
-    for method in (Ewald(), LongWave(), Direct(cutoff=5)):
-        for b in (0.0, -1.0, 9e-4, math.nan):
-            with pytest.raises(ValueError):
-                method.inter([k], b)
-            with pytest.raises(ValueError):
-                method.inter([ORIGIN], b)

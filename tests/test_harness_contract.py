@@ -3,7 +3,9 @@
 ``perfbench/tracing.py`` patches names it finds in ``latticesum`` (among
 them ``model.CouplingTensor``), so deleting or re-signing one of them can
 break ``perfbench/run.py --trace 1``; this runs the harness's child once,
-traced, on the tiny direct-window config.
+traced, on the tiny config of each benchmark workload: ``stack`` on
+stack-grid, through the Ewald engine, and ``dispersion`` on direct-window,
+through the window engine.
 """
 
 import importlib.util
@@ -13,6 +15,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
@@ -25,16 +29,18 @@ def _workloads():
     return module
 
 
-def test_traced_child_run_of_direct_window(tmp_path):
+@pytest.mark.parametrize("workload", ["direct-window", "stack-grid"])
+def test_traced_child_run(tmp_path, workload):
+    workloads = _workloads()
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(_workloads().make_config("direct-window", 1, "tiny")))
+    cfg.write_text(json.dumps(workloads.make_config(workload, 1, "tiny")))
     trace = tmp_path / "trace.json"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
     spawned = time.clock_gettime_ns(time.CLOCK_MONOTONIC)
     proc = subprocess.run(
         [sys.executable, str(BENCH / "child.py"), "--spawned", str(spawned),
-         "--config", str(cfg), "--command", "dispersion",
+         "--config", str(cfg), "--command", workloads.COMMANDS[workload],
          "--out", str(tmp_path / "out.csv"), "--trace", str(trace)],
         capture_output=True, text=True, env=env, timeout=120,
     )

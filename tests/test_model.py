@@ -42,23 +42,20 @@ def test_j0_rejects_nonpositive(mu, a):
 
 
 def test_geometry_validation():
-    LatticeGeometry(1000.0, 10.0, n_sites=49, n_planes=3)
+    LatticeGeometry(10.0, n_sites=49, n_planes=3)
     with pytest.raises(ValueError):
-        LatticeGeometry(0.0, 10.0)
+        LatticeGeometry(0.0)
     with pytest.raises(ValueError):
-        LatticeGeometry(1000.0, 0.0)
+        LatticeGeometry(10.0, n_sites=50)
     with pytest.raises(ValueError):
-        LatticeGeometry(1000.0, 10.0, n_sites=50)
-    with pytest.raises(ValueError):
-        LatticeGeometry(1000.0, 10.0, n_planes=0)
+        LatticeGeometry(10.0, n_planes=0)
 
 
-@given(st.floats(-10.0, 10.0), st.floats(1e-3, 10.0))
-def test_dipole_from_theta_is_unit(theta, mag):
-    dip = dipole_from_theta(theta, mag)
+@given(st.floats(-10.0, 10.0))
+def test_dipole_from_theta_is_unit(theta):
+    dip = dipole_from_theta(theta)
     assert math.hypot(*dip.direction) == pytest.approx(1.0, abs=1e-12)
     assert dip.direction[1] == 0.0
-    assert dip.magnitude == mag
 
 
 def test_dipole_from_theta_poles():
@@ -71,8 +68,6 @@ def test_dipole_from_theta_poles():
 def test_dipole_validation():
     with pytest.raises(ValueError):
         TransitionDipole((1.0, 1.0, 0.0))
-    with pytest.raises(ValueError):
-        TransitionDipole((0.0, 0.0, 1.0), magnitude=0.0)
 
 
 def test_wave_vector():
@@ -144,18 +139,18 @@ def test_energy_scale_validation():
 
 
 def test_k_grid_single_site():
-    [k] = make_k_grid(LatticeGeometry(1.0, 1.0, n_sites=1))
+    [k] = make_k_grid(LatticeGeometry(1.0, n_sites=1))
     assert (k.kxa, k.kya) == (0.0, 0.0)
 
 
 def test_k_grid_even_root_keeps_both_edges():
-    ks = make_k_grid(LatticeGeometry(1.0, 1.0, n_sites=4))
+    ks = make_k_grid(LatticeGeometry(1.0, n_sites=4))
     assert len(ks) == 9
     assert sorted({k.kxa for k in ks}) == pytest.approx([-math.pi, 0.0, math.pi])
 
 
 def test_k_grid_spacing():
-    ks = make_k_grid(LatticeGeometry(1.0, 1.0, n_sites=100))
+    ks = make_k_grid(LatticeGeometry(1.0, n_sites=100))
     assert len(ks) == 121
     xs = sorted({k.kxa for k in ks})
     assert np.diff(xs) == pytest.approx(np.full(10, 2.0 * math.pi / 10.0))
