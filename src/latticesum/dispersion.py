@@ -84,8 +84,9 @@ class Ewald:
 @dataclass(frozen=True)
 class LongWave:
     """Closed forms valid for ka << 1. In the plane: the constant tensor
-    diag(-F, -F, 2F), exact at k = 0. Between planes, at k folded into
-    the zone, only the (0, 0) reciprocal term survives:
+    diag(-F, -F, 2F), exact at k = 0, where the Ewald kernel gives F.
+    Between planes, at k folded into the zone, only the (0, 0) reciprocal
+    term survives:
     Dt_xx = 2 pi (kxa)^2/(ka) e^{-kc},  Dt_zz = -2 pi (ka) e^{-kc},
     Dt_xz = -2 pi i (kxa) e^{-kc}, and the obvious y-partners. At k = 0,
     where the limit depends on the approach direction, it takes the Ewald
@@ -94,12 +95,11 @@ class LongWave:
     def tensors(self, ks, offset: float) -> np.ndarray:
         """(K, 3, 3) tensors to the plane ``offset`` away at every k of ``ks``."""
         c = check_offset(offset)
-        if c == 0.0:
-            f = f_constant()
-            diag = np.diag([-f, -f, 2.0 * f]).astype(complex)
-            return np.broadcast_to(diag, (len(ks), 3, 3))
         # D is periodic in k, and the closed form holds near the zone centre
         kx, ky = _fold_into_zone(k_array(ks)).T
+        if c == 0.0:
+            f = f_constant()
+            return np.tile(np.diag([-f, -f, 2.0 * f]).astype(complex), (len(kx), 1, 1))
         q = np.hypot(kx, ky)
         two_pi_e = 2.0 * math.pi * np.exp(-q * c)
         # every entry carries a factor of k; the k = 0 rows are replaced below

@@ -29,8 +29,15 @@ periodicity, A. Grzybowski, E. Gwozdz and A. Brodka, Phys. Rev. B 61,
 With eta = sqrt(pi) and both sums over |l|, |n| <= 4, every omitted term
 is below 1e-21 at any offset and any k (k is folded into the zone first,
 since D is periodic in k), so the truncation is fixed and needs no
-option. The long-wave closed forms are
-:class:`latticesum.dispersion.LongWave`.
+option. erfc is the standard library's, one Python call per argument
+(about 0.1 us), which keeps SciPy off the import path.
+
+The square lattice's mirrors and its x <-> y swap map D onto itself:
+kx -> -kx flips xy and xz, ky -> -ky flips xy and yz, and swapping kx
+and ky swaps xx with yy and xz with yz. :func:`lattice_tensors` therefore
+sums each orbit of these eight maps once, at its member with
+kx >= ky >= 0, and restores every k of the orbit from it exactly. The
+long-wave closed forms are :class:`latticesum.dispersion.LongWave`.
 """
 
 from __future__ import annotations
@@ -39,10 +46,11 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import erfc, erfcx
 
-from .model import check_offset, k_array, tensors_from_components
-from .specfun import bessel_k
+from .model import WaveVector, check_offset, k_array, tensors_from_components
+
+# Unused here, but perfbench/tracing.py wraps ewald.bessel_k by name.
+from .specfun import bessel_k  # noqa: F401
 
 __all__ = ["lattice_tensors", "f_constant"]
 
@@ -58,13 +66,13 @@ _SHELLS = 4
 # _BLOCK x (2 _SHELLS + 1)^2 elements whatever the number of k.
 _BLOCK = 64
 
-# f_constant sums n, m <= _F_ORDER; the first omitted terms (n or m = 9)
-# are about 3e-21 of the sum.
-_F_ORDER = 8
-
 
 def _fold_into_zone(kxy: np.ndarray) -> np.ndarray:
     return kxy - 2.0 * math.pi * np.round(kxy / (2.0 * math.pi))
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def lattice_tensors(ks, offset: float) -> np.ndarray:
@@ -74,48 +82,84 @@ def lattice_tensors(ks, offset: float) -> np.ndarray:
     plane (see :func:`~latticesum.model.check_offset`). The lower triangle
     is the conjugate of the upper one; xz and yz are imaginary.
     """
-    return tensors_from_components(*_lattice_sums(ks, offset, _SHELLS))
+    c = check_offset(offset)
+    # D is periodic in k; folding k into the zone centres the reciprocal sum
+    kxy = _fold_into_zone(k_array(ks))
+    # one orbit member with kx >= ky >= 0 is summed, the others restored
+    ax, ay = np.abs(kxy).T
+    swap = ay > ax
+    orbits, member = np.unique(
+        np.stack([np.maximum(ax, ay), np.minimum(ax, ay)], axis=1),
+        axis=0,
+        return_inverse=True,
+    )
+    member = member.reshape(-1)  # NumPy 2.0.0 returns it as (K, 1)
+    xx, yy, zz, xy, xz, yz = (s[member] for s in _sums(orbits, c, _SHELLS))
+    sx = np.where(kxy[:, 0] < 0.0, -1.0, 1.0)
+    sy = np.where(kxy[:, 1] < 0.0, -1.0, 1.0)
+    return tensors_from_components(
+        np.where(swap, yy, xx),
+        np.where(swap, xx, yy),
+        zz,
+        sx * sy * xy,
+        sx * np.where(swap, yz, xz),
+        sy * np.where(swap, xz, yz),
+    )
 
 
 def _lattice_sums(ks, offset: float, shells: int):
     """The six sums (xx, yy, zz, xy, xz, yz) of D(k), each of shape (K,).
 
-    Unchecked: with too few shells the truncated tensor is not traceless.
+    Every k is summed on its own. Unchecked: with too few shells the
+    truncated tensor is not traceless.
     """
-    c = check_offset(offset)
+    return _sums(_fold_into_zone(k_array(ks)), check_offset(offset), shells)
+
+
+def _sums(kxy: np.ndarray, c: float, shells: int):
     eta = _ETA
     n = np.arange(-shells, shells + 1, dtype=float)
     nx, ny = (a.ravel() for a in np.meshgrid(n, n, indexing="ij"))
 
-    # real-space coefficients of every site, shared by all k
-    site = (nx != 0.0) | (ny != 0.0) | (c > 0.0)
-    lx, ly = nx[site], ny[site]
-    s2 = lx * lx + ly * ly + c * c
+    # real-space coefficients of every site, shared by all k; the origin's
+    # are 0 in the plane
+    s2 = nx * nx + ny * ny + c * c
+    site = s2 > 0.0
+    s2 = np.where(site, s2, 1.0)
     s = np.sqrt(s2)
-    ec = erfc(eta * s)
+    ec = _erfc(eta * s)
     g = (2.0 * eta / math.sqrt(math.pi)) * s * np.exp(-eta * eta * s2)
-    a = (ec + g) / (s2 * s)
-    b = (3.0 * ec + g * (3.0 + 2.0 * eta * eta * s2)) / (s2 * s2 * s)
+    a = site * (ec + g) / (s2 * s)
+    b = site * (3.0 * ec + g * (3.0 + 2.0 * eta * eta * s2)) / (s2 * s2 * s)
     coef = np.stack(
-        [a - b * lx * lx, a - b * ly * ly, a - b * c * c,
-         -b * lx * ly, -b * lx * c, -b * ly * c],
-        axis=1,
+        [a - b * nx * nx, a - b * ny * ny, a - b * c * c,
+         -b * nx * ny, -b * nx * c, -b * ny * c]
     )
-    sites = np.stack([lx, ly])
     gx, gy = 2.0 * math.pi * nx, 2.0 * math.pi * ny
 
-    # D is periodic in k; folding k into the zone centres the reciprocal sum
-    kxy = _fold_into_zone(k_array(ks))
     blocks = []
     for i in range(0, max(len(kxy), 1), _BLOCK):
         k = kxy[i : i + _BLOCK]
-        real = np.exp(1j * (k @ sites)) @ coef
+        # e^{i k.l} on the site grid, from one table per axis
+        ex = np.exp(1j * k[:, :1] * n)
+        ey = np.exp(1j * k[:, 1:] * n)
+        phase = (ex[:, :, None] * ey[:, None, :]).reshape(len(k), len(nx))
+        re = np.sum(phase.real[:, None] * coef[:4], axis=-1)
+        im = np.sum(phase.imag[:, None] * coef[4:], axis=-1)
         qx = k[:, :1] + gx
         qy = k[:, 1:] + gy
         q = np.hypot(qx, qy)
-        w = np.exp(-((q / (2.0 * eta)) ** 2) - (eta * c) ** 2)
-        e_plus = erfcx(q / (2.0 * eta) + eta * c) * w
-        e_minus = np.exp(-q * c) * erfc(q / (2.0 * eta) - eta * c)
+        x = q / (2.0 * eta)
+        w = np.exp(-(x * x) - (eta * c) ** 2)
+        if c == 0.0:
+            e_plus = e_minus = _erfc(x)
+        else:
+            e_minus = np.exp(-q * c) * _erfc(x - eta * c)
+            # erfc(x + eta c) > 0 needs x + eta c < 27.3, so there
+            # qc = 2 x eta c < 373 and e^{qc} is finite; elsewhere e+ is 0
+            e_plus = _erfc(x + eta * c)
+            hit = e_plus > 0.0
+            e_plus[hit] *= np.exp(q[hit] * c)
         # at q = 0 the psi terms carry a factor q_a and vanish
         psi = math.pi * (e_plus + e_minus) / np.where(q > 0.0, q, 1.0)
         psi_z = math.pi * (e_plus - e_minus)
@@ -123,12 +167,12 @@ def _lattice_sums(ks, offset: float, shells: int):
         blocks.append(
             np.stack(
                 [
-                    real[:, 0].real + np.sum(qx * qx * psi, axis=1),
-                    real[:, 1].real + np.sum(qy * qy * psi, axis=1),
-                    real[:, 2].real - np.sum(psi_zz, axis=1),
-                    real[:, 3].real + np.sum(qx * qy * psi, axis=1),
-                    1j * (real[:, 4].imag + np.sum(qx * psi_z, axis=1)),
-                    1j * (real[:, 5].imag + np.sum(qy * psi_z, axis=1)),
+                    re[:, 0] + np.sum(qx * qx * psi, axis=1),
+                    re[:, 1] + np.sum(qy * qy * psi, axis=1),
+                    re[:, 2] - np.sum(psi_zz, axis=1),
+                    re[:, 3] + np.sum(qx * qy * psi, axis=1),
+                    1j * (im[:, 0] + np.sum(qx * psi_z, axis=1)),
+                    1j * (im[:, 1] + np.sum(qy * psi_z, axis=1)),
                 ]
             )
         )
@@ -143,13 +187,11 @@ def _lattice_sums(ks, offset: float, shells: int):
 
 @functools.lru_cache(maxsize=None)
 def f_constant() -> float:
-    """Lattice constant F = 4 pi^2/9 + (32 pi^2/3) sum_{n,m>=1} n^2 K2(2 pi n m).
+    """Lattice constant F = -D_xx(k = 0) in the plane, about 4.517.
 
-    Controls the k -> 0 in-plane tensor, diag(-F, -F, 2F); about 4.517,
-    i.e. within half a percent of 9/2 (a nearest-neighbor-only sum would
-    give exactly 4).
+    Controls the k -> 0 in-plane tensor, diag(-F, -F, 2F); within half a
+    percent of 9/2 (a nearest-neighbor-only sum would give exactly 4).
+    The tests check it against the Bessel series
+    F = 4 pi^2/9 + (32 pi^2/3) sum_{n,m>=1} n^2 K2(2 pi n m).
     """
-    n = np.arange(1, _F_ORDER + 1, dtype=float)
-    x = 2.0 * math.pi * n[:, None] * n[None, :]
-    terms = n[:, None] ** 2 * bessel_k(2, x)
-    return 4.0 * math.pi**2 / 9.0 + 32.0 * math.pi**2 / 3.0 * float(np.sum(terms))
+    return -float(lattice_tensors([WaveVector(0.0, 0.0)], 0.0)[0, 0, 0].real)

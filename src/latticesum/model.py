@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import elementary_charge, epsilon_0
 
 __all__ = [
     "COULOMB_EV_ANGSTROM",
@@ -33,9 +32,10 @@ __all__ = [
     "k_array",
 ]
 
-# e^2/(4 pi eps0) expressed in eV * Angstrom, built from CODATA constants
-# rather than a hand-typed literal (~14.3996 eV A).
-COULOMB_EV_ANGSTROM = elementary_charge / (4.0 * math.pi * epsilon_0) * 1e10
+# e^2/(4 pi eps0) expressed in eV * Angstrom: the CODATA expression
+# elementary_charge / (4 pi epsilon_0) * 1e10 of scipy.constants, bit for bit
+# (a test pins it), written out so that importing the package needs no SciPy.
+COULOMB_EV_ANGSTROM = 14.399645468667815
 
 # largest Hermitian residual and |trace| per unit of max(1, largest entry)
 _INVARIANT_TOL = 1e-10

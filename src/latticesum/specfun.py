@@ -7,12 +7,15 @@ goes to zero gracefully instead of through an overflow. K2 always goes
 through the upward recurrence K_{n+1}(x) = K_{n-1}(x) + (2n/x) K_n(x),
 which is stable for growing K_n. The tests check all three against an
 independent quadrature oracle.
+
+SciPy is imported at the first call, not with the module, so that the
+package imports without it; nothing on the command-line paths calls
+this function.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import k0e, k1e
 
 __all__ = ["bessel_k"]
 
@@ -23,6 +26,8 @@ def bessel_k(n: int, x):
     ``x`` may be a scalar, which gives a float, or an array of any shape,
     which gives an array of that shape.
     """
+    from scipy.special import k0e, k1e
+
     if n not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {n}")
     x = np.asarray(x, dtype=float)

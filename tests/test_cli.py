@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -333,3 +336,38 @@ def test_output_path_from_config(tmp_path, monkeypatch):
     cp.write_text(json.dumps({"phi_points": 3, "theta": [0.1], "output_path": "named.csv"}))
     assert main(["sweep-phi", "--config", str(cp)]) == 0
     assert (tmp_path / "named.csv").exists()
+
+
+_NO_SCIPY_RUNS = [
+    ("stack", {"method": "ewald", "k_direction": "grid", "n_sites": 4, "n_planes": 3,
+               "b_over_a": 0.5}),
+    ("dispersion", {"method": "direct", "direct_cutoff": 5, "ka_values": [0.5]}),
+    ("dispersion", {"method": "longwave", "ka_values": [0.01, 0.02]}),
+    ("sweep-phi", {"phi_points": 4, "ka_values": [0.5], "b_over_a": 1.0}),
+    ("convergence", {"b_over_a": 1.0, "ka_values": [0.5], "k_direction": 0.3}),
+]
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+import latticesum.cli as cli
+for i, (command, cfg) in enumerate(json.loads(sys.argv[1])):
+    path = f"{sys.argv[2]}/{i}"
+    with open(path + ".json", "w") as fh:
+        json.dump(cfg, fh)
+    if cli.main([command, "--config", path + ".json", "--out", path + ".csv"]) != 0:
+        sys.exit(f"{command} failed")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_cli_paths_import_no_scipy(tmp_path):
+    # SciPy's import costs more than a whole benchmark run: no command, on
+    # any engine, may load it
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(_NO_SCIPY_RUNS), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

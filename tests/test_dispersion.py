@@ -41,28 +41,39 @@ def test_coupling_contraction():
 
 
 @pytest.mark.parametrize("method", [Ewald(), LongWave(), Direct(cutoff=6)])
+@pytest.mark.parametrize("offset", [0.0, 1.5])
+def test_engines_take_any_iterable_and_return_writable_stacks(method, offset):
+    ks = [WaveVector(0.8, 0.3), WaveVector(0.0, 0.0), WaveVector(-0.3, 0.8)]
+    empty = method.tensors([], offset)
+    assert empty.shape == (0, 3, 3) and empty.flags.writeable
+    got = method.tensors((k for k in ks), offset)
+    assert got.shape == (len(ks), 3, 3) and got.flags.writeable
+    assert np.array_equal(got, method.tensors(ks, offset))
+
+
+@pytest.mark.parametrize("method", [Ewald(), LongWave(), Direct(cutoff=6)])
 def test_batched_engines_match_single_k(method):
     # lattice axes, near the zone centre, the zone edges, k = 0, a
     # reciprocal-lattice point and generic k, more than two kernel blocks
+    # the diagonal, and mirror and swap images (one orbit of the lattice's
+    # symmetries) that the Ewald engine sums once
     special = [
         (1e-3, 0.0), (0.0, 1e-3), (0.8, 0.0), (0.0, -1.7), (math.pi, 0.3),
         (-math.pi, -math.pi), (0.4, math.pi), (-math.pi, 0.0), (0.0, 0.0),
-        (2.0 * math.pi, 0.0),
+        (2.0 * math.pi, 0.0), (0.9, 0.9), (-0.9, 0.9), (0.8, 0.3), (-0.8, 0.3),
+        (0.8, -0.3), (-0.3, -0.8), (0.3, 0.8),
     ]
     rng = np.random.default_rng(11)
     generic = rng.uniform(-math.pi, math.pi, size=(2 * ewald._BLOCK + 5, 2))
     ks = [WaveVector(float(x), float(y)) for x, y in special + generic.tolist()]
-    for batch, alone in (
-        (method.tensors(ks, 0.0), lambda k: method.tensors([k], 0.0)[0]),
-        (method.tensors(ks, 1.5), lambda k: method.tensors([k], 1.5)[0]),
-    ):
+    for c in (0.0, 1e-3, 1.5):
+        batch = method.tensors(ks, c)
         assert batch.shape == (len(ks), 3, 3)
         for k, got in zip(ks, batch):
-            want = alone(k)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.array_equal(got, method.tensors([k], c)[0])
     # in the plane, k = (2 pi, 0) is k = 0 for every engine
     intra = method.tensors(ks, 0.0)
-    origin, lattice = intra[special.index((0.0, 0.0))], intra[len(special) - 1]
+    origin, lattice = (intra[special.index(k)] for k in ((0.0, 0.0), (2.0 * math.pi, 0.0)))
     assert np.max(np.abs(lattice - origin)) <= 1e-14 * np.max(np.abs(origin))
 
 

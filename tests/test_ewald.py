@@ -1,6 +1,7 @@
 """Ewald kernel and closed forms: plane-wave, eta-independence and window
 references, frozen values and symmetries."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from latticesum import ewald
 from latticesum.direct_sum import window_tensors
 from latticesum.dispersion import Direct, LongWave
 from latticesum.ewald import f_constant, lattice_tensors
-from latticesum.model import WaveVector
+from latticesum.model import WaveVector, tensors_from_components
+from latticesum.specfun import bessel_k
 
 from plane_wave_oracle import plane_wave_tensor
 
@@ -155,12 +157,38 @@ def test_inter_conjugation_symmetry(kx, ky, b):
     assert np.max(np.abs(minus - np.conj(plus))) <= 1e-12 * scale
 
 
+def _images(kx, ky):
+    """The eight images (k', s, p) of k under the lattice's mirrors and
+    x <-> y swap, with D(k')_ij = s_i s_j D(k)_{p(i) p(j)}."""
+    out = []
+    for sx in (1.0, -1.0):
+        for sy in (1.0, -1.0):
+            s = np.array([sx, sy, 1.0])
+            out.append((WaveVector(sx * kx, sy * ky), s, [0, 1, 2]))
+            out.append((WaveVector(sy * ky, sx * kx), s[[1, 0, 2]], [1, 0, 2]))
+    return out
+
+
 def test_intra_axis_swap_symmetry():
-    a, b = lattice_tensors([WaveVector(0.8, 0.3), WaveVector(0.3, 0.8)], 0.0)
-    scale = np.max(np.abs(a))
-    assert abs(a[0, 0] - b[1, 1]) <= 1e-14 * scale
-    assert abs(a[2, 2] - b[2, 2]) <= 1e-14 * scale
-    assert abs(a[0, 1] - b[0, 1]) <= 1e-14 * scale
+    # lattice_tensors sums one member of each orbit and restores the others
+    # by sign flips and the swap: exactly so off the symmetry lines, and
+    # within roundoff of summing every k on its own everywhere
+    generic = [(0.8, 0.3), (-2.9, 1.3)]
+    special = [(1.1, 0.0), (0.0, -1.7), (0.9, 0.9), (-0.6, 0.6), (math.pi, 0.4),
+               (-math.pi, math.pi), (0.0, 0.0), (TWO_PI, 0.0)]
+    for c, (kx, ky) in itertools.product((0.0, 1e-3, 1.5), generic + special):
+        images = _images(kx, ky)
+        ks = [k for k, _, _ in images]
+        got = lattice_tensors(ks, c)
+        unreduced = tensors_from_components(*ewald._lattice_sums(ks, c, ewald._SHELLS))
+        scale = np.max(np.abs(unreduced), axis=(1, 2))
+        assert np.all(np.max(np.abs(got - unreduced), axis=(1, 2)) <= 1e-14 * scale)
+        for t, (_, s, p) in zip(got, images):
+            want = np.outer(s, s) * got[0][np.ix_(p, p)]
+            if (kx, ky) in generic:
+                assert np.array_equal(t, want)
+            else:
+                assert np.max(np.abs(t - want)) <= 1e-14 * scale[0]
 
 
 def test_intra_xy_vanishes_on_axis():
@@ -182,15 +210,27 @@ def test_intra_tensor_matches_window():
     assert np.max(np.abs(kernel - window)) <= 1e-5
 
 
+def f_bessel_series() -> float:
+    """F = 4 pi^2/9 + (32 pi^2/3) sum_{n,m>=1} n^2 K2(2 pi n m), n, m <= 8.
+
+    Independent of the Ewald kernel; the first omitted terms (n or m = 9)
+    are about 3e-21 of the sum.
+    """
+    n = np.arange(1, 9, dtype=float)
+    terms = n[:, None] ** 2 * bessel_k(2, 2.0 * math.pi * n[:, None] * n[None, :])
+    return 4.0 * math.pi**2 / 9.0 + 32.0 * math.pi**2 / 3.0 * float(np.sum(terms))
+
+
 def test_intra_k_to_zero_approaches_isotropic_form():
     # exact at k = 0: the in-plane tensor there is diag(-F, -F, 2F)
-    f = f_constant()
+    f = f_bessel_series()
     t = lattice_tensors([ORIGIN], 0.0)[0]
     assert np.max(np.abs(t - np.diag([-f, -f, 2.0 * f]))) <= 1e-13
 
 
 def test_f_constant_value():
     f = f_constant()
+    assert abs(f - f_bessel_series()) <= 1e-14 * f
     assert f == pytest.approx(4.516810841550474, rel=1e-12)
     assert 4.51 <= f <= 4.52
     assert abs(f - 4.5) / 4.5 < 5e-3

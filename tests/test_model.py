@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.constants import elementary_charge, epsilon_0
 
 from latticesum.model import (
     COULOMB_EV_ANGSTROM,
@@ -21,8 +22,8 @@ from latticesum.model import (
 
 
 def test_coulomb_constant():
-    # e^2/(4 pi eps0) in eV A, from CODATA constants
-    assert COULOMB_EV_ANGSTROM == pytest.approx(14.399645468667815, rel=1e-12)
+    # e^2/(4 pi eps0) in eV A: the literal is the CODATA expression, bit for bit
+    assert COULOMB_EV_ANGSTROM == elementary_charge / (4.0 * math.pi * epsilon_0) * 1e10
 
 
 def test_j0_reference_point():
