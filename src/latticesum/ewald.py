@@ -160,8 +160,9 @@ def _sums(kxy: np.ndarray, c: float, shells: int):
             e_plus = _erfc(x + eta * c)
             hit = e_plus > 0.0
             e_plus[hit] *= np.exp(q[hit] * c)
-        # at q = 0 the psi terms carry a factor q_a and vanish
-        psi = math.pi * (e_plus + e_minus) / np.where(q > 0.0, q, 1.0)
+        # the psi terms carry q_a q_b, so they are below 2 pi q; at
+        # q <= 1e-300, where pi / q can overflow, they are dropped as 0
+        psi = math.pi * (e_plus + e_minus) / np.where(q > 1e-300, q, np.inf)
         psi_z = math.pi * (e_plus - e_minus)
         psi_zz = math.pi * q * (e_plus + e_minus) - 4.0 * math.sqrt(math.pi) * eta * w
         blocks.append(

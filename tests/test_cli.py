@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from latticesum import _core_py, cli, dispersion
+from latticesum import _core_py, dispersion
 from latticesum.cli import ConfigError, RunConfig, main, parse_config
 from latticesum.direct_sum import window_tensors
 from latticesum.dispersion import couplings
@@ -45,6 +45,21 @@ def test_readme_config_table_lists_the_config_fields():
     assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
 
 
+def test_readme_python_examples_run(tmp_path):
+    # the blocks run in order as one script, as a reader would paste them
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 2
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", "\n".join(blocks)],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
 def test_theta_scalar_becomes_tuple():
     assert parse_config('{"theta": 0.5}').theta == (0.5,)
     assert parse_config('{"theta": [0.5, 1.0]}').theta == (0.5, 1.0)
@@ -71,6 +86,10 @@ def test_theta_scalar_becomes_tuple():
         ('{"output_path": ""}', "output_path"),
         ("[1, 2]", "top level"),
         ("{broken", "JSON"),
+        # past the float range, and past Python's integer-literal digit limit
+        pytest.param('{"a_angstrom": 1' + "0" * 400 + "}", "a_angstrom", id="int400"),
+        pytest.param('{"theta": [0.1, 1' + "0" * 400 + "]}", "theta[1]", id="list-int400"),
+        pytest.param('{"a_angstrom": 1' + "0" * 5000 + "}", "JSON", id="int5000"),
     ],
 )
 def test_bad_configs_name_the_key(payload, needle):
@@ -291,17 +310,16 @@ def test_convergence_schema_and_claim(tmp_path):
     assert any(r[0] == "ewald" and float(r[3]) <= 1e-10 for r in rows)
 
 
-def test_convergence_ratio_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
-    # with only R = 7 listed the kernel spends 2 (2R + 1)^2 = 450 terms; the
-    # window reaches 1e-6 at L = 300 (361 201 terms), a ratio of 803
-    monkeypatch.setattr(cli, "_EWALD_CONVERGENCE_SHELLS", range(7, 8))
-    cfg = {"b_over_a": 1.0, "ka_values": [0.5], "k_direction": 0.3}
+@pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+def test_convergence_writes_its_table_where_the_window_converges_fast(tmp_path, b):
+    # at ka = 2 the window reaches 1e-6 at L = 100 (40 401 terms) and the
+    # kernel 1e-10 at R = 2 (50 terms): the table is written all the same
+    cfg = {"b_over_a": b, "ka_values": [2.0], "k_direction": 0.4}
     code, op = run_cli(tmp_path, "convergence", cfg)
-    assert code == 2
-    assert not op.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("error: term-count ratio")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert code == 0
+    _, rows = read_rows(op)
+    assert [r[0] for r in rows] == ["direct"] * 5 + ["ewald"] * 6
+    assert any(r[0] == "ewald" and float(r[3]) <= 1e-10 for r in rows)
 
 
 def test_convergence_deterministic_modulo_timing(tmp_path):
@@ -345,6 +363,9 @@ _NO_SCIPY_RUNS = [
     ("dispersion", {"method": "longwave", "ka_values": [0.01, 0.02]}),
     ("sweep-phi", {"phi_points": 4, "ka_values": [0.5], "b_over_a": 1.0}),
     ("convergence", {"b_over_a": 1.0, "ka_values": [0.5], "k_direction": 0.3}),
+    ("convergence", {"b_over_a": 0.5, "ka_values": [3.0], "k_direction": 0.4}),
+    # pi / |k| would overflow here
+    ("sweep-phi", {"phi_points": 4, "ka_values": [1e-320]}),
 ]
 
 _NO_SCIPY_SCRIPT = """
@@ -362,7 +383,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 
 def test_cli_paths_import_no_scipy(tmp_path):
     # SciPy's import costs more than a whole benchmark run: no command, on
-    # any engine, may load it
+    # any engine, may load it; pytest's warning filter cannot see into the
+    # subprocess, so its stderr must stay empty
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(_NO_SCIPY_RUNS), str(tmp_path)],
@@ -370,4 +392,5 @@ def test_cli_paths_import_no_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert json.loads(proc.stdout.splitlines()[-1]) == []

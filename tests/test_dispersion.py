@@ -56,12 +56,13 @@ def test_batched_engines_match_single_k(method):
     # lattice axes, near the zone centre, the zone edges, k = 0, a
     # reciprocal-lattice point and generic k, more than two kernel blocks
     # the diagonal, and mirror and swap images (one orbit of the lattice's
-    # symmetries) that the Ewald engine sums once
+    # symmetries) that the Ewald engine sums once, and subnormal |k|
     special = [
         (1e-3, 0.0), (0.0, 1e-3), (0.8, 0.0), (0.0, -1.7), (math.pi, 0.3),
         (-math.pi, -math.pi), (0.4, math.pi), (-math.pi, 0.0), (0.0, 0.0),
         (2.0 * math.pi, 0.0), (0.9, 0.9), (-0.9, 0.9), (0.8, 0.3), (-0.8, 0.3),
-        (0.8, -0.3), (-0.3, -0.8), (0.3, 0.8),
+        (0.8, -0.3), (-0.3, -0.8), (0.3, 0.8), (3e-308, 0.0), (1e-310, 0.0),
+        (5e-324, 5e-324),
     ]
     rng = np.random.default_rng(11)
     generic = rng.uniform(-math.pi, math.pi, size=(2 * ewald._BLOCK + 5, 2))

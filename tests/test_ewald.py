@@ -84,9 +84,11 @@ def test_partials_match_series_and_finite_differences():
 
 
 def test_reciprocal_lattice_points_equal_zone_centre():
-    # D is periodic in k, and every k is defined, in a batch too
-    ks = [ORIGIN, WaveVector(TWO_PI, 0.0), WaveVector(-TWO_PI, 2.0 * TWO_PI)]
-    for c in (0.0, 1.0):
+    # D is periodic in k, and every k is defined, in a batch too; at
+    # subnormal |k|, where pi / |k| overflows, the kernel gives D(0)
+    ks = [ORIGIN, WaveVector(TWO_PI, 0.0), WaveVector(-TWO_PI, 2.0 * TWO_PI),
+          WaveVector(3e-308, 0.0), WaveVector(1e-310, 0.0), WaveVector(5e-324, 5e-324)]
+    for c in (0.0, 1.0, 1.5):
         origin, *lattice = lattice_tensors([WaveVector(0.5, 0.2)] + ks, c)[1:]
         scale = np.max(np.abs(origin))
         for t in lattice:
