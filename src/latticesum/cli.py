@@ -18,6 +18,8 @@ import sys
 import time
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .direct_sum import window_tensors
 from .dispersion import (
     Direct,
@@ -103,11 +105,17 @@ def _want_real(path, value, positive=False):
     return v
 
 
+def _int_text(value: int) -> str:
+    # an integer of hundreds of digits would swamp the line
+    digits = len(str(abs(value)))
+    return str(value) if digits <= 20 else f"an integer of {digits} digits"
+
+
 def _want_int(path, value, minimum):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+        raise ConfigError(f"{path}: must be >= {minimum}, got {_int_text(value)}")
     return value
 
 
@@ -165,7 +173,9 @@ def parse_config(text: str) -> RunConfig:
             v = _want_int(key, value, 1)
             root = math.isqrt(v)
             if root * root != v:
-                raise ConfigError(f"{key}: must be a perfect square, got {v}")
+                raise ConfigError(
+                    f"{key}: must be a perfect square, got {_int_text(v)}"
+                )
             out[key] = v
         elif key == "n_planes":
             out[key] = _want_int(key, value, 1)
@@ -199,18 +209,25 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**out)
 
 
-def _fmt(x) -> str:
-    v = float(x)
-    if not math.isfinite(v):
-        raise ArithmeticError(f"refusing to write non-finite value {x!r}")
-    return repr(v)
+def _column(values) -> list[str]:
+    """Shortest round-trip text of every value; a non-finite one is refused."""
+    v = np.asarray(values, dtype=float).ravel()
+    finite = np.isfinite(v)
+    if not finite.all():
+        bad = v[~finite][0].item()
+        raise ArithmeticError(f"refusing to write non-finite value {bad!r}")
+    return list(map(repr, v.tolist()))
 
 
-def _write_csv(path, header, rows):
+def _repeat(column: list[str], times: int) -> list[str]:
+    """Each entry of ``column`` ``times`` times in a row."""
+    return [text for text in column for _ in range(times)]
+
+
+def _write_csv(path, header, columns):
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _engine(cfg: RunConfig) -> Method:
@@ -253,14 +270,16 @@ def cmd_sweep_phi(cfg: RunConfig) -> str:
     ]
     ks = [WaveVector(ka * math.cos(phi), ka * math.sin(phi)) for ka, phi in points]
     tensors = _engine(cfg).tensors(ks, cfg.b_over_a)
-    rows = []
-    for theta in cfg.theta:
-        jps = couplings(tensors, dipole_from_theta(theta))
-        for (ka, phi), jp in zip(points, jps):
-            rows.append(
-                [_fmt(theta), _fmt(phi), _fmt(ka), _fmt(cfg.b_over_a), _fmt(jp)]
-            )
-    _write_csv(cfg.output_path, "theta,phi,ka,b_over_a,jprime_over_j0", rows)
+    jps = [couplings(tensors, dipole_from_theta(theta)) for theta in cfg.theta]
+    curves = len(cfg.theta)
+    columns = [
+        _repeat(_column(cfg.theta), len(points)),
+        _column([phi for _, phi in points]) * curves,
+        _column([ka for ka, _ in points]) * curves,
+        _column([cfg.b_over_a]) * (curves * len(points)),
+        _column(jps),
+    ]
+    _write_csv(cfg.output_path, "theta,phi,ka,b_over_a,jprime_over_j0", columns)
     return cfg.output_path
 
 
@@ -275,21 +294,19 @@ def cmd_dispersion(cfg: RunConfig) -> str:
     dip = dipole_from_theta(cfg.theta[0])
     ks = _k_list(cfg)
     js, jps, evals = _spectra(cfg, ks, dip, method)
-    rows = []
-    for k, j, jp, lams in zip(ks, js, jps, evals):
-        for idx, lam in enumerate(lams):
-            rows.append(
-                [
-                    _fmt(k.kxa),
-                    _fmt(k.kya),
-                    _fmt(j),
-                    _fmt(jp),
-                    str(idx),
-                    _fmt(scale.ea_ev + scale.j0_ev * lam),
-                ]
-            )
+    modes = evals.shape[-1]
+    columns = [
+        _repeat(_column([k.kxa for k in ks]), modes),
+        _repeat(_column([k.kya for k in ks]), modes),
+        _repeat(_column(js), modes),
+        _repeat(_column(jps), modes),
+        [str(idx) for idx in range(modes)] * len(ks),
+        _column(scale.ea_ev + scale.j0_ev * evals),
+    ]
     _write_csv(
-        cfg.output_path, "kxa,kya,j_over_j0,jprime_over_j0,mode_index,energy_ev", rows
+        cfg.output_path,
+        "kxa,kya,j_over_j0,jprime_over_j0,mode_index,energy_ev",
+        columns,
     )
     return cfg.output_path
 
@@ -318,14 +335,18 @@ def cmd_convergence(cfg: RunConfig) -> str:
         ("ewald", 2 * (2 * R + 1) ** 2, lambda R=R: _lattice_sums([k], b, R)[2][0])
         for R in _EWALD_CONVERGENCE_SHELLS
     ]
-    rows = []
-    for engine, terms, evaluate in runs:
+    vals, elapsed = [], []
+    for *_, evaluate in runs:
         t0 = time.perf_counter_ns()
-        val = evaluate().real
-        elapsed = time.perf_counter_ns() - t0
-        rows.append([engine, str(terms), _fmt(val), _fmt(abs(val - ref)), str(elapsed)])
+        vals.append(evaluate().real)
+        elapsed.append(str(time.perf_counter_ns() - t0))
+    engines, terms, _ = zip(*runs)
+    errs = [abs(val - ref) for val in vals]
+    columns = [engines, map(str, terms), _column(vals), _column(errs), elapsed]
     _write_csv(
-        cfg.output_path, "engine,terms,value_dzz,abs_err_vs_reference,wall_time_ns", rows
+        cfg.output_path,
+        "engine,terms,value_dzz,abs_err_vs_reference,wall_time_ns",
+        columns,
     )
     return cfg.output_path
 
@@ -338,11 +359,14 @@ def cmd_stack(cfg: RunConfig) -> str:
     dip = dipole_from_theta(cfg.theta[0])
     ks = _k_list(cfg)
     _js, _jps, evals = _spectra(cfg, ks, dip, method)
-    rows = []
-    for k, lams in zip(ks, evals):
-        for idx, lam in enumerate(lams):
-            rows.append([_fmt(k.kxa), _fmt(k.kya), str(idx), _fmt(lam)])
-    _write_csv(cfg.output_path, "kxa,kya,mode_index,energy_over_j0", rows)
+    modes = evals.shape[-1]
+    columns = [
+        _repeat(_column([k.kxa for k in ks]), modes),
+        _repeat(_column([k.kya for k in ks]), modes),
+        [str(idx) for idx in range(modes)] * len(ks),
+        _column(evals),
+    ]
+    _write_csv(cfg.output_path, "kxa,kya,mode_index,energy_over_j0", columns)
     return cfg.output_path
 
 
@@ -385,8 +409,9 @@ def main(argv=None) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError, MemoryError) as exc:
-        # an accepted config the numerics cannot serve: one line, no traceback
-        print(f"error: {exc}", file=sys.stderr)
+        # an accepted config the numerics cannot serve: one line, no traceback;
+        # MemoryError usually comes without a message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     print(path)
     return 0

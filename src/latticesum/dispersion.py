@@ -2,11 +2,13 @@
 
 Each engine (:class:`Direct`, :class:`Ewald`, :class:`LongWave`) returns
 the tensors of a whole list of k to the plane at offset c (c = 0 for the
-site's own plane) as one (K, 3, 3) stack through its ``tensors(ks, offset)``
-method. Contracting them with the transition dipole gives J(k) at c = 0
-and J'(k) at c = b, in units of J0; N-plane stack matrices are assembled
-from one coupling table per plane separation s b, s = 0 included, and
-diagonalized in one batched LAPACK call (``np.linalg.eigvalsh``).
+site's own plane) as one (K, 3, 3) stack through its ``tensors(ks, offsets)``
+method, or to each of a sequence of S offsets as one (S, K, 3, 3) stack
+(:func:`~latticesum.model.check_offsets`). Contracting them with the
+transition dipole gives J(k) at c = 0 and J'(k) at c = b, in units of J0;
+N-plane stack matrices are assembled from one coupling table per plane
+separation s b, s = 0 included, all from one engine call, and diagonalized
+in one batched LAPACK call (``np.linalg.eigvalsh``).
 
 Sign conventions: the symmetric two-plane mode carries +J', so the pair
 energies are E_A + J0 (Jt +- Jt') and the splitting is 2 |Jt'|.
@@ -28,6 +30,7 @@ from .model import (
     TransitionDipole,
     WaveVector,
     check_offset,
+    check_offsets,
     check_tensors,
     k_array,
     tensors_from_components,
@@ -53,32 +56,35 @@ _IMAG_TOL = 1e-12
 @dataclass(frozen=True)
 class Direct:
     """Brute-force window engine: one window sum of half-width ``cutoff``
-    per k and offset, all k of a call in one kernel pass. On the
+    per k and offset, all k of an offset in one kernel pass. On the
     reciprocal lattice, k = 0 included, no phase oscillates and the bare
     window misses an O(1/L) tail, so there it takes the k = 0 window with
     its tail correction (:func:`~latticesum.direct_sum.k0_tail_correction`)."""
 
     cutoff: int = 500
 
-    def tensors(self, ks, offset: float) -> np.ndarray:
-        """(K, 3, 3) tensors to the plane ``offset`` away at every k of ``ks``."""
+    def tensors(self, ks, offsets) -> np.ndarray:
+        """(K, 3, 3) or (S, K, 3, 3) tensors to the planes ``offsets`` away."""
+        cs = check_offsets(offsets)
         ks = list(ks)
         on_lattice = ~_fold_into_zone(k_array(ks)).any(axis=1)
         batch = [WaveVector(0.0, 0.0) if on else k for k, on in zip(ks, on_lattice)]
-        out = window_tensors(batch, offset, self.cutoff)
-        if on_lattice.any():
-            tail = k0_tail_correction(self.cutoff, offset)
-            out[on_lattice] = check_tensors(out[on_lattice] + tail)
-        return out
+        out = np.empty((len(cs), len(ks), 3, 3), dtype=complex)
+        for s, c in enumerate(cs):
+            out[s] = window_tensors(batch, c, self.cutoff)
+            if on_lattice.any():
+                tail = k0_tail_correction(self.cutoff, c)
+                out[s, on_lattice] = check_tensors(out[s, on_lattice] + tail)
+        return out.reshape(np.shape(offsets) + out.shape[1:])
 
 
 @dataclass(frozen=True)
 class Ewald:
     """2D Ewald engine: every k goes to :func:`~latticesum.ewald.lattice_tensors`."""
 
-    def tensors(self, ks, offset: float) -> np.ndarray:
-        """(K, 3, 3) tensors to the plane ``offset`` away at every k of ``ks``."""
-        return lattice_tensors(ks, offset)
+    def tensors(self, ks, offsets) -> np.ndarray:
+        """(K, 3, 3) or (S, K, 3, 3) tensors to the planes ``offsets`` away."""
+        return lattice_tensors(ks, offsets)
 
 
 @dataclass(frozen=True)
@@ -92,14 +98,11 @@ class LongWave:
     where the limit depends on the approach direction, it takes the Ewald
     kernel's value."""
 
-    def tensors(self, ks, offset: float) -> np.ndarray:
-        """(K, 3, 3) tensors to the plane ``offset`` away at every k of ``ks``."""
-        c = check_offset(offset)
+    def tensors(self, ks, offsets) -> np.ndarray:
+        """(K, 3, 3) or (S, K, 3, 3) tensors to the planes ``offsets`` away."""
+        c = np.array(check_offsets(offsets))[:, None]
         # D is periodic in k, and the closed form holds near the zone centre
         kx, ky = _fold_into_zone(k_array(ks)).T
-        if c == 0.0:
-            f = f_constant()
-            return np.tile(np.diag([-f, -f, 2.0 * f]).astype(complex), (len(kx), 1, 1))
         q = np.hypot(kx, ky)
         two_pi_e = 2.0 * math.pi * np.exp(-q * c)
         # every entry carries a factor of k; the k = 0 rows are replaced below
@@ -113,9 +116,13 @@ class LongWave:
             -1j * two_pi_e * kx,
             -1j * two_pi_e * ky,
         )
+        in_plane = c[:, 0] == 0.0
         if at_origin.any():
-            out[at_origin] = lattice_tensors([WaveVector(0.0, 0.0)], c)
-        return out
+            out[:, at_origin] = lattice_tensors([WaveVector(0.0, 0.0)], c[:, 0])
+        if in_plane.any():
+            f = f_constant()
+            out[in_plane] = np.diag([-f, -f, 2.0 * f])
+        return out.reshape(np.shape(offsets) + out.shape[1:])
 
 
 Method = Union[Direct, Ewald, LongWave]
@@ -138,7 +145,7 @@ class ModeSpectrum:
 
 
 def couplings(tensors, dipole: TransitionDipole) -> np.ndarray:
-    """sum_ij m_i m_j Dt_ij for every tensor of a (K, 3, 3) stack, as (K,).
+    """sum_ij m_i m_j Dt_ij for every tensor of a (..., 3, 3) stack, as (...).
 
     Real for Hermitian tensors and real m: the imaginary residual is
     asserted below 1e-12 and then discarded. Between planes the xz and yz
@@ -163,7 +170,7 @@ def pair_energies(
 ) -> ModeSpectrum:
     """Two-plane hybrid modes E_A + J0 (Jt +- Jt'), value-sorted."""
     b = check_offset(b_over_a, spacing=True)
-    j, jp = (float(couplings(method.tensors([k], c), dipole)[0]) for c in (0.0, b))
+    j, jp = couplings(method.tensors([k], (0.0, b)), dipole)[:, 0].tolist()
     lo, hi = sorted((j - jp, j + jp))
     return ModeSpectrum(
         k=k,
@@ -202,15 +209,13 @@ def stack_matrices(
     nearest_only); and the (K, N, N) matrices, diagonal relative to E_A,
     with Jt' at separation |alpha - beta| b in entry (alpha, beta) and
     zero beyond the tables. Each tensor is evaluated once per k and
-    separation s, at plane offset s b; the Hamiltonian is pairwise and
-    nothing else enters.
+    separation s, at plane offset s b, all in one engine call; the
+    Hamiltonian is pairwise and nothing else enters.
     """
     n = geometry.n_planes
     last = min(n - 1, 1) if nearest_only else n - 1
-    j, *jps = [
-        couplings(method.tensors(ks, sep * geometry.b_over_a), dipole)
-        for sep in range(last + 1)
-    ]
+    offsets = [sep * geometry.b_over_a for sep in range(last + 1)]
+    j, *jps = couplings(method.tensors(ks, offsets), dipole)
     mats = np.zeros((len(j), n, n))
     idx = np.arange(n)
     mats[:, idx, idx] = j[:, None]

@@ -24,6 +24,7 @@ __all__ = [
     "CouplingTensor",
     "EnergyScale",
     "check_offset",
+    "check_offsets",
     "check_tensors",
     "tensors_from_components",
     "dipole_from_theta",
@@ -59,6 +60,19 @@ def check_offset(offset: float, *, spacing: bool = False) -> float:
         return c
     name = "plane spacing" if spacing else "nonzero plane offset"
     raise ValueError(f"{name} must be finite and >= {MIN_OFFSET}, got {offset}")
+
+
+def check_offsets(offsets) -> list[float]:
+    """:func:`check_offset` applied to one offset or to a 1-D sequence of them.
+
+    The engines take either: one offset gives a (K, 3, 3) tensor stack, S
+    offsets give (S, K, 3, 3), their result reshaped to ``np.shape(offsets)``.
+    """
+    if np.ndim(offsets) > 1:
+        raise ValueError(
+            f"expected one offset or a 1-D sequence, got shape {np.shape(offsets)}"
+        )
+    return [check_offset(c) for c in np.reshape(offsets, -1).tolist()]
 
 
 @dataclass(frozen=True)

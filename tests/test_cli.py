@@ -9,9 +9,10 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from latticesum import _core_py, dispersion
+from latticesum import _core_py, cli, dispersion, ewald
 from latticesum.cli import ConfigError, RunConfig, main, parse_config
 from latticesum.direct_sum import window_tensors
 from latticesum.dispersion import couplings
@@ -90,12 +91,20 @@ def test_theta_scalar_becomes_tuple():
         pytest.param('{"a_angstrom": 1' + "0" * 400 + "}", "a_angstrom", id="int400"),
         pytest.param('{"theta": [0.1, 1' + "0" * 400 + "]}", "theta[1]", id="list-int400"),
         pytest.param('{"a_angstrom": 1' + "0" * 5000 + "}", "JSON", id="int5000"),
+        # integers below the minimum or not square, whose digits are not echoed
+        pytest.param('{"phi_points": -1' + "0" * 400 + "}", "phi_points: must be >= 1",
+                     id="phi_points-int400"),
+        pytest.param('{"phi_points": -' + "9" * 400 + "}", "an integer of 400 digits",
+                     id="phi_points-digits400"),
+        pytest.param('{"n_sites": 1' + "0" * 401 + "}", "n_sites: must be a perfect",
+                     id="n_sites-int400"),
     ],
 )
 def test_bad_configs_name_the_key(payload, needle):
     with pytest.raises(ConfigError) as err:
         parse_config(payload)
     assert needle in str(err.value)
+    assert len(str(err.value)) < 200
 
 
 def test_exit_codes(tmp_path):
@@ -133,6 +142,24 @@ def test_numerical_failures_exit_2_with_one_line(tmp_path, capsys, command, cfg,
     err = capsys.readouterr().err
     assert err.startswith(prefix)
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_bare_memory_error_names_itself(tmp_path, capsys, monkeypatch):
+    def exhausted(cfg):
+        """Run out of memory."""
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._COMMANDS, "stack", exhausted)
+    code, _ = run_cli(tmp_path, "stack", {})
+    assert code == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def test_non_finite_values_are_not_written():
+    assert cli._column([0.5, 1e-300, -2.0]) == ["0.5", "1e-300", "-2.0"]
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ArithmeticError, match=f"non-finite value {bad!r}"):
+            cli._column(np.array([[0.5, 1.0], [bad, 2.0]]))
 
 
 @pytest.mark.parametrize("method", ["ewald", "direct", "longwave"])
@@ -197,6 +224,43 @@ def test_stack_has_no_plane_cap(tmp_path):
     assert code == 0
     _, rows = read_rows(op)
     assert [int(r[2]) for r in rows] == list(range(65))
+
+
+def test_stack_matches_toeplitz_spectrum_at_65_planes(tmp_path):
+    # nearest_only makes the matrix tridiagonal Toeplitz, with eigenvalues
+    # J + 2 J' cos(m pi / (N + 1)), m = 1 .. N; J and J' come from separate
+    # kernel calls, one per offset
+    n, b, theta = 65, 0.5, 0.7
+    cfg = {"n_planes": n, "n_sites": 9, "k_direction": "grid", "b_over_a": b,
+           "theta": [theta], "nearest_only": True}
+    code, op = run_cli(tmp_path, "stack", cfg)
+    assert code == 0
+    _, rows = read_rows(op)
+    assert len(rows) == 9 * n
+    dip = dipole_from_theta(theta)
+    for i in range(0, len(rows), n):
+        k = WaveVector(float(rows[i][0]), float(rows[i][1]))
+        j = couplings(lattice_tensors([k], 0.0), dip)[0]
+        jp = couplings(lattice_tensors([k], b), dip)[0]
+        want = np.sort(j + 2.0 * jp * np.cos(np.arange(1, n + 1) * math.pi / (n + 1)))
+        got = np.array([float(r[3]) for r in rows[i : i + n]])
+        assert [int(r[2]) for r in rows[i : i + n]] == list(range(n))
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, abs(j), abs(jp))
+
+
+def test_ewald_kernel_once_per_stack(tmp_path, monkeypatch):
+    calls = []
+    kernel = ewald._sums
+
+    def counting(kxy, cs, shells):
+        calls.append(list(cs))
+        return kernel(kxy, cs, shells)
+
+    monkeypatch.setattr(ewald, "_sums", counting)
+    code, _ = run_cli(tmp_path, "stack", {"n_planes": 8, "n_sites": 4, "b_over_a": 1.5})
+    assert code == 0
+    # one kernel call for every plane separation, in-plane included
+    assert calls == [[1.5 * s for s in range(8)]]
 
 
 def test_direct_window_kernel_once_per_separation(tmp_path, monkeypatch):

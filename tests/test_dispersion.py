@@ -72,6 +72,12 @@ def test_batched_engines_match_single_k(method):
         assert batch.shape == (len(ks), 3, 3)
         for k, got in zip(ks, batch):
             assert np.array_equal(got, method.tensors([k], c)[0])
+    # a sequence of offsets gives, offset by offset, the stack of each alone
+    offsets = (0.0, 1e-3, 1.5, 14.0, 300.0)
+    stacked = method.tensors(ks, offsets)
+    assert stacked.shape == (len(offsets), len(ks), 3, 3)
+    for c, got in zip(offsets, stacked):
+        assert got.tobytes() == method.tensors(ks, c).tobytes()
     # in the plane, k = (2 pi, 0) is k = 0 for every engine
     intra = method.tensors(ks, 0.0)
     origin, lattice = (intra[special.index(k)] for k in ((0.0, 0.0), (2.0 * math.pi, 0.0)))

@@ -28,11 +28,42 @@ IN_PLANE_POINTS = [
 
 
 def test_config_validation():
-    # the plane offset is the kernel's only input besides k
+    # the plane offset is the kernel's only input besides k, and every
+    # offset of a sequence is checked
     k = WaveVector(0.5, 0.2)
     for bad in (-1e-12, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             lattice_tensors([k], bad)
+        with pytest.raises(ValueError):
+            lattice_tensors([k], [0.0, 1.5, bad])
+    with pytest.raises(ValueError, match="1-D"):
+        lattice_tensors([k], [[0.0, 1.5]])
+
+
+def test_offset_sequence_shapes():
+    ks = [WaveVector(0.5, 0.2), WaveVector(-0.2, 0.5)]
+    assert lattice_tensors(ks, 1.5).shape == (2, 3, 3)
+    assert lattice_tensors(ks, [1.5]).shape == (1, 2, 3, 3)
+    assert lattice_tensors(ks, np.array([0.0, 1.5, 3.0])).shape == (3, 2, 3, 3)
+    assert lattice_tensors(ks, []).shape == (0, 2, 3, 3)
+    assert lattice_tensors([], (0.0, 1.5)).shape == (2, 0, 3, 3)
+
+
+def test_erfc_saturation_is_exact():
+    # math.erfc is exactly 0 from 27.3 up and exactly 2 from -5.9 down, so
+    # _erfc writes those values there without calling it; a libm that
+    # saturates elsewhere fails here instead of moving the kernel's bits
+    above = np.linspace(ewald._ERFC_ZERO, 40.0, 20001)
+    below = np.linspace(-40.0, ewald._ERFC_TWO, 20001)
+    assert all(math.erfc(x) == 0.0 for x in above.tolist())
+    assert all(math.erfc(x) == 2.0 for x in below.tolist())
+    edges = [ewald._ERFC_ZERO, ewald._ERFC_TWO, 0.0, -0.0]
+    near = [np.nextafter(e, to) for e in edges for to in (-np.inf, e, np.inf)]
+    x = np.concatenate([np.linspace(-40.0, 40.0, 80001), near, [math.inf, -math.inf]])
+    want = np.array(list(map(math.erfc, x.tolist())))
+    assert ewald._erfc(x).tobytes() == want.tobytes()
+    assert np.isnan(ewald._erfc(np.array([math.nan]))[0])
+    assert ewald._erfc(x[:30].reshape(10, 3)).shape == (10, 3)
 
 
 def test_scalar_series_frozen_values():
