@@ -90,7 +90,7 @@ class RunConfig:
 
 def _want_real(path, value, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+        raise ConfigError(f"{path}: expected a number, got {_shown(value)}")
     try:
         v = float(value)
     except OverflowError as exc:
@@ -99,30 +99,36 @@ def _want_real(path, value, positive=False):
             f"{path}: must be finite, got an integer beyond the float range"
         ) from exc
     if not math.isfinite(v):
-        raise ConfigError(f"{path}: must be finite, got {value!r}")
+        raise ConfigError(f"{path}: must be finite, got {_shown(value)}")
     if positive and not v > 0:
-        raise ConfigError(f"{path}: must be positive, got {value!r}")
+        raise ConfigError(f"{path}: must be positive, got {_shown(value)}")
     return v
 
 
-def _int_text(value: int) -> str:
-    # an integer of hundreds of digits would swamp the line
-    digits = len(str(abs(value)))
-    return str(value) if digits <= 20 else f"an integer of {digits} digits"
+def _shown(value) -> str:
+    """repr of a rejected value for an error message. Past 40 characters,
+    which would swamp the line, an integer is named by its digit count and
+    anything else by its first 40 characters and its length."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    if isinstance(value, int):
+        return f"an integer of {len(text.lstrip('-'))} digits"
+    return f"{text[:40]}... ({len(text)} characters)"
 
 
 def _want_int(path, value, minimum):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        raise ConfigError(f"{path}: expected an integer, got {_shown(value)}")
     if value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {_int_text(value)}")
+        raise ConfigError(f"{path}: must be >= {minimum}, got {_shown(value)}")
     return value
 
 
 def _want_theta(path, value):
     v = _want_real(path, value)
     if not 0.0 <= v <= math.pi:
-        raise ConfigError(f"{path}: must lie in [0, pi], got {value!r}")
+        raise ConfigError(f"{path}: must lie in [0, pi], got {_shown(value)}")
     return v
 
 
@@ -145,7 +151,9 @@ def parse_config(text: str) -> RunConfig:
         if key in ("a_angstrom", "b_over_a", "mu_e_angstrom", "ea_ev"):
             out[key] = _want_real(key, value, positive=True)
             if key == "b_over_a" and out[key] < MIN_OFFSET:
-                raise ConfigError(f"{key}: must be >= {MIN_OFFSET}, got {value!r}")
+                raise ConfigError(
+                    f"{key}: must be >= {MIN_OFFSET}, got {_shown(value)}"
+                )
         elif key == "theta":
             if isinstance(value, list):
                 if not value:
@@ -174,7 +182,7 @@ def parse_config(text: str) -> RunConfig:
             root = math.isqrt(v)
             if root * root != v:
                 raise ConfigError(
-                    f"{key}: must be a perfect square, got {_int_text(v)}"
+                    f"{key}: must be a perfect square, got {_shown(v)}"
                 )
             out[key] = v
         elif key == "n_planes":
@@ -182,14 +190,16 @@ def parse_config(text: str) -> RunConfig:
         elif key == "method":
             if value not in ("direct", "ewald", "longwave"):
                 raise ConfigError(
-                    f"method: expected direct, ewald or longwave, got {value!r}"
+                    f"method: expected direct, ewald or longwave, got {_shown(value)}"
                 )
             out[key] = value
         elif key == "direct_cutoff":
             out[key] = _want_int(key, value, 1)
         elif key == "nearest_only":
             if not isinstance(value, bool):
-                raise ConfigError(f"{key}: expected true or false, got {value!r}")
+                raise ConfigError(
+                    f"{key}: expected true or false, got {_shown(value)}"
+                )
             out[key] = value
         elif key == "output_path":
             if not isinstance(value, str) or not value:

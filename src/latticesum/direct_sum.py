@@ -7,14 +7,17 @@ excluded in the in-plane case; terms whose numerator happens to vanish are
 kept, they cost nothing and simplify the exclusion rule to "no
 self-interaction".
 
-:func:`window_tensors` sums every k of a call in one kernel pass,
-``_core_py.window_sums``: it folds the window onto the quadrant lx, ly >= 0
-by parity and builds the k-independent quadrant 1/r^5 once per block of
-16 k, in stripes of at most 2^14 elements, so the phase tables take
+:func:`window_tensors` sums every k and every plane offset of a call in
+one kernel pass, ``_core_py.window_sums``: it folds the window onto the
+quadrant lx, ly >= 0 by parity, and the quadrant's 1/r^5 onto its
+triangle ly >= lx by the lx <-> ly symmetry. The triangle is built once
+per offset and block of 16 k, in stripes of at most 2^14 elements, and
+applied to each k's six phase tables in one matrix product per k and
+stripe; the tables are built once per block for all offsets and take
 O(16 L) memory. Components that parity makes real or imaginary come out
 exactly so, with the other lane 0.
 The tests hold the six sums to 1e-12 of a ``math.fsum`` loop over
-:func:`dyadic_term` at L = 40, on and off the lattice axes.
+:func:`dyadic_term` at L = 1, 2, 3 and 40, on and off the lattice axes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import numpy as np
 
 from . import _core_py
-from .model import check_offset, k_array, tensors_from_components
+from .model import check_offset, check_offsets, k_array, tensors_from_components
 
 # the window kernel's name, as benchmark records report it
 BACKEND = "numpy"
@@ -40,10 +43,10 @@ __all__ = [
 _AXES = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
 
 
-def _check_window(cutoff: int, offset: float) -> float:
+def _check_cutoff(cutoff: int) -> int:
     if cutoff < 1:
         raise ValueError(f"need cutoff >= 1, got {cutoff}")
-    return check_offset(offset)
+    return int(cutoff)
 
 
 def dyadic_term(lx: int, ly: int, lz_scaled: float, i, j) -> float:
@@ -59,17 +62,21 @@ def dyadic_term(lx: int, ly: int, lz_scaled: float, i, j) -> float:
     return diag - 3.0 * r[ii] * r[jj] * ir5
 
 
-def window_tensors(ks, offset: float, cutoff: int) -> np.ndarray:
-    """Window sums of dyadic_term * exp(i k.l) at every k, a checked (K, 3, 3) stack.
+def window_tensors(ks, offsets, cutoff: int) -> np.ndarray:
+    """Window sums of dyadic_term * exp(i k.l) at every k, as a checked stack.
 
-    ``offset`` is the plane offset c in units of a, 0 for the site's own
+    ``offsets`` is one plane offset c in units of a, 0 for the site's own
     plane (origin excluded; see :func:`~latticesum.model.check_offset`),
-    and ``cutoff`` the half-width L. Inter-plane
-    xz and yz come out purely imaginary for real k (the coefficient is odd
-    under l -> -l); the lower triangle is the conjugate of the upper one.
+    giving a (K, 3, 3) stack, or a 1-D sequence of S offsets, giving
+    (S, K, 3, 3) whose s-th stack is bitwise that of ``offsets[s]`` alone;
+    ``cutoff`` is the half-width L. Inter-plane xz and yz come out purely
+    imaginary for real k (the coefficient is odd under l -> -l); the lower
+    triangle is the conjugate of the upper one.
     """
-    c = _check_window(cutoff, offset)
-    return tensors_from_components(*_core_py.window_sums(k_array(ks), int(cutoff), c))
+    L = _check_cutoff(cutoff)
+    cs = check_offsets(offsets)
+    out = tensors_from_components(*_core_py.window_sums(k_array(ks), L, cs))
+    return out.reshape(np.shape(offsets) + out.shape[1:])
 
 
 def tail_bound(cutoff: int, offset: float) -> float:
@@ -87,7 +94,8 @@ def tail_bound(cutoff: int, offset: float) -> float:
     true error can exceed this estimate by two orders of magnitude;
     exactly at k = 0 nothing oscillates at all, use k0_tail_correction.
     """
-    if _check_window(cutoff, offset) == 0.0:
+    _check_cutoff(cutoff)
+    if check_offset(offset) == 0.0:
         return 2.0 * math.pi / cutoff
     return 4.0 * math.pi / cutoff**3
 
@@ -109,7 +117,8 @@ def k0_tail_correction(cutoff: int, offset: float) -> np.ndarray:
     with v0 = sqrt(2 M^2 + c^2), and the diagonal corrections are
     T_xx = T_yy = -A/2 + (3/2) c^2 B and T_zz = A - 3 c^2 B.
     """
-    c = _check_window(cutoff, offset)
+    _check_cutoff(cutoff)
+    c = check_offset(offset)
     M = cutoff + 0.5
     if c == 0.0:
         A = 4.0 * math.sqrt(2.0) / M

@@ -56,10 +56,11 @@ _IMAG_TOL = 1e-12
 @dataclass(frozen=True)
 class Direct:
     """Brute-force window engine: one window sum of half-width ``cutoff``
-    per k and offset, all k of an offset in one kernel pass. On the
-    reciprocal lattice, k = 0 included, no phase oscillates and the bare
-    window misses an O(1/L) tail, so there it takes the k = 0 window with
-    its tail correction (:func:`~latticesum.direct_sum.k0_tail_correction`)."""
+    per k and offset, all k and offsets of a call in one kernel pass. On
+    the reciprocal lattice, k = 0 included, no phase oscillates and the
+    bare window misses an O(1/L) tail, so there it takes the k = 0 window
+    with its tail correction
+    (:func:`~latticesum.direct_sum.k0_tail_correction`)."""
 
     cutoff: int = 500
 
@@ -69,12 +70,10 @@ class Direct:
         ks = list(ks)
         on_lattice = ~_fold_into_zone(k_array(ks)).any(axis=1)
         batch = [WaveVector(0.0, 0.0) if on else k for k, on in zip(ks, on_lattice)]
-        out = np.empty((len(cs), len(ks), 3, 3), dtype=complex)
-        for s, c in enumerate(cs):
-            out[s] = window_tensors(batch, c, self.cutoff)
-            if on_lattice.any():
-                tail = k0_tail_correction(self.cutoff, c)
-                out[s, on_lattice] = check_tensors(out[s, on_lattice] + tail)
+        out = window_tensors(batch, cs, self.cutoff)
+        if on_lattice.any():
+            tails = np.array([k0_tail_correction(self.cutoff, c) for c in cs])
+            out[:, on_lattice] = check_tensors(out[:, on_lattice] + tails[:, None])
         return out.reshape(np.shape(offsets) + out.shape[1:])
 
 

@@ -98,6 +98,13 @@ def test_theta_scalar_becomes_tuple():
                      id="phi_points-digits400"),
         pytest.param('{"n_sites": 1' + "0" * 401 + "}", "n_sites: must be a perfect",
                      id="n_sites-int400"),
+        # ill-typed or unknown values, whose repr is shortened
+        pytest.param('{"method": "' + "x" * 1000 + '"}', "(1002 characters)",
+                     id="method-chars1000"),
+        pytest.param('{"phi_points": [1' + "0" * 400 + "]}",
+                     "phi_points: expected an integer, got [1000", id="phi_points-list400"),
+        pytest.param('{"a_angstrom": [1' + "0" * 400 + "]}",
+                     "a_angstrom: expected a number, got [1000", id="a_angstrom-list400"),
     ],
 )
 def test_bad_configs_name_the_key(payload, needle):
@@ -275,8 +282,8 @@ def test_direct_window_kernel_once_per_separation(tmp_path, monkeypatch):
     cfg = {"method": "direct", "direct_cutoff": 5, "n_planes": 2, "b_over_a": 1.5}
     code, _ = run_cli(tmp_path, "dispersion", {**cfg, "ka_values": [0.5, 1.0]})
     assert code == 0
-    # one kernel call in the plane and one between planes, each over both k
-    assert sorted(calls) == [(2, 0.0), (2, 1.5)]
+    # one kernel call over both k, in the plane and between planes
+    assert calls == [(2, [0.0, 1.5])]
 
 
 def test_sweep_phi_schema_and_closed_form(tmp_path):

@@ -91,12 +91,27 @@ def test_backends_agree(layer_offset, b_over_a):
 
 @pytest.mark.parametrize("lz_scaled", [0.0, 1.5])
 def test_stripe_seams(monkeypatch, lz_scaled):
-    # L = 37 has 38 quadrant rows: twelve stripes of 3 and a last one of 2
+    # L = 37 has 38 triangle rows. Stripes of 3 * 38 elements are 3, 3, 3,
+    # 3, 4, 5, 6, 10 and 1 rows high; stripes of 20 elements are 28 single
+    # rows (the first 18 wider than 20), then 2, 2, 3 and 3 rows. Every
+    # stripe's leading block straddles the diagonal
     args = (np.array([[0.83, -1.37]]), 37, lz_scaled)
     whole = _core_py.window_sums(*args)
-    monkeypatch.setattr(_core_py, "_STRIPE", 3 * 38)
-    striped = _core_py.window_sums(*args)
-    assert np.max(np.abs(striped - whole)) <= 1e-13
+    for stripe in (3 * 38, 20):
+        monkeypatch.setattr(_core_py, "_STRIPE", stripe)
+        striped = _core_py.window_sums(*args)
+        assert np.max(np.abs(striped - whole)) <= 1e-13
+
+
+@pytest.mark.parametrize("lz_scaled", [0.0, 1.5])
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_small_windows_match_fsum_loop(cutoff, lz_scaled):
+    # the whole triangle is one stripe, its diagonal block the whole window
+    ks = [(0.83, -1.37), (0.9, 0.0), (0.0, -1.2), (math.pi, math.pi), (0.0, 0.0)]
+    sums = _core_py.window_sums(np.array(ks), cutoff, lz_scaled)
+    for (qx, qy), col in zip(ks, sums.T):
+        loop = _window_sums_by_loop(qx, qy, cutoff, lz_scaled)
+        assert np.max(np.abs(col - loop)) <= 1e-12
 
 
 @pytest.mark.parametrize("offset", [0.0, 1.5])
@@ -123,6 +138,17 @@ def test_direct_batch_equals_single_k():
     ):
         for k, got in zip(ks, tensors):
             assert np.array_equal(got, alone(k))
+
+
+def test_direct_offsets_in_one_call_equal_one_at_a_time():
+    # a generic k, an axis and k = 0, which takes the corrected k = 0 window
+    ks = [WaveVector(0.83, -1.37), WaveVector(0.9, 0.0), WaveVector(0.0, 0.0)]
+    offsets = [0.0, 1.5, 3.0]
+    method = Direct()
+    stacked = method.tensors(ks, offsets)
+    assert stacked.shape == (3, len(ks), 3, 3)
+    for c, got in zip(offsets, stacked):
+        assert got.tobytes() == method.tensors(ks, c).tobytes()
 
 
 def test_minus_k_conjugates_exactly():

@@ -5,7 +5,9 @@ them ``model.CouplingTensor``), so deleting or re-signing one of them can
 break ``perfbench/run.py --trace 1``; this runs the harness's child once,
 traced, on the tiny config of each benchmark workload: ``stack`` on
 stack-grid, through the Ewald engine, and ``dispersion`` on direct-window,
-through the window engine.
+through the window engine. ``perfbench/run.py`` also aborts a whole
+benchmark when the child's ``--env`` report fails, and that report reads
+``direct_sum.BACKEND``.
 """
 
 import importlib.util
@@ -29,14 +31,18 @@ def _workloads():
     return module
 
 
+def _child_env():
+    return {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+
+
 @pytest.mark.parametrize("workload", ["direct-window", "stack-grid"])
 def test_traced_child_run(tmp_path, workload):
     workloads = _workloads()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(workloads.make_config(workload, 1, "tiny")))
     trace = tmp_path / "trace.json"
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
-           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    env = _child_env()
     spawned = time.clock_gettime_ns(time.CLOCK_MONOTONIC)
     proc = subprocess.run(
         [sys.executable, str(BENCH / "child.py"), "--spawned", str(spawned),
@@ -47,3 +53,12 @@ def test_traced_child_run(tmp_path, workload):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["rc"] == 0
     assert json.loads(trace.read_text())["spans"]
+
+
+def test_child_env_report():
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), "--env"],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["backend"] == "numpy"
