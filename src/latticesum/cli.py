@@ -30,7 +30,7 @@ from .dispersion import (
     stack_matrices,
     symmetric_eigen,
 )
-from .ewald import _lattice_sums
+from .ewald import _FAR, _lattice_sums
 from .model import (
     MIN_OFFSET,
     EnergyScale,
@@ -115,6 +115,12 @@ def _shown(value) -> str:
     if isinstance(value, int):
         return f"an integer of {len(text.lstrip('-'))} digits"
     return f"{text[:40]}... ({len(text)} characters)"
+
+
+def _named(key: str) -> str:
+    """A config key for an error message, bare, or shortened like a value
+    past 40 characters."""
+    return key if len(key) <= 40 else _shown(key)
 
 
 def _want_int(path, value, minimum):
@@ -206,16 +212,19 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"{key}: expected a non-empty string")
             out[key] = value
         elif key == "ewald":
-            # the kernel's shells are fixed; name what an older config set
+            # the kernel's shells are fixed; name (the first few of) what an
+            # older config set
             dropped = ""
             if isinstance(value, dict):
-                dropped = ", ".join(f"ewald.{k}" for k in value)
+                dropped = ", ".join(f"ewald.{_named(k)}" for k in list(value)[:3])
+                if len(value) > 3:
+                    dropped += f" and {len(value) - 3} more"
             raise ConfigError(
                 "ewald: unknown key; the Ewald kernel takes no settings"
                 + (f", drop {dropped}" if dropped else "")
             )
         else:
-            raise ConfigError(f"{key}: unknown key")
+            raise ConfigError(f"{_named(key)}: unknown key")
     return RunConfig(**out)
 
 
@@ -236,8 +245,7 @@ def _repeat(column: list[str], times: int) -> list[str]:
 
 def _write_csv(path, header, columns):
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+        fh.write("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
 
 
 def _engine(cfg: RunConfig) -> Method:
@@ -326,7 +334,8 @@ def cmd_convergence(cfg: RunConfig) -> str:
 
     Compares the inter-plane zz entry of direct windows of half-width L,
     (2L + 1)^2 terms, with the Ewald kernel summed over R shells,
-    2 (2R + 1)^2 terms; the reference is the kernel at R = 10. The rows
+    2 (2R + 1)^2 terms, or (2R + 1)^2 at b >= 2a, where it sums the
+    reciprocal terms only; the reference is the kernel at R = 10. The rows
     are unchecked sums, since a truncated tensor is only traceless once
     converged.
     """
@@ -337,12 +346,13 @@ def cmd_convergence(cfg: RunConfig) -> str:
     k = WaveVector(ka * math.cos(d), ka * math.sin(d))
     b = cfg.b_over_a
     ref = _lattice_sums([k], b, 10)[2][0].real
+    halves = 1 if b >= _FAR else 2  # reciprocal only, or both halves of the split
 
     runs = [
         ("direct", (2 * L + 1) ** 2, lambda L=L: window_tensors([k], b, L)[0, 2, 2])
         for L in _DIRECT_CONVERGENCE_CUTOFFS
     ] + [
-        ("ewald", 2 * (2 * R + 1) ** 2, lambda R=R: _lattice_sums([k], b, R)[2][0])
+        ("ewald", halves * (2 * R + 1) ** 2, lambda R=R: _lattice_sums([k], b, R)[2][0])
         for R in _EWALD_CONVERGENCE_SHELLS
     ]
     vals, elapsed = [], []

@@ -32,8 +32,18 @@ since D is periodic in k), so the truncation is fixed and needs no
 option. erfc is the standard library's, one Python call per argument
 (about 0.1 us), which keeps SciPy off the import path. It is called only
 for arguments in (-5.9, 27.3): outside, ``math.erfc`` is exactly 2.0 or
-0.0, which is written directly. At far plane offsets most arguments lie
-there (37% of them on an 8-plane stack at b = 2a).
+0.0, which is written directly.
+
+Far planes, c >= 2 (``_FAR``), take the split's eta -> infinity limit,
+where e+ and W vanish, e- = 2 e^{-qc} and the real-space sum is 0: the
+plane-wave series
+
+    D = 2 pi sum_q (q_a q_b / q, -i q_a, -q) e^{-qc}
+
+for the in-plane entries, xz and yz, and zz, with no erfc. It converges
+by itself: with k in the zone the first omitted q has |q| >= 9 pi, so
+every omitted term is below 2 pi 9 pi e^{-18 pi}, about 5e-23. All far
+offsets of a call are summed in one pass.
 
 One call of :func:`lattice_tensors` serves any number of plane offsets:
 k folding, the orbit reduction, the phase tables and q are built once,
@@ -85,6 +95,9 @@ _BLOCK = 64
 # (tests/test_ewald.py pins both), so _erfc calls it only in between
 _ERFC_ZERO = 27.3
 _ERFC_TWO = -5.9
+
+# Offsets c >= _FAR take the plane-wave limit of the split (module docstring)
+_FAR = 2.0
 
 
 def _fold_into_zone(kxy: np.ndarray) -> np.ndarray:
@@ -167,18 +180,16 @@ def _sums(kxy: np.ndarray, cs: list[float], shells: int) -> np.ndarray:
     eta = _ETA
     n = np.arange(-shells, shells + 1, dtype=float)
     nx, ny = (a.ravel() for a in np.meshgrid(n, n, indexing="ij"))
-    coefs = [_real_space(nx, ny, c) for c in cs]
+    near = [j for j, c in enumerate(cs) if c < _FAR]
+    far = [j for j, c in enumerate(cs) if c >= _FAR]
+    coefs = [_real_space(nx, ny, cs[j]) for j in near]
+    c_far = np.array([cs[j] for j in far])[:, None, None]
     gx, gy = 2.0 * math.pi * nx, 2.0 * math.pi * ny
 
     out = np.empty((6, len(cs), len(kxy)), dtype=complex)
     for i in range(0, len(kxy), _BLOCK):
-        # everything up to the offset loop is independent of c
+        # everything but the offset passes is independent of c
         k = kxy[i : i + _BLOCK]
-        # e^{i k.l} on the site grid, from one table per axis
-        ex = np.exp(1j * k[:, :1] * n)
-        ey = np.exp(1j * k[:, 1:] * n)
-        phase = (ex[:, :, None] * ey[:, None, :]).reshape(len(k), len(nx))
-        cos_kl, sin_kl = phase.real[:, None], phase.imag[:, None]
         qx = k[:, :1] + gx
         qy = k[:, 1:] + gy
         qxx, qyy, qxy = qx * qx, qy * qy, qx * qy
@@ -186,10 +197,29 @@ def _sums(kxy: np.ndarray, cs: list[float], shells: int) -> np.ndarray:
         # the psi terms carry q_a q_b, so they are below 2 pi q; at
         # q <= 1e-300, where pi / q can overflow, they are dropped as 0
         q_div = np.where(q > 1e-300, q, np.inf)
+        if far:
+            # the split's eta -> infinity limit, all far offsets in one
+            # (F, block, sites) pass: e+ = W = 0, e- = 2 e^{-qc}, no real space
+            e = 2.0 * math.pi * np.exp(-q * c_far)
+            psi = e / q_div
+            out[:, far, i : i + _BLOCK] = [
+                np.sum(qxx * psi, axis=-1),
+                np.sum(qyy * psi, axis=-1),
+                -np.sum(q * e, axis=-1),
+                np.sum(qxy * psi, axis=-1),
+                -1j * np.sum(qx * e, axis=-1),
+                -1j * np.sum(qy * e, axis=-1),
+            ]
+        # e^{i k.l} on the site grid, from one table per axis
+        ex = np.exp(1j * k[:, :1] * n)
+        ey = np.exp(1j * k[:, 1:] * n)
+        phase = (ex[:, :, None] * ey[:, None, :]).reshape(len(k), len(nx))
+        cos_kl, sin_kl = phase.real[:, None], phase.imag[:, None]
         pi_q = math.pi * q
         x = q / (2.0 * eta)
         gauss = -(x * x)
-        for j, (c, coef) in enumerate(zip(cs, coefs)):
+        for j, coef in zip(near, coefs):
+            c = cs[j]
             re = np.sum(cos_kl * coef[:4], axis=-1)
             im = np.sum(sin_kl * coef[4:], axis=-1)
             w = np.exp(gauss - (eta * c) ** 2)

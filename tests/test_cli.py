@@ -105,6 +105,14 @@ def test_theta_scalar_becomes_tuple():
                      "phi_points: expected an integer, got [1000", id="phi_points-list400"),
         pytest.param('{"a_angstrom": [1' + "0" * 400 + "]}",
                      "a_angstrom: expected a number, got [1000", id="a_angstrom-list400"),
+        # unknown keys, shortened like values, and a capped drop list
+        pytest.param('{"' + "x" * 1000 + '": 1}', "(1002 characters): unknown key",
+                     id="key-chars1000"),
+        pytest.param('{"ewald": {"' + "y" * 1000 + '": 1}}', "drop ewald.'yyy",
+                     id="ewald-key-chars1000"),
+        pytest.param(json.dumps({"ewald": {f"key{i}": 1 for i in range(500)}}),
+                     "drop ewald.key0, ewald.key1, ewald.key2 and 497 more",
+                     id="ewald-keys500"),
     ],
 )
 def test_bad_configs_name_the_key(payload, needle):
@@ -270,6 +278,26 @@ def test_ewald_kernel_once_per_stack(tmp_path, monkeypatch):
     assert calls == [[1.5 * s for s in range(8)]]
 
 
+def test_far_planes_call_no_erfc(tmp_path, monkeypatch):
+    # at b = 2a every separation but the in-plane one takes the plane-wave
+    # pass, so erfc sees exactly the arguments of an in-plane call
+    args = []
+    erfc = ewald._erfc
+
+    def recording(x):
+        args.append(x.tobytes())
+        return erfc(x)
+
+    monkeypatch.setattr(ewald, "_erfc", recording)
+    cfg = {"n_planes": 8, "n_sites": 4, "b_over_a": 2.0}
+    code, _ = run_cli(tmp_path, "stack", cfg)
+    assert code == 0
+    stack_args = args.copy()
+    args.clear()
+    lattice_tensors(cli._k_list(parse_config(json.dumps(cfg))), 0.0)
+    assert args and stack_args == args
+
+
 def test_direct_window_kernel_once_per_separation(tmp_path, monkeypatch):
     calls = []
     kernel = _core_py.window_sums
@@ -391,6 +419,17 @@ def test_convergence_writes_its_table_where_the_window_converges_fast(tmp_path, 
     _, rows = read_rows(op)
     assert [r[0] for r in rows] == ["direct"] * 5 + ["ewald"] * 6
     assert any(r[0] == "ewald" and float(r[3]) <= 1e-10 for r in rows)
+
+
+@pytest.mark.parametrize("b,halves", [(1.0, 2), (10.0, 1)])
+def test_convergence_counts_the_terms_it_sums(tmp_path, b, halves):
+    # both halves of the split at b = a, the reciprocal terms alone at b = 10a
+    cfg = {"b_over_a": b, "ka_values": [0.5], "k_direction": 0.3}
+    code, op = run_cli(tmp_path, "convergence", cfg)
+    assert code == 0
+    _, rows = read_rows(op)
+    terms = [int(r[1]) for r in rows if r[0] == "ewald"]
+    assert terms == [halves * (2 * r + 1) ** 2 for r in range(1, 7)]
 
 
 def test_convergence_deterministic_modulo_timing(tmp_path):

@@ -138,7 +138,7 @@ def test_kernel_is_eta_independent_in_plane(monkeypatch):
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
 
-@pytest.mark.parametrize("b", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 6.0])
+@pytest.mark.parametrize("b", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 2.5, 6.0, 14.0, 50.0, 300.0])
 def test_kernel_matches_plane_wave_sum_between_planes(b):
     points = [(0.8, 0.3), (0.8, 0.0), (0.0, -1.7), (0.05, 0.02), (1e-3, 0.0),
               (0.0, 0.0), (TWO_PI, 0.0)]
@@ -146,6 +146,31 @@ def test_kernel_matches_plane_wave_sum_between_planes(b):
     for (kx, ky), g in zip(points, got):
         want = plane_wave_tensor(kx, ky, b)
         assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+FAR_POINTS = [(0.8, 0.3), (0.8, 0.0), (0.0, -1.7), (1e-3, 0.0), (1e-8, 0.0), (0.0, 0.0),
+              (math.pi, math.pi), (TWO_PI, 0.0), (-2.9, 1.3)]
+
+
+def test_far_planes_match_full_split(monkeypatch):
+    # the plane-wave pass at c >= _FAR is the split's eta -> infinity
+    # limit: the full split, with doubled shells, gives the same tensors
+    ks = [WaveVector(kx, ky) for kx, ky in FAR_POINTS]
+    offsets = (2.0, 3.0, 6.0, 14.0)
+    default = lattice_tensors(ks, offsets)
+    monkeypatch.setattr(ewald, "_FAR", math.inf)
+    monkeypatch.setattr(ewald, "_SHELLS", 8)
+    split = lattice_tensors(ks, offsets)
+    scale = np.maximum(1.0, np.max(np.abs(split), axis=(2, 3), keepdims=True))
+    assert np.max(np.abs(default - split) / scale) <= 1e-14
+
+
+def test_no_jump_at_far_threshold():
+    # just below _FAR the full split, at _FAR the plane-wave pass
+    ks = [WaveVector(kx, ky) for kx, ky in FAR_POINTS]
+    below, at = lattice_tensors(ks, [np.nextafter(ewald._FAR, 0.0), ewald._FAR])
+    scale = np.maximum(1.0, np.max(np.abs(at), axis=(1, 2), keepdims=True))
+    assert np.max(np.abs(below - at) / scale) <= 1e-15
 
 
 def test_kernel_matches_corrected_window_at_k0():
