@@ -24,13 +24,12 @@ from .direct_sum import window_tensors
 from .dispersion import (
     Direct,
     Ewald,
-    LongWave,
     Method,
     couplings,
     stack_matrices,
     symmetric_eigen,
 )
-from .ewald import _FAR, _lattice_sums
+from .ewald import _lattice_sums, _terms
 from .model import (
     MIN_OFFSET,
     EnergyScale,
@@ -61,6 +60,11 @@ _DEFAULT_THETAS = (
     math.pi / 3.0,
     math.pi / 2.0,
 )
+
+# The most k points (phi_points x len(ka_values) for sweep-phi, n_sites on a
+# grid) and stack-matrix entries (k points x n_planes^2) a config can ask
+# for; a run at the bound takes a few GB
+MAX_SIZE = 10**6
 
 _DIRECT_CONVERGENCE_CUTOFFS = (10, 30, 100, 300, 1000)
 _EWALD_CONVERGENCE_SHELLS = range(1, 7)
@@ -194,9 +198,10 @@ def parse_config(text: str) -> RunConfig:
         elif key == "n_planes":
             out[key] = _want_int(key, value, 1)
         elif key == "method":
-            if value not in ("direct", "ewald", "longwave"):
+            if value not in ("direct", "ewald"):
                 raise ConfigError(
-                    f"method: expected direct, ewald or longwave, got {_shown(value)}"
+                    f'method: expected "ewald" (exact at every k) or "direct", '
+                    f"got {_shown(value)}"
                 )
             out[key] = value
         elif key == "direct_cutoff":
@@ -225,7 +230,19 @@ def parse_config(text: str) -> RunConfig:
             )
         else:
             raise ConfigError(f"{_named(key)}: unknown key")
-    return RunConfig(**out)
+    cfg = RunConfig(**out)
+    # sizes are bounded before anything is allocated
+    ks = cfg.n_sites if cfg.k_direction == "grid" else len(cfg.ka_values)
+    for key, size, what in (
+        ("phi_points", cfg.phi_points * len(cfg.ka_values),
+         "k points (phi_points x len(ka_values))"),
+        ("n_sites", cfg.n_sites, "k points"),
+        ("n_planes", ks * cfg.n_planes**2,
+         "stack-matrix entries (k points x n_planes^2)"),
+    ):
+        if size > MAX_SIZE:
+            raise ConfigError(f"{key}: asks for more than {MAX_SIZE} {what}")
+    return cfg
 
 
 def _column(values) -> list[str]:
@@ -251,9 +268,7 @@ def _write_csv(path, header, columns):
 def _engine(cfg: RunConfig) -> Method:
     if cfg.method == "direct":
         return Direct(cfg.direct_cutoff)
-    if cfg.method == "ewald":
-        return Ewald()
-    return LongWave()
+    return Ewald()
 
 
 def _scale(cfg: RunConfig) -> EnergyScale:
@@ -346,13 +361,12 @@ def cmd_convergence(cfg: RunConfig) -> str:
     k = WaveVector(ka * math.cos(d), ka * math.sin(d))
     b = cfg.b_over_a
     ref = _lattice_sums([k], b, 10)[2][0].real
-    halves = 1 if b >= _FAR else 2  # reciprocal only, or both halves of the split
 
     runs = [
         ("direct", (2 * L + 1) ** 2, lambda L=L: window_tensors([k], b, L)[0, 2, 2])
         for L in _DIRECT_CONVERGENCE_CUTOFFS
     ] + [
-        ("ewald", halves * (2 * R + 1) ** 2, lambda R=R: _lattice_sums([k], b, R)[2][0])
+        ("ewald", _terms(b, R), lambda R=R: _lattice_sums([k], b, R)[2][0])
         for R in _EWALD_CONVERGENCE_SHELLS
     ]
     vals, elapsed = [], []

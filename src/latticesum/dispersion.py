@@ -23,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .direct_sum import k0_tail_correction, window_tensors
-from .ewald import _fold_into_zone, f_constant, lattice_tensors
+from .ewald import _fold_into_zone, _plane_waves, f_constant, lattice_tensors
 from .model import (
     EnergyScale,
     LatticeGeometry,
@@ -89,35 +89,32 @@ class Ewald:
 @dataclass(frozen=True)
 class LongWave:
     """Closed forms valid for ka << 1. In the plane: the constant tensor
-    diag(-F, -F, 2F), exact at k = 0, where the Ewald kernel gives F.
-    Between planes, at k folded into the zone, only the (0, 0) reciprocal
-    term survives:
+    diag(-F, -F, 2F), exact only at k = 0, where the Ewald kernel gives F.
+    Between planes, at k folded into the zone, only the (0, 0) term of the
+    kernel's plane-wave series survives:
     Dt_xx = 2 pi (kxa)^2/(ka) e^{-kc},  Dt_zz = -2 pi (ka) e^{-kc},
     Dt_xz = -2 pi i (kxa) e^{-kc}, and the obvious y-partners. At k = 0,
     where the limit depends on the approach direction, it takes the Ewald
-    kernel's value."""
+    kernel's value. Between planes it is within 1e-10 relative of the
+    kernel for c >= 10 and ka <= 1. Outside, over directions 0 to pi/4,
+    the dropped terms reach 2.6e-10 at ka = 2, 2.7e-9 at c = 5 and ka = 1
+    and 1.6e-4 at c = 3 and ka = 1e-3."""
 
     def tensors(self, ks, offsets) -> np.ndarray:
         """(K, 3, 3) or (S, K, 3, 3) tensors to the planes ``offsets`` away."""
-        c = np.array(check_offsets(offsets))[:, None]
+        c = np.array(check_offsets(offsets))[:, None, None]
         # D is periodic in k, and the closed form holds near the zone centre
-        kx, ky = _fold_into_zone(k_array(ks)).T
-        q = np.hypot(kx, ky)
-        two_pi_e = 2.0 * math.pi * np.exp(-q * c)
-        # every entry carries a factor of k; the k = 0 rows are replaced below
-        at_origin = q == 0.0
-        q_div = np.where(at_origin, 1.0, q)
-        out = tensors_from_components(
-            two_pi_e * kx * kx / q_div,
-            two_pi_e * ky * ky / q_div,
-            -two_pi_e * q,
-            two_pi_e * kx * ky / q_div,
-            -1j * two_pi_e * kx,
-            -1j * two_pi_e * ky,
-        )
-        in_plane = c[:, 0] == 0.0
+        kxy = _fold_into_zone(k_array(ks))
+        qx, qy = kxy[:, :1], kxy[:, 1:]
+        q = np.hypot(qx, qy)
+        # the kernel's rule: below 1e-300, pi / q can overflow
+        q_div = np.where(q > 1e-300, q, np.inf)
+        out = tensors_from_components(*_plane_waves(qx, qy, q, q_div, c))
+        # every entry carries a factor of k, and the limit at k = 0 has none
+        at_origin = q[:, 0] == 0.0
         if at_origin.any():
-            out[:, at_origin] = lattice_tensors([WaveVector(0.0, 0.0)], c[:, 0])
+            out[:, at_origin] = lattice_tensors([WaveVector(0.0, 0.0)], c[:, 0, 0])
+        in_plane = c[:, 0, 0] == 0.0
         if in_plane.any():
             f = f_constant()
             out[in_plane] = np.diag([-f, -f, 2.0 * f])

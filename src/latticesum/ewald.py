@@ -30,9 +30,8 @@ With eta = sqrt(pi) and both sums over |l|, |n| <= 4, every omitted term
 is below 1e-21 at any offset and any k (k is folded into the zone first,
 since D is periodic in k), so the truncation is fixed and needs no
 option. erfc is the standard library's, one Python call per argument
-(about 0.1 us), which keeps SciPy off the import path. It is called only
-for arguments in (-5.9, 27.3): outside, ``math.erfc`` is exactly 2.0 or
-0.0, which is written directly.
+(about 0.1 us), which keeps SciPy off the import path. Below c = 2 every
+argument lies in (-3.6, 14.9), where it neither saturates nor underflows.
 
 Far planes, c >= 2 (``_FAR``), take the split's eta -> infinity limit,
 where e+ and W vanish, e- = 2 e^{-qc} and the real-space sum is 0: the
@@ -56,7 +55,8 @@ kx -> -kx flips xy and xz, ky -> -ky flips xy and yz, and swapping kx
 and ky swaps xx with yy and xz with yz. :func:`lattice_tensors` therefore
 sums each orbit of these eight maps once, at its member with
 kx >= ky >= 0, and restores every k of the orbit from it exactly. The
-long-wave closed forms are :class:`latticesum.dispersion.LongWave`.
+long-wave closed forms, :class:`latticesum.dispersion.LongWave`, keep
+the plane-wave series' (0, 0) term alone.
 """
 
 from __future__ import annotations
@@ -91,11 +91,6 @@ _SHELLS = 4
 # _BLOCK x (2 _SHELLS + 1)^2 elements whatever the number of k.
 _BLOCK = 64
 
-# math.erfc(x) is exactly 0.0 for x >= 27.3 and exactly 2.0 for x <= -5.9
-# (tests/test_ewald.py pins both), so _erfc calls it only in between
-_ERFC_ZERO = 27.3
-_ERFC_TWO = -5.9
-
 # Offsets c >= _FAR take the plane-wave limit of the split (module docstring)
 _FAR = 2.0
 
@@ -105,12 +100,8 @@ def _fold_into_zone(kxy: np.ndarray) -> np.ndarray:
 
 
 def _erfc(x: np.ndarray) -> np.ndarray:
-    zero = x >= _ERFC_ZERO
-    out = np.where(zero, 0.0, 2.0)
-    live = ~(zero | (x <= _ERFC_TWO))
-    args = x[live].tolist()
-    out[live] = np.fromiter(map(math.erfc, args), float, len(args))
-    return out
+    out = np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size)
+    return out.reshape(x.shape)
 
 
 def lattice_tensors(ks, offsets) -> np.ndarray:
@@ -157,6 +148,12 @@ def _lattice_sums(ks, offset: float, shells: int):
     return _sums(_fold_into_zone(k_array(ks)), [check_offset(offset)], shells)[:, 0]
 
 
+def _terms(offset: float, shells: int) -> int:
+    """Number of terms the kernel sums at one offset: both halves of the
+    split below ``_FAR``, the reciprocal terms alone from there up."""
+    return (1 if offset >= _FAR else 2) * (2 * shells + 1) ** 2
+
+
 def _real_space(nx: np.ndarray, ny: np.ndarray, c: float) -> np.ndarray:
     """Coefficients (xx, yy, zz, xy, xz, yz) of every site at offset c, (6, sites)."""
     eta = _ETA
@@ -198,18 +195,7 @@ def _sums(kxy: np.ndarray, cs: list[float], shells: int) -> np.ndarray:
         # q <= 1e-300, where pi / q can overflow, they are dropped as 0
         q_div = np.where(q > 1e-300, q, np.inf)
         if far:
-            # the split's eta -> infinity limit, all far offsets in one
-            # (F, block, sites) pass: e+ = W = 0, e- = 2 e^{-qc}, no real space
-            e = 2.0 * math.pi * np.exp(-q * c_far)
-            psi = e / q_div
-            out[:, far, i : i + _BLOCK] = [
-                np.sum(qxx * psi, axis=-1),
-                np.sum(qyy * psi, axis=-1),
-                -np.sum(q * e, axis=-1),
-                np.sum(qxy * psi, axis=-1),
-                -1j * np.sum(qx * e, axis=-1),
-                -1j * np.sum(qy * e, axis=-1),
-            ]
+            out[:, far, i : i + _BLOCK] = _plane_waves(qx, qy, q, q_div, c_far)
         # e^{i k.l} on the site grid, from one table per axis
         ex = np.exp(1j * k[:, :1] * n)
         ey = np.exp(1j * k[:, 1:] * n)
@@ -249,6 +235,21 @@ def _sums(kxy: np.ndarray, cs: list[float], shells: int) -> np.ndarray:
     out[:3, in_plane] -= 4.0 * eta**3 / (3.0 * math.sqrt(math.pi))
     out[4:, in_plane] = 0.0
     return out
+
+
+def _plane_waves(qx, qy, q, q_div, c) -> list[np.ndarray]:
+    """The six sums of the plane-wave series (module docstring) over the last
+    axis of q; ``c`` broadcasts against q, and ``q_div`` is q or inf."""
+    e = 2.0 * math.pi * np.exp(-q * c)
+    psi = e / q_div
+    return [
+        np.sum(qx * qx * psi, axis=-1),
+        np.sum(qy * qy * psi, axis=-1),
+        -np.sum(q * e, axis=-1),
+        np.sum(qx * qy * psi, axis=-1),
+        -1j * np.sum(qx * e, axis=-1),
+        -1j * np.sum(qy * e, axis=-1),
+    ]
 
 
 @functools.lru_cache(maxsize=None)

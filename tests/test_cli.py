@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -79,6 +80,8 @@ def test_theta_scalar_becomes_tuple():
         ('{"ka_values": [0.5, -1.0]}', "ka_values[1]"),
         ('{"n_sites": 12}', "n_sites"),
         ('{"method": "magic"}', "method"),
+        # the closed forms are API-only
+        ('{"method": "longwave"}', 'method: expected "ewald"'),
         ('{"ewald": {"n_max": 2, "junk": 3}}', "ewald.junk"),
         ('{"ewald": 5}', "ewald"),
         ('{"ewald": {"bessel_n_max": 8}}', "ewald.bessel_n_max"),
@@ -159,6 +162,25 @@ def test_numerical_failures_exit_2_with_one_line(tmp_path, capsys, command, cfg,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        ("sweep-phi", {"phi_points": 10**10}),
+        ("stack", {"n_sites": 10**10, "k_direction": "grid"}),
+        ("stack", {"n_planes": 10**10}),
+    ],
+    ids=["phi_points", "n_sites", "n_planes"],
+)
+def test_oversized_configs_are_refused_before_allocation(tmp_path, capsys, command, cfg):
+    start = time.perf_counter()
+    code, op = run_cli(tmp_path, command, cfg)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    key = next(iter(cfg))
+    assert capsys.readouterr().err.startswith(f"config error: {key}: asks for more than")
+    assert not op.exists()
+
+
 def test_bare_memory_error_names_itself(tmp_path, capsys, monkeypatch):
     def exhausted(cfg):
         """Run out of memory."""
@@ -177,7 +199,7 @@ def test_non_finite_values_are_not_written():
             cli._column(np.array([[0.5, 1.0], [bad, 2.0]]))
 
 
-@pytest.mark.parametrize("method", ["ewald", "direct", "longwave"])
+@pytest.mark.parametrize("method", ["ewald", "direct"])
 def test_reciprocal_lattice_point_runs_as_zone_centre(tmp_path, method):
     # phi = 0 puts k on the reciprocal-lattice point (2 pi, 0), where the
     # tensor is the one at k = 0
@@ -197,7 +219,6 @@ def test_reciprocal_lattice_point_runs_as_zone_centre(tmp_path, method):
     if method == "direct":
         tensors = dispersion.Direct(20).tensors(origin, 0.5)
     else:
-        # the long-wave engine takes the kernel's value at k = 0
         tensors = lattice_tensors(origin, 0.5)
     want = couplings(tensors, dipole_from_theta(0.3))[0]
     assert float(rows[0][4]) == pytest.approx(want, rel=1e-14, abs=1e-15)
@@ -470,7 +491,6 @@ _NO_SCIPY_RUNS = [
     ("stack", {"method": "ewald", "k_direction": "grid", "n_sites": 4, "n_planes": 3,
                "b_over_a": 0.5}),
     ("dispersion", {"method": "direct", "direct_cutoff": 5, "ka_values": [0.5]}),
-    ("dispersion", {"method": "longwave", "ka_values": [0.01, 0.02]}),
     ("sweep-phi", {"phi_points": 4, "ka_values": [0.5], "b_over_a": 1.0}),
     ("convergence", {"b_over_a": 1.0, "ka_values": [0.5], "k_direction": 0.3}),
     ("convergence", {"b_over_a": 0.5, "ka_values": [3.0], "k_direction": 0.4}),

@@ -131,9 +131,11 @@ def test_j_inter_longwave_closed_form():
         )
         got = couplings(tensors, dipole_from_theta(theta))[0]
         assert got == pytest.approx(want, abs=1e-14)
-    # k = 0, where the closed form has no limit, takes the Ewald kernel
-    origin = [WaveVector(0.0, 0.0)]
-    assert np.array_equal(LongWave().tensors(origin, b), ewald.lattice_tensors(origin, b))
+    # k = 0, where the closed form has no limit, takes the Ewald kernel, and
+    # so does the reciprocal-lattice point (2 pi, 0), which folds onto it
+    origin = ewald.lattice_tensors([WaveVector(0.0, 0.0)], b)
+    for k0 in (WaveVector(0.0, 0.0), WaveVector(2.0 * math.pi, 0.0)):
+        assert np.array_equal(LongWave().tensors([k0], b), origin)
 
 
 def test_engines_agree_on_couplings():

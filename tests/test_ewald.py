@@ -15,6 +15,7 @@ from latticesum.ewald import f_constant, lattice_tensors
 from latticesum.model import WaveVector, tensors_from_components
 from latticesum.specfun import bessel_k
 
+from mpmath_oracle import ewald_components
 from plane_wave_oracle import plane_wave_tensor
 
 ORIGIN = WaveVector(0.0, 0.0)
@@ -50,20 +51,42 @@ def test_offset_sequence_shapes():
 
 
 def test_erfc_saturation_is_exact():
-    # math.erfc is exactly 0 from 27.3 up and exactly 2 from -5.9 down, so
-    # _erfc writes those values there without calling it; a libm that
-    # saturates elsewhere fails here instead of moving the kernel's bits
-    above = np.linspace(ewald._ERFC_ZERO, 40.0, 20001)
-    below = np.linspace(-40.0, ewald._ERFC_TWO, 20001)
+    # math.erfc is exactly 0 from 27.3 up and exactly 2 from -5.9 down; the
+    # kernel's e+ guard relies on the 0, and _erfc is math.erfc bit for bit
+    above = np.linspace(27.3, 40.0, 20001)
+    below = np.linspace(-40.0, -5.9, 20001)
     assert all(math.erfc(x) == 0.0 for x in above.tolist())
     assert all(math.erfc(x) == 2.0 for x in below.tolist())
-    edges = [ewald._ERFC_ZERO, ewald._ERFC_TWO, 0.0, -0.0]
+    edges = [27.3, -5.9, 0.0, -0.0]
     near = [np.nextafter(e, to) for e in edges for to in (-np.inf, e, np.inf)]
     x = np.concatenate([np.linspace(-40.0, 40.0, 80001), near, [math.inf, -math.inf]])
     want = np.array(list(map(math.erfc, x.tolist())))
     assert ewald._erfc(x).tobytes() == want.tobytes()
     assert np.isnan(ewald._erfc(np.array([math.nan]))[0])
     assert ewald._erfc(x[:30].reshape(10, 3)).shape == (10, 3)
+
+
+# (kx, ky, c): generic k at offsets down to MIN_OFFSET and up to 300, with
+# |k| c near 1 on the far planes so that their entries are not far below
+# the bound's floor of 1; in the plane, an axis, |k| = 1e-8, the zone
+# corner and a reciprocal-lattice point
+MPMATH_POINTS = [
+    (0.8, 0.3, 1e-3), (0.8, 0.3, 0.01), (0.8, 0.3, 0.03),
+    *((ka * math.cos(0.36), ka * math.sin(0.36), c)
+      for ka, c in ((0.1, 10.0), (0.02, 50.0), (0.005, 300.0))),
+    (0.8, 0.0, 0.0), (1e-8 * math.cos(0.6), 1e-8 * math.sin(0.6), 0.0),
+    (math.pi, math.pi, 0.0), (TWO_PI, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("kx,ky,c", MPMATH_POINTS)
+def test_kernel_matches_mpmath_split(kx, ky, c):
+    # measured within 6.7e-16 of max(1, largest entry); at 3 shells within
+    # 6.7e-16 too, at 2 shells off by 1.3e-8
+    want = np.array(ewald_components(kx, ky, c))
+    t = lattice_tensors([WaveVector(kx, ky)], c)[0]
+    got = t[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
 
 def test_scalar_series_frozen_values():
@@ -192,10 +215,12 @@ def test_longwave_closed_form_components():
 
 
 def test_longwave_matches_series_at_small_k():
-    k = WaveVector(1e-3 * math.cos(0.6), 1e-3 * math.sin(0.6))
-    lw = LongWave().tensors([k], 10.0)[0]
-    ew = lattice_tensors([k], 10.0)[0]
-    assert np.max(np.abs(lw - ew)) <= 1e-10 * np.max(np.abs(ew))
+    # the edges of the stated domain c >= 10, ka <= 1, on the axis, the
+    # diagonal and a generic direction
+    ks = [WaveVector(ka * math.cos(phi), ka * math.sin(phi))
+          for ka in (1e-3, 1.0) for phi in (0.0, math.pi / 4.0, 0.6)]
+    for lw, ew in zip(LongWave().tensors(ks, 10.0), lattice_tensors(ks, 10.0)):
+        assert np.max(np.abs(lw - ew)) <= 1e-10 * np.max(np.abs(ew))
 
 
 def test_inter_series_matches_window():
