@@ -131,11 +131,20 @@ def test_j_inter_longwave_closed_form():
         )
         got = couplings(tensors, dipole_from_theta(theta))[0]
         assert got == pytest.approx(want, abs=1e-14)
-    # k = 0, where the closed form has no limit, takes the Ewald kernel, and
-    # so does the reciprocal-lattice point (2 pi, 0), which folds onto it
-    origin = ewald.lattice_tensors([WaveVector(0.0, 0.0)], b)
-    for k0 in (WaveVector(0.0, 0.0), WaveVector(2.0 * math.pi, 0.0)):
-        assert np.array_equal(LongWave().tensors([k0], b), origin)
+    # k = 0, where the closed form has no limit, takes the Ewald kernel
+    origin = [WaveVector(0.0, 0.0)]
+    assert np.array_equal(LongWave().tensors(origin, b), ewald.lattice_tensors(origin, b))
+
+
+def test_longwave_reciprocal_lattice_point_is_zone_centre():
+    # between planes (2 pi, 0) folds onto k = 0, where LongWave takes the
+    # Ewald kernel
+    dipole = dipole_from_theta(0.3)
+    for b in (0.5, 2.0):
+        origin = ewald.lattice_tensors([WaveVector(0.0, 0.0)], b)
+        tensors = LongWave().tensors([WaveVector(2.0 * math.pi, 0.0)], b)
+        assert np.array_equal(tensors, origin)
+        assert couplings(tensors, dipole)[0] == couplings(origin, dipole)[0]
 
 
 def test_engines_agree_on_couplings():
