@@ -3,8 +3,8 @@
 Three interchangeable engines compute the dimensionless coupling tensors:
 a brute-force window sum (the oracle), the 2D Ewald kernel (the fast
 path) and closed long-wavelength forms. On top of those sit the dipole
-contractions J(k), J'(k), two-plane splittings and N-plane stack
-spectra, and a CSV-producing command line.
+contractions J(k), J'(k) and N-plane stack spectra, and a
+CSV-producing command line.
 """
 
 from .model import (
@@ -32,11 +32,7 @@ from .dispersion import (
     Ewald,
     LongWave,
     Method,
-    ModeSpectrum,
     couplings,
-    pair_energies,
-    polarization_splitting,
-    splitting,
     stack_matrices,
     symmetric_eigen,
 )

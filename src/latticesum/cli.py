@@ -34,7 +34,6 @@ from .model import (
     MIN_OFFSET,
     EnergyScale,
     LatticeGeometry,
-    TransitionDipole,
     WaveVector,
     dipole_from_theta,
     j0_scale,
@@ -61,10 +60,11 @@ _DEFAULT_THETAS = (
     math.pi / 2.0,
 )
 
-# The most k points (phi_points x len(ka_values) for sweep-phi, n_sites on a
-# grid) and stack-matrix entries (k points x n_planes^2) a config can ask
-# for; a run at the bound takes a few GB
-MAX_SIZE = 10**6
+# The most CSV rows a config can ask for, a stack's matrix entries counting
+# 1/32 of a row each. By peak RSS a row costs up to 1 kB (its k point,
+# tensors and text) and a matrix entry 31 B, so a run at the bound peaks
+# near 2 GB.
+MAX_SIZE = 2 * 10**6
 
 _DIRECT_CONVERGENCE_CUTOFFS = (10, 30, 100, 300, 1000)
 _EWALD_CONVERGENCE_SHELLS = range(1, 7)
@@ -231,14 +231,16 @@ def parse_config(text: str) -> RunConfig:
         else:
             raise ConfigError(f"{_named(key)}: unknown key")
     cfg = RunConfig(**out)
-    # sizes are bounded before anything is allocated
-    ks = cfg.n_sites if cfg.k_direction == "grid" else len(cfg.ka_values)
+    # sizes are bounded before anything is allocated; a grid of even side
+    # keeps both zone edges
+    side = math.isqrt(cfg.n_sites) // 2 * 2 + 1
+    ks = side * side if cfg.k_direction == "grid" else len(cfg.ka_values)
     for key, size, what in (
-        ("phi_points", cfg.phi_points * len(cfg.ka_values),
-         "k points (phi_points x len(ka_values))"),
-        ("n_sites", cfg.n_sites, "k points"),
-        ("n_planes", ks * cfg.n_planes**2,
-         "stack-matrix entries (k points x n_planes^2)"),
+        ("phi_points", cfg.phi_points * len(cfg.ka_values) * len(cfg.theta),
+         "rows (phi_points x len(ka_values) x len(theta))"),
+        ("n_sites", ks, "k points"),
+        ("n_planes", ks * (cfg.n_planes + cfg.n_planes**2 // 32),
+         "rows (k points x (n_planes + n_planes^2 / 32))"),
     ):
         if size > MAX_SIZE:
             raise ConfigError(f"{key}: asks for more than {MAX_SIZE} {what}")
@@ -271,27 +273,36 @@ def _engine(cfg: RunConfig) -> Method:
     return Ewald()
 
 
-def _scale(cfg: RunConfig) -> EnergyScale:
-    return EnergyScale(j0_scale(cfg.mu_e_angstrom, cfg.a_angstrom), cfg.ea_ev)
+def _modes(cfg: RunConfig):
+    """(k points, Jt, Jt' at the nearest separation, stack eigenvalues).
 
-
-def _k_list(cfg: RunConfig) -> list[WaveVector]:
-    if cfg.k_direction == "grid":
-        geom = LatticeGeometry(cfg.b_over_a, n_sites=cfg.n_sites, n_planes=cfg.n_planes)
-        return make_k_grid(geom)
-    d = float(cfg.k_direction)
-    return [WaveVector(ka * math.cos(d), ka * math.sin(d)) for ka in cfg.ka_values]
-
-
-def _spectra(cfg: RunConfig, ks: list[WaveVector], dipole: TransitionDipole, method):
-    """(Jt, Jt' at the nearest separation, stack eigenvalues) at every k.
-
-    One coupling table per plane separation, one batched eigen-solve. Jt'
-    is zero for a single plane.
+    One geometry, one coupling table per plane separation, one batched
+    eigen-solve, for the dipole of the first theta entry. Jt' is zero for
+    a single plane.
     """
-    geom = LatticeGeometry(cfg.b_over_a, n_planes=cfg.n_planes)
-    j, jps, mats = stack_matrices(ks, dipole, geom, method, cfg.nearest_only)
-    return j, (jps[0] if jps else [0.0] * len(ks)), symmetric_eigen(mats)
+    geom = LatticeGeometry(cfg.b_over_a, n_sites=cfg.n_sites, n_planes=cfg.n_planes)
+    if cfg.k_direction == "grid":
+        ks = make_k_grid(geom)
+    else:
+        d = float(cfg.k_direction)
+        ks = [WaveVector(ka * math.cos(d), ka * math.sin(d)) for ka in cfg.ka_values]
+    dip = dipole_from_theta(cfg.theta[0])
+    j, jps, mats = stack_matrices(ks, dip, geom, _engine(cfg), cfg.nearest_only)
+    return ks, j, (jps[0] if jps else [0.0] * len(ks)), symmetric_eigen(mats)
+
+
+def _write_modes(cfg: RunConfig, header: str, ks, tables, energies) -> str:
+    """One CSV row per k and mode: kxa, kya, the per-k ``tables``,
+    mode_index and the mode's energy."""
+    modes = energies.shape[-1]
+    per_k = ([k.kxa for k in ks], [k.kya for k in ks], *tables)
+    columns = [
+        *(_repeat(_column(col), modes) for col in per_k),
+        [str(idx) for idx in range(modes)] * len(ks),
+        _column(energies),
+    ]
+    _write_csv(cfg.output_path, header, columns)
+    return cfg.output_path
 
 
 def cmd_sweep_phi(cfg: RunConfig) -> str:
@@ -322,26 +333,15 @@ def cmd_dispersion(cfg: RunConfig) -> str:
     Uses the first theta entry as the dipole orientation. jprime_over_j0
     is the nearest-plane coupling (0 for a single plane).
     """
-    method = _engine(cfg)
-    scale = _scale(cfg)
-    dip = dipole_from_theta(cfg.theta[0])
-    ks = _k_list(cfg)
-    js, jps, evals = _spectra(cfg, ks, dip, method)
-    modes = evals.shape[-1]
-    columns = [
-        _repeat(_column([k.kxa for k in ks]), modes),
-        _repeat(_column([k.kya for k in ks]), modes),
-        _repeat(_column(js), modes),
-        _repeat(_column(jps), modes),
-        [str(idx) for idx in range(modes)] * len(ks),
-        _column(scale.ea_ev + scale.j0_ev * evals),
-    ]
-    _write_csv(
-        cfg.output_path,
+    scale = EnergyScale(j0_scale(cfg.mu_e_angstrom, cfg.a_angstrom), cfg.ea_ev)
+    ks, js, jps, evals = _modes(cfg)
+    return _write_modes(
+        cfg,
         "kxa,kya,j_over_j0,jprime_over_j0,mode_index,energy_ev",
-        columns,
+        ks,
+        (js, jps),
+        scale.ea_ev + scale.j0_ev * evals,
     )
-    return cfg.output_path
 
 
 def cmd_convergence(cfg: RunConfig) -> str:
@@ -389,19 +389,8 @@ def cmd_stack(cfg: RunConfig) -> str:
     """N-plane eigenvalues per k in J0 units (relative to E_A)."""
     if cfg.n_planes < 2:
         raise ConfigError(f"n_planes: stack needs at least 2 planes, got {cfg.n_planes}")
-    method = _engine(cfg)
-    dip = dipole_from_theta(cfg.theta[0])
-    ks = _k_list(cfg)
-    _js, _jps, evals = _spectra(cfg, ks, dip, method)
-    modes = evals.shape[-1]
-    columns = [
-        _repeat(_column([k.kxa for k in ks]), modes),
-        _repeat(_column([k.kya for k in ks]), modes),
-        [str(idx) for idx in range(modes)] * len(ks),
-        _column(evals),
-    ]
-    _write_csv(cfg.output_path, "kxa,kya,mode_index,energy_over_j0", columns)
-    return cfg.output_path
+    ks, _j, _jp, evals = _modes(cfg)
+    return _write_modes(cfg, "kxa,kya,mode_index,energy_over_j0", ks, (), evals)
 
 
 _COMMANDS = {

@@ -10,13 +10,13 @@ N-plane stack matrices are assembled from one coupling table per plane
 separation s b, s = 0 included, all from one engine call, and diagonalized
 in one batched LAPACK call (``np.linalg.eigvalsh``).
 
-Sign conventions: the symmetric two-plane mode carries +J', so the pair
-energies are E_A + J0 (Jt +- Jt') and the splitting is 2 |Jt'|.
+Sign conventions: the symmetric two-plane mode carries +J', so a
+two-plane stack's eigenvalues are Jt +- Jt' (energies E_A + J0 (Jt +- Jt'))
+and the splitting is 2 |Jt'|.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -25,11 +25,9 @@ import numpy as np
 from .direct_sum import k0_tail_correction, window_tensors
 from .ewald import _fold_into_zone, _plane_waves, f_constant, lattice_tensors
 from .model import (
-    EnergyScale,
     LatticeGeometry,
     TransitionDipole,
     WaveVector,
-    check_offset,
     check_offsets,
     check_tensors,
     k_array,
@@ -41,11 +39,7 @@ __all__ = [
     "Ewald",
     "LongWave",
     "Method",
-    "ModeSpectrum",
     "couplings",
-    "pair_energies",
-    "splitting",
-    "polarization_splitting",
     "stack_matrices",
     "symmetric_eigen",
 ]
@@ -124,22 +118,6 @@ class LongWave:
 Method = Union[Direct, Ewald, LongWave]
 
 
-@dataclass(frozen=True)
-class ModeSpectrum:
-    """Eigenvalues at one k, ascending, in J0 units (relative to E_A) and eV."""
-
-    k: WaveVector
-    energies_j0: tuple[float, ...]
-    energies_ev: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.energies_j0) != len(self.energies_ev):
-            raise ValueError("energy lists must have equal length")
-        for seq in (self.energies_j0, self.energies_ev):
-            if any(b < a for a, b in zip(seq, seq[1:])):
-                raise ValueError("energies must be sorted ascending")
-
-
 def couplings(tensors, dipole: TransitionDipole) -> np.ndarray:
     """sum_ij m_i m_j Dt_ij for every tensor of a (..., 3, 3) stack, as (...).
 
@@ -155,40 +133,6 @@ def couplings(tensors, dipole: TransitionDipole) -> np.ndarray:
     if resid > _IMAG_TOL:
         raise ArithmeticError(f"contraction has imaginary residual {resid:.3e}")
     return vals.real
-
-
-def pair_energies(
-    k: WaveVector,
-    dipole: TransitionDipole,
-    b_over_a: float,
-    method: Method,
-    scale: EnergyScale,
-) -> ModeSpectrum:
-    """Two-plane hybrid modes E_A + J0 (Jt +- Jt'), value-sorted."""
-    b = check_offset(b_over_a, spacing=True)
-    j, jp = couplings(method.tensors([k], (0.0, b)), dipole)[:, 0].tolist()
-    lo, hi = sorted((j - jp, j + jp))
-    return ModeSpectrum(
-        k=k,
-        energies_j0=(lo, hi),
-        energies_ev=(scale.ea_ev + scale.j0_ev * lo, scale.ea_ev + scale.j0_ev * hi),
-    )
-
-
-def splitting(
-    k: WaveVector, dipole: TransitionDipole, b_over_a: float, method: Method
-) -> float:
-    """Two-plane splitting 2 |Jt'(k)| in units of J0."""
-    b = check_offset(b_over_a, spacing=True)
-    return 2.0 * abs(float(couplings(method.tensors([k], b), dipole)[0]))
-
-
-def polarization_splitting(f: float) -> float:
-    """k = 0 gap between the z-polarized branch (2F) and the in-plane
-    branches (-F), i.e. 3F in units of J0 (dipole magnitude included in J0)."""
-    if not f > 0:
-        raise ValueError(f"F must be positive, got {f}")
-    return 3.0 * f
 
 
 def stack_matrices(

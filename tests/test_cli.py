@@ -18,7 +18,13 @@ from latticesum.cli import ConfigError, RunConfig, main, parse_config
 from latticesum.direct_sum import window_tensors
 from latticesum.dispersion import couplings
 from latticesum.ewald import f_constant, lattice_tensors
-from latticesum.model import WaveVector, dipole_from_theta, j0_scale
+from latticesum.model import (
+    LatticeGeometry,
+    WaveVector,
+    dipole_from_theta,
+    j0_scale,
+    make_k_grid,
+)
 
 
 def run_cli(tmp_path, command, cfg, name="run"):
@@ -168,8 +174,10 @@ def test_numerical_failures_exit_2_with_one_line(tmp_path, capsys, command, cfg,
         ("sweep-phi", {"phi_points": 10**10}),
         ("stack", {"n_sites": 10**10, "k_direction": "grid"}),
         ("stack", {"n_planes": 10**10}),
+        # 10^6 k points, but ten tilts write 10^7 rows
+        ("sweep-phi", {"phi_points": 10**6, "theta": [0.1] * 10}),
     ],
-    ids=["phi_points", "n_sites", "n_planes"],
+    ids=["phi_points", "n_sites", "n_planes", "theta"],
 )
 def test_oversized_configs_are_refused_before_allocation(tmp_path, capsys, command, cfg):
     start = time.perf_counter()
@@ -179,6 +187,14 @@ def test_oversized_configs_are_refused_before_allocation(tmp_path, capsys, comma
     key = next(iter(cfg))
     assert capsys.readouterr().err.startswith(f"config error: {key}: asks for more than")
     assert not op.exists()
+
+
+def test_large_stack_within_the_size_bound_runs(tmp_path):
+    # 441 k x 65 planes: 1.86 M matrix entries, a peak of about 92 MB
+    cfg = {"n_planes": 65, "k_direction": "grid", "n_sites": 400, "b_over_a": 0.5}
+    code, op = run_cli(tmp_path, "stack", cfg)
+    assert code == 0
+    assert len(read_rows(op)[1]) == 441 * 65
 
 
 def test_bare_memory_error_names_itself(tmp_path, capsys, monkeypatch):
@@ -310,12 +326,12 @@ def test_far_planes_call_no_erfc(tmp_path, monkeypatch):
         return erfc(x)
 
     monkeypatch.setattr(ewald, "_erfc", recording)
-    cfg = {"n_planes": 8, "n_sites": 4, "b_over_a": 2.0}
+    cfg = {"n_planes": 8, "n_sites": 4, "k_direction": "grid", "b_over_a": 2.0}
     code, _ = run_cli(tmp_path, "stack", cfg)
     assert code == 0
     stack_args = args.copy()
     args.clear()
-    lattice_tensors(cli._k_list(parse_config(json.dumps(cfg))), 0.0)
+    lattice_tensors(make_k_grid(LatticeGeometry(2.0, n_sites=4)), 0.0)
     assert args and stack_args == args
 
 
@@ -371,17 +387,30 @@ def test_sweep_phi_deterministic_bytes(tmp_path):
 
 def test_dispersion_two_planes(tmp_path):
     cfg = {"theta": [0.7], "ka_values": [0.5, 1.0], "k_direction": 0.25, "n_planes": 2}
-    code, op = run_cli(tmp_path, "dispersion", cfg)
-    assert code == 0
-    header, rows = read_rows(op)
-    assert header == ["kxa", "kya", "j_over_j0", "jprime_over_j0", "mode_index", "energy_ev"]
-    assert len(rows) == 4
-    j0 = j0_scale(1.0, 1000.0)
-    for lo, hi in ((rows[0], rows[1]), (rows[2], rows[3])):
-        assert (int(lo[4]), int(hi[4])) == (0, 1)
-        jp = float(lo[3])
-        gap = float(hi[5]) - float(lo[5])
-        assert gap == pytest.approx(2.0 * abs(jp) * j0, rel=1e-4)
+    ks = [WaveVector(ka * math.cos(0.25), ka * math.sin(0.25)) for ka in (0.5, 1.0)]
+    dip = dipole_from_theta(0.7)
+    js = couplings(lattice_tensors(ks, 0.0), dip)
+    jps = couplings(lattice_tensors(ks, 10.0), dip)
+    # the default scale (J0 = 1.4e-8 eV against E_A = 1 eV) and a molecular
+    # one (a = 10 A, mu = 3 e A: J0 = 0.13 eV), where 1e-12 J0 lies far
+    # above the spacing of doubles near E_A
+    for scale in ({}, {"a_angstrom": 10.0, "mu_e_angstrom": 3.0, "ea_ev": 2.0}):
+        code, op = run_cli(tmp_path, "dispersion", {**cfg, **scale})
+        assert code == 0
+        header, rows = read_rows(op)
+        assert header == ["kxa", "kya", "j_over_j0", "jprime_over_j0", "mode_index", "energy_ev"]
+        assert len(rows) == 4
+        j0 = j0_scale(scale.get("mu_e_angstrom", 1.0), scale.get("a_angstrom", 1000.0))
+        ea = scale.get("ea_ev", 1.0)
+        for j, jp, lo, hi in zip(js, jps, rows[0::2], rows[1::2]):
+            assert (int(lo[4]), int(hi[4])) == (0, 1)
+            assert (float(lo[2]), float(lo[3])) == (j, jp)
+            gap = float(hi[5]) - float(lo[5])
+            assert gap == pytest.approx(2.0 * abs(jp) * j0, rel=1e-4)
+            # the CLI's J0 -> eV conversion, to the spacing of the doubles
+            for row, e in zip((lo, hi), sorted((j - jp, j + jp))):
+                want = ea + j0 * e
+                assert abs(float(row[5]) - want) <= 1e-12 * j0 + math.ulp(want)
 
 
 def test_dispersion_single_plane(tmp_path):

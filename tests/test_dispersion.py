@@ -1,4 +1,4 @@
-"""Couplings, two-plane hybrid modes, N-plane stacks, eigen-solver."""
+"""Couplings, N-plane stacks and their two-plane limit, eigen-solver."""
 
 import math
 
@@ -10,11 +10,7 @@ from latticesum.dispersion import (
     Direct,
     Ewald,
     LongWave,
-    ModeSpectrum,
     couplings,
-    pair_energies,
-    polarization_splitting,
-    splitting,
     stack_matrices,
     symmetric_eigen,
 )
@@ -24,7 +20,6 @@ from latticesum.ewald import f_constant
 from latticesum.model import (
     MIN_OFFSET,
     CouplingTensor,
-    EnergyScale,
     LatticeGeometry,
     TransitionDipole,
     WaveVector,
@@ -115,9 +110,8 @@ def test_longwave_intra_and_polarization_gap():
     j_z = couplings(tensors, dipole_from_theta(0.0))[0]
     assert j_par == pytest.approx(-f, rel=1e-12)
     assert j_z == pytest.approx(2.0 * f, rel=1e-12)
-    assert polarization_splitting(f) == pytest.approx(j_z - j_par, rel=1e-12)
-    with pytest.raises(ValueError):
-        polarization_splitting(0.0)
+    # the k = 0 gap between the z-polarized and in-plane branches is 3F
+    assert j_z - j_par == pytest.approx(3.0 * f, rel=1e-12)
 
 
 def test_j_inter_longwave_closed_form():
@@ -159,18 +153,6 @@ def test_engines_agree_on_couplings():
     )
 
 
-def test_pair_energies_and_splitting():
-    k = WaveVector(0.5 * math.cos(0.3), 0.5 * math.sin(0.3))
-    dip = dipole_from_theta(math.pi / 3.0)
-    scale = EnergyScale(2e-8, ea_ev=1.0)
-    j = couplings(Ewald().tensors([k], 0.0), dip)[0]
-    jp = couplings(Ewald().tensors([k], 2.0), dip)[0]
-    modes = pair_energies(k, dip, 2.0, Ewald(), scale)
-    assert modes.energies_j0 == pytest.approx(sorted((j - jp, j + jp)), abs=1e-14)
-    assert modes.energies_ev[0] == pytest.approx(1.0 + 2e-8 * modes.energies_j0[0])
-    assert splitting(k, dip, 2.0, Ewald()) == pytest.approx(2.0 * abs(jp), rel=1e-12)
-
-
 def test_plane_offset_rule():
     # offset 0 is the site's own plane; any other offset is finite and at
     # least MIN_OFFSET, 1e-3 a (9e-4 sits below it)
@@ -183,23 +165,10 @@ def test_plane_offset_rule():
         assert method.tensors(ks, MIN_OFFSET).shape == (2, 3, 3)
     assert np.array_equal(Ewald().tensors(ks, 0.0), ewald.lattice_tensors(ks, 0.0))
     # a plane spacing must not be 0 either: offset 0 is the in-plane tensor
-    dip = dipole_from_theta(0.4)
     for b in (0.0, 9e-4, math.nan):
-        with pytest.raises(ValueError):
-            pair_energies(ks[0], dip, b, Ewald(), EnergyScale(1e-3))
-        with pytest.raises(ValueError):
-            splitting(ks[0], dip, b, Ewald())
         with pytest.raises(ValueError):
             LatticeGeometry(b)
     assert LatticeGeometry(MIN_OFFSET).b_over_a == MIN_OFFSET
-
-
-def test_mode_spectrum_validation():
-    k = WaveVector(0.0, 0.1)
-    with pytest.raises(ValueError):
-        ModeSpectrum(k, (1.0, 0.0), (1.0, 0.0))
-    with pytest.raises(ValueError):
-        ModeSpectrum(k, (0.0, 1.0), (0.0,))
 
 
 def test_stack_matrix_structure():
