@@ -1,12 +1,12 @@
 """JSON-configured command-line front end writing CSV reports.
 
-Four subcommands: ``sweep-phi`` (anisotropy curves J'(phi)), ``dispersion``
-(stack eigenmodes along a k path or grid), ``convergence`` (direct-window
-vs Ewald-kernel error/cost table) and ``stack`` (N-plane spectra).
-Output is deliberately plain CSV with fixed headers; floats are written
-with shortest round-trip formatting and LF line endings so identical
-configs produce byte-identical files (the wall-time column of
-``convergence`` is the documented exception).
+Four commands: ``sweep-phi`` (anisotropy curves J'(phi)), ``dispersion``
+(stack eigenmodes along a k path or grid, one eigen-solve per distinct
+coupling row), ``convergence`` (direct-window vs Ewald-kernel error/cost
+table) and ``stack`` (N-plane spectra). Output is plain CSV with fixed
+headers; floats are written with shortest round-trip formatting, once per
+distinct value, and LF line endings so identical configs produce
+byte-identical files (the wall-time column of ``convergence`` excepted).
 """
 
 from __future__ import annotations
@@ -248,18 +248,16 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _column(values) -> list[str]:
-    """Shortest round-trip text of every value; a non-finite one is refused."""
+    """Shortest round-trip text of every value, formatted once per distinct
+    bit pattern (0.0 and -0.0 apart); a non-finite value is refused."""
     v = np.asarray(values, dtype=float).ravel()
     finite = np.isfinite(v)
     if not finite.all():
         bad = v[~finite][0].item()
         raise ArithmeticError(f"refusing to write non-finite value {bad!r}")
-    return list(map(repr, v.tolist()))
-
-
-def _repeat(column: list[str], times: int) -> list[str]:
-    """Each entry of ``column`` ``times`` times in a row."""
-    return [text for text in column for _ in range(times)]
+    bits, at = np.unique(v.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    return text[at].tolist()
 
 
 def _write_csv(path, header, columns):
@@ -288,7 +286,11 @@ def _modes(cfg: RunConfig):
         ks = [WaveVector(ka * math.cos(d), ka * math.sin(d)) for ka in cfg.ka_values]
     dip = dipole_from_theta(cfg.theta[0])
     j, jps, mats = stack_matrices(ks, dip, geom, _engine(cfg), cfg.nearest_only)
-    return ks, j, (jps[0] if jps else [0.0] * len(ks)), symmetric_eigen(mats)
+    # equal coupling rows (by bits) give equal matrices: solve each once
+    rows = np.column_stack([j, *jps]).view(f"V{8 + 8 * len(jps)}").ravel()
+    _, first, at = np.unique(rows, return_index=True, return_inverse=True)
+    evals = symmetric_eigen(mats[first])[at]
+    return ks, j, (jps[0] if jps else [0.0] * len(ks)), evals
 
 
 def _write_modes(cfg: RunConfig, header: str, ks, tables, energies) -> str:
@@ -297,7 +299,7 @@ def _write_modes(cfg: RunConfig, header: str, ks, tables, energies) -> str:
     modes = energies.shape[-1]
     per_k = ([k.kxa for k in ks], [k.kya for k in ks], *tables)
     columns = [
-        *(_repeat(_column(col), modes) for col in per_k),
+        *(_column(np.repeat(col, modes)) for col in per_k),
         [str(idx) for idx in range(modes)] * len(ks),
         _column(energies),
     ]
@@ -317,7 +319,7 @@ def cmd_sweep_phi(cfg: RunConfig) -> str:
     jps = [couplings(tensors, dipole_from_theta(theta)) for theta in cfg.theta]
     curves = len(cfg.theta)
     columns = [
-        _repeat(_column(cfg.theta), len(points)),
+        _column(np.repeat(cfg.theta, len(points))),
         _column([phi for _, phi in points]) * curves,
         _column([ka for ka, _ in points]) * curves,
         _column([cfg.b_over_a]) * (curves * len(points)),
@@ -404,14 +406,18 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="latticesum",
+        usage="%(prog)s <command> --config cfg.json [--out path.csv]",
         description="Dipolar lattice sums and exciton dispersion for stacked "
         "square monolayers.",
+        epilog="commands:\n" + "\n".join(  # python -OO strips the docstrings
+            f"  {name:<13}{(fn.__doc__ or ' ').splitlines()[0]}"
+            for name, fn in _COMMANDS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__.splitlines()[0])
-        p.add_argument("--config", required=True, help="path to a JSON config file")
-        p.add_argument("--out", help="output CSV path (overrides output_path)")
+    parser.add_argument("command", choices=_COMMANDS, help="one of the commands below")
+    parser.add_argument("--config", required=True, help="path to a JSON config file")
+    parser.add_argument("--out", help="output CSV path (overrides output_path)")
     args = parser.parse_args(argv)
 
     try:

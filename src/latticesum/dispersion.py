@@ -27,7 +27,6 @@ from .ewald import _fold_into_zone, _plane_waves, f_constant, lattice_tensors
 from .model import (
     LatticeGeometry,
     TransitionDipole,
-    WaveVector,
     check_offsets,
     check_tensors,
     k_array,
@@ -61,10 +60,9 @@ class Direct:
     def tensors(self, ks, offsets) -> np.ndarray:
         """(K, 3, 3) or (S, K, 3, 3) tensors to the planes ``offsets`` away."""
         cs = check_offsets(offsets)
-        ks = list(ks)
-        on_lattice = ~_fold_into_zone(k_array(ks)).any(axis=1)
-        batch = [WaveVector(0.0, 0.0) if on else k for k, on in zip(ks, on_lattice)]
-        out = window_tensors(batch, cs, self.cutoff)
+        kxy = k_array(ks)
+        on_lattice = ~_fold_into_zone(kxy).any(axis=1)
+        out = window_tensors(np.where(on_lattice[:, None], 0.0, kxy), cs, self.cutoff)
         if on_lattice.any():
             tails = np.array([k0_tail_correction(self.cutoff, c) for c in cs])
             out[:, on_lattice] = check_tensors(out[:, on_lattice] + tails[:, None])
@@ -107,7 +105,7 @@ class LongWave:
         # every entry carries a factor of k, and the limit at k = 0 has none
         at_origin = q[:, 0] == 0.0
         if at_origin.any():
-            out[:, at_origin] = lattice_tensors([WaveVector(0.0, 0.0)], c[:, 0, 0])
+            out[:, at_origin] = lattice_tensors(np.zeros((1, 2)), c[:, 0, 0])
         in_plane = c[:, 0, 0] == 0.0
         if in_plane.any():
             f = f_constant()

@@ -53,10 +53,12 @@ bitwise those of a call with that offset only.
 The square lattice's mirrors and its x <-> y swap map D onto itself:
 kx -> -kx flips xy and xz, ky -> -ky flips xy and yz, and swapping kx
 and ky swaps xx with yy and xz with yz. :func:`lattice_tensors` therefore
-sums each orbit of these eight maps once, at its member with
-kx >= ky >= 0, and restores every k of the orbit from it exactly. The
-long-wave closed forms, :class:`latticesum.dispersion.LongWave`, keep
-the plane-wave series' (0, 0) term alone.
+sums and checks each orbit of these eight maps once, at its member with
+kx >= ky >= 0, and restores every k of the orbit from it exactly as
+s_i s_j D_p(i)p(j), a signed permutation that leaves the checked
+residuals bitwise unchanged. The long-wave closed forms,
+:class:`latticesum.dispersion.LongWave`, keep the plane-wave series'
+(0, 0) term alone.
 """
 
 from __future__ import annotations
@@ -66,13 +68,7 @@ import math
 
 import numpy as np
 
-from .model import (
-    WaveVector,
-    check_offset,
-    check_offsets,
-    k_array,
-    tensors_from_components,
-)
+from .model import check_offset, check_offsets, k_array, tensors_from_components
 
 # Unused here, but perfbench/tracing.py wraps ewald.bessel_k by name.
 from .specfun import bessel_k  # noqa: F401
@@ -125,17 +121,13 @@ def lattice_tensors(ks, offsets) -> np.ndarray:
         return_inverse=True,
     )
     member = member.reshape(-1)  # NumPy 2.0.0 returns it as (K, 1)
-    xx, yy, zz, xy, xz, yz = _sums(orbits, cs, _SHELLS)[:, :, member]
-    sx = np.where(kxy[:, 0] < 0.0, -1.0, 1.0)
-    sy = np.where(kxy[:, 1] < 0.0, -1.0, 1.0)
-    out = tensors_from_components(
-        np.where(swap, yy, xx),
-        np.where(swap, xx, yy),
-        zz,
-        sx * sy * xy,
-        sx * np.where(swap, yz, xz),
-        sy * np.where(swap, xz, yz),
-    )
+    # each k is the signed permutation s_i s_j orb[p(i), p(j)] of its checked orbit
+    orb = tensors_from_components(*_sums(orbits, cs, _SHELLS))
+    p = np.where(swap[:, None], [1, 0, 2], [0, 1, 2])
+    s = np.ones((len(kxy), 3))
+    s[:, :2][kxy < 0.0] = -1.0
+    out = orb[:, member[:, None, None], p[:, :, None], p[:, None, :]]
+    out *= s[:, :, None] * s[:, None, :]
     return out.reshape(np.shape(offsets) + out.shape[1:])
 
 
@@ -261,4 +253,4 @@ def f_constant() -> float:
     The tests check it against the Bessel series
     F = 4 pi^2/9 + (32 pi^2/3) sum_{n,m>=1} n^2 K2(2 pi n m).
     """
-    return -float(lattice_tensors([WaveVector(0.0, 0.0)], 0.0)[0, 0, 0].real)
+    return -float(lattice_tensors(np.zeros((1, 2)), 0.0)[0, 0, 0].real)

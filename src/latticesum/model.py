@@ -275,5 +275,12 @@ def make_k_grid(geometry: LatticeGeometry) -> list[WaveVector]:
 
 
 def k_array(ks) -> np.ndarray:
-    """(K, 2) float array of (kxa, kya) from a sequence of wave vectors."""
-    return np.array([(k.kxa, k.kya) for k in ks], dtype=float).reshape(-1, 2)
+    """(K, 2) float array of (kxa, kya) from a sequence of wave vectors or
+    from a (K, 2) real array, whose entries must be finite."""
+    if not isinstance(ks, np.ndarray):
+        return np.array([(k.kxa, k.kya) for k in ks], dtype=float).reshape(-1, 2)
+    if ks.shape[1:] != (2,) or ks.dtype.kind not in "iuf" or not np.isfinite(ks).all():
+        raise ValueError(
+            f"expected a (K, 2) real array of finite (kxa, kya), got {ks.dtype} {ks.shape}"
+        )
+    return ks.astype(float)

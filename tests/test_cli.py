@@ -27,6 +27,9 @@ from latticesum.model import (
 )
 
 
+TWO_PI = 2.0 * math.pi
+
+
 def run_cli(tmp_path, command, cfg, name="run"):
     cp = tmp_path / f"{name}.json"
     op = tmp_path / f"{name}.csv"
@@ -213,6 +216,65 @@ def test_non_finite_values_are_not_written():
     for bad in (math.nan, -math.inf):
         with pytest.raises(ArithmeticError, match=f"non-finite value {bad!r}"):
             cli._column(np.array([[0.5, 1.0], [bad, 2.0]]))
+
+
+def test_column_formats_each_distinct_float_once_and_keeps_the_text():
+    # each bit pattern is formatted once: 0.0 and -0.0 keep their own text
+    values = [0.0, -0.0, 1.5, 0.0, -0.0, 1.5, 0.1 + 0.2, 0.3, -2.0, 1e-300, 1.5]
+    assert cli._column(values) == list(map(repr, values))
+    assert cli._column(np.reshape(values[:10], (2, 5))) == list(map(repr, values[:10]))
+    # however many values repeat, a non-finite one anywhere is refused
+    for at in (0, 5, len(values) - 1):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                cli._column(values[:at] + [bad] + values[at + 1 :])
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"k_direction": "grid", "n_sites": 400, "n_planes": 8, "b_over_a": 2.0,
+         "theta": 0.4},
+        # (2 pi - 1, 0) folds onto the mirror image (-1, 0) of (1, 0)
+        {"k_direction": 0.0, "ka_values": [1.0, 0.5, 1.0, TWO_PI - 1.0, 1.0],
+         "n_planes": 3, "b_over_a": 1.0, "theta": 0.7},
+        {"k_direction": "grid", "n_sites": 16, "n_planes": 2, "b_over_a": 1.0,
+         "method": "direct", "direct_cutoff": 30},
+    ],
+    ids=["grid", "repeated-and-mirrored", "direct"],
+)
+def test_modes_solve_each_distinct_coupling_row_once(cfg, monkeypatch):
+    # _modes hands symmetric_eigen the distinct stack matrices only, and its
+    # energies are bitwise those of solving every k
+    run = parse_config(json.dumps(cfg))
+    solved = []
+
+    def solve(mats):
+        solved.append(len(mats))
+        return dispersion.symmetric_eigen(mats)
+
+    monkeypatch.setattr(cli, "symmetric_eigen", solve)
+    ks, j, jp, evals = cli._modes(run)
+    geom = LatticeGeometry(run.b_over_a, n_sites=run.n_sites, n_planes=run.n_planes)
+    _j, _jps, mats = dispersion.stack_matrices(
+        ks, dipole_from_theta(run.theta[0]), geom, cli._engine(run)
+    )
+    assert np.array_equal(evals, dispersion.symmetric_eigen(mats))
+    assert solved[0] == len(np.unique(np.column_stack([j, jp]), axis=0)) < len(ks)
+
+
+def test_help_lists_every_command_and_bad_commands_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "usage: latticesum <command> --config cfg.json [--out path.csv]" in text
+    for name, fn in cli._COMMANDS.items():
+        assert re.search(rf"^  {name} +{re.escape(fn.__doc__.splitlines()[0])}$", text, re.M)
+    for argv in ([], ["bogus", "--config", "x.json"], ["stack"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("method", ["ewald", "direct"])
@@ -553,3 +615,17 @@ def test_cli_paths_import_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_cli_runs_with_docstrings_stripped(tmp_path):
+    # python -OO drops the docstrings that --help takes its summaries from
+    root = Path(__file__).resolve().parents[1]
+    cp = tmp_path / "c.json"
+    cp.write_text(json.dumps({"n_planes": 3, "ka_values": [0.5]}))
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    for args, code in ((["stack", "--config", str(cp), "--out", str(tmp_path / "o.csv")], 0),
+                       (["--help"], 0), (["stack"], 2)):
+        proc = subprocess.run([sys.executable, "-OO", "-m", "latticesum.cli", *args],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -44,6 +44,10 @@ def test_engines_take_any_iterable_and_return_writable_stacks(method, offset):
     got = method.tensors((k for k in ks), offset)
     assert got.shape == (len(ks), 3, 3) and got.flags.writeable
     assert np.array_equal(got, method.tensors(ks, offset))
+    # or a (K, 2) array of (kxa, kya)
+    kxy = np.array([(k.kxa, k.kya) for k in ks])
+    assert np.array_equal(got, method.tensors(kxy, offset))
+    assert method.tensors(np.empty((0, 2)), offset).shape == (0, 3, 3)
 
 
 @pytest.mark.parametrize("method", [Ewald(), LongWave(), Direct(cutoff=6)])

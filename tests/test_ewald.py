@@ -12,7 +12,12 @@ from latticesum import ewald
 from latticesum.direct_sum import window_tensors
 from latticesum.dispersion import Direct, LongWave
 from latticesum.ewald import f_constant, lattice_tensors
-from latticesum.model import WaveVector, tensors_from_components
+from latticesum.model import (
+    LatticeGeometry,
+    WaveVector,
+    make_k_grid,
+    tensors_from_components,
+)
 from latticesum.specfun import bessel_k
 
 from mpmath_oracle import ewald_components
@@ -272,6 +277,36 @@ def test_intra_axis_swap_symmetry():
                 assert np.array_equal(t, want)
             else:
                 assert np.max(np.abs(t - want)) <= 1e-14 * scale[0]
+
+
+def _residuals(m):
+    """Largest Hermitian residual and |trace| over a tensor stack."""
+    herm = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))))
+    return herm, np.max(np.abs(m[..., 0, 0] + m[..., 1, 1] + m[..., 2, 2]))
+
+
+def test_orbit_check_guards_every_k():
+    # only the orbit stack is checked; every k is a signed permutation of
+    # its orbit's tensor, whose residuals are those of the orbit's bit for bit
+    grid = make_k_grid(LatticeGeometry(1.0, n_sites=400))
+    members = [k for k in grid if k.kxa >= k.kya >= 0.0]
+    offsets = [0.0, 1e-3, 1.5, 2.0, 14.0]
+    got = lattice_tensors(grid, offsets)
+    orbits = lattice_tensors(members, offsets)
+    assert len(members) == 66
+    for s in range(len(offsets)):
+        assert _residuals(got[s]) == _residuals(orbits[s])
+
+
+def test_kernel_fault_is_refused_after_the_orbit_reduction(monkeypatch):
+    sums = ewald._sums
+    xx = np.zeros((6, 1, 1))
+    xx[0] = 1e-6
+    monkeypatch.setattr(ewald, "_sums", lambda *args: sums(*args) + xx)
+    grid = make_k_grid(LatticeGeometry(1.0, n_sites=400))
+    for offsets in (0.0, [0.0, 1.5, 6.0]):
+        with pytest.raises(ValueError, match="not traceless"):
+            lattice_tensors(grid, offsets)
 
 
 def test_intra_xy_vanishes_on_axis():

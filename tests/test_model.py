@@ -17,6 +17,7 @@ from latticesum.model import (
     check_tensors,
     dipole_from_theta,
     j0_scale,
+    k_array,
     make_k_grid,
 )
 
@@ -137,6 +138,26 @@ def test_energy_scale_validation():
     assert EnergyScale(1e-8).ea_ev == 1.0
     with pytest.raises(ValueError):
         EnergyScale(0.0)
+
+
+def test_k_array_takes_wave_vectors_or_a_real_array():
+    ks = [WaveVector(0.5, -1.0), WaveVector(-0.0, 3.0)]
+    want = k_array(ks)
+    assert want.shape == (2, 2) and want.dtype == float
+    for kxy in (want, want.astype(np.float32), np.array([[0.5, -1.0], [0.0, 3.0]])):
+        assert np.array_equal(k_array(kxy), want)
+    assert np.array_equal(k_array(np.array([[1, -2]])), [[1.0, -2.0]])
+    assert k_array(np.empty((0, 2))).shape == (0, 2)
+    out = k_array(want)
+    out[0, 0] = 9.0
+    assert want[0, 0] == 0.5  # a copy, not the caller's array
+    for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 2)),
+                np.zeros((2, 2), complex), np.array([["0", "1"]])):
+        with pytest.raises(ValueError, match=r"\(K, 2\) real array"):
+            k_array(bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            k_array(np.array([[0.5, 0.0], [0.0, bad]]))
 
 
 def test_k_grid_single_site():
