@@ -32,6 +32,7 @@ from .dispersion import (
     Ewald,
     LongWave,
     Method,
+    coupling_table,
     couplings,
     stack_matrices,
     symmetric_eigen,

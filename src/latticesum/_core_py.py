@@ -20,10 +20,10 @@ R(lx, ly) = (lx^2 + ly^2 + c^2)^(-5/2) is symmetric, so R = U + U^T with
 U its triangle ly >= lx, halved on the diagonal, and
 G = X U Y^T + (Y U X^T)^T: only the triangle is built. Each k's six tables
 (cos, cos l^2 and sin l, along x and then along y) are the columns of one
-(L + 1, 6) array T, and W = U T is one matrix product per k, with the
-same 6 columns whatever the number of k, so each k's sums do not depend on
-its neighbours. The 6x6 matrix T^T W holds X U Y^T in one corner and
-Y U X^T in the other.
+(L + 1, 6) array T, and W = U T is one stacked ``np.matmul`` per block,
+which NumPy runs as one product per k with the same 6 columns whatever the
+number of k, so each k's sums do not depend on its neighbours. The 6x6
+matrix T^T W holds X U Y^T in one corner and Y U X^T in the other.
 
 U does not depend on k: it is built once per offset and block of
 ``_BLOCK`` k, in row stripes of at most ``_STRIPE`` elements (0.125 MB)
@@ -108,11 +108,10 @@ def window_sums(kxy, L, offsets):
                 Rs *= r2s
                 np.divide(1.0, Rs, out=Rs)
                 Rs[:, :n] *= diag[:n, :n]
-                # OpenBLAS's matrix-matrix product touches a work buffer on
-                # first use: a direct-window CLI run (L = 1000) peaks 0.3 MB
-                # higher in VmHWM, 30.5 -> 30.8 MB on a 2-vCPU Xeon
-                for t, w in zip(T, W):
-                    np.matmul(Rs, t[s:], out=w[s : s + n])
+                # OpenBLAS touches work buffers on first use: a direct-window
+                # CLI run (L = 1000) peaks 0.3 MB higher in VmHWM, and 0.1 to
+                # 0.3 MB more for the product stacked over a block of k
+                np.matmul(Rs, T[:, s:], out=W[:, s : s + n])
             M = np.matmul(T.transpose(0, 2, 1), W)
             G = M[:, :3, 3:] + M[:, 3:, :3].transpose(0, 2, 1)
             # P = sum lx^2 C/r^5, Q = sum ly^2 C/r^5, S = sum c^2 C/r^5 over

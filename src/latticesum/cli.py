@@ -1,12 +1,13 @@
 """JSON-configured command-line front end writing CSV reports.
 
 Four commands: ``sweep-phi`` (anisotropy curves J'(phi)), ``dispersion``
-(stack eigenmodes along a k path or grid, one eigen-solve per distinct
-coupling row), ``convergence`` (direct-window vs Ewald-kernel error/cost
-table) and ``stack`` (N-plane spectra). Output is plain CSV with fixed
-headers; floats are written with shortest round-trip formatting, once per
-distinct value, and LF line endings so identical configs produce
-byte-identical files (the wall-time column of ``convergence`` excepted).
+(stack eigenmodes along a k path or grid, one matrix and eigen-solve per
+distinct coupling row), ``convergence`` (direct-window vs Ewald-kernel
+error/cost table) and ``stack`` (N-plane spectra), each with k as a (K, 2)
+array. Output is plain CSV with fixed headers; floats are written with
+shortest round-trip formatting, once per distinct value, and LF line
+endings so identical configs produce byte-identical files (the wall-time
+column of ``convergence`` excepted).
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .dispersion import (
     Direct,
     Ewald,
     Method,
+    _matrices,
+    coupling_table,
     couplings,
-    stack_matrices,
     symmetric_eigen,
 )
 from .ewald import _lattice_sums, _terms
@@ -34,7 +36,6 @@ from .model import (
     MIN_OFFSET,
     EnergyScale,
     LatticeGeometry,
-    WaveVector,
     dipole_from_theta,
     j0_scale,
     make_k_grid,
@@ -247,9 +248,9 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def _column(values) -> list[str]:
-    """Shortest round-trip text of every value, formatted once per distinct
-    bit pattern (0.0 and -0.0 apart); a non-finite value is refused."""
+def _column(values, each=1) -> list[str]:
+    """Shortest round-trip text of every value, ``each`` times in a row, formatted
+    once per distinct bit pattern (0.0 and -0.0 apart); non-finite ones are refused."""
     v = np.asarray(values, dtype=float).ravel()
     finite = np.isfinite(v)
     if not finite.all():
@@ -257,7 +258,7 @@ def _column(values) -> list[str]:
         raise ArithmeticError(f"refusing to write non-finite value {bad!r}")
     bits, at = np.unique(v.view(np.int64), return_inverse=True)
     text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-    return text[at].tolist()
+    return text[np.repeat(at, each)].tolist()
 
 
 def _write_csv(path, header, columns):
@@ -272,35 +273,35 @@ def _engine(cfg: RunConfig) -> Method:
 
 
 def _modes(cfg: RunConfig):
-    """(k points, Jt, Jt' at the nearest separation, stack eigenvalues).
+    """((K, 2) k points, Jt, Jt' at the nearest separation, stack eigenvalues).
 
-    One geometry, one coupling table per plane separation, one batched
-    eigen-solve, for the dipole of the first theta entry. Jt' is zero for
-    a single plane.
+    One geometry, one coupling table, one batched eigen-solve over the
+    distinct table rows, for the dipole of the first theta entry. Jt' is
+    zero for a single plane.
     """
     geom = LatticeGeometry(cfg.b_over_a, n_sites=cfg.n_sites, n_planes=cfg.n_planes)
     if cfg.k_direction == "grid":
-        ks = make_k_grid(geom)
+        kxy = make_k_grid(geom)
     else:
         d = float(cfg.k_direction)
-        ks = [WaveVector(ka * math.cos(d), ka * math.sin(d)) for ka in cfg.ka_values]
+        kxy = np.array(cfg.ka_values)[:, None] * [math.cos(d), math.sin(d)]
     dip = dipole_from_theta(cfg.theta[0])
-    j, jps, mats = stack_matrices(ks, dip, geom, _engine(cfg), cfg.nearest_only)
-    # equal coupling rows (by bits) give equal matrices: solve each once
-    rows = np.column_stack([j, *jps]).view(f"V{8 + 8 * len(jps)}").ravel()
+    table = coupling_table(kxy, dip, geom, _engine(cfg), cfg.nearest_only)
+    # equal table rows (by bits) give equal matrices: build and solve each once
+    rows = table.view(f"V{table.itemsize * table.shape[1]}").ravel()
     _, first, at = np.unique(rows, return_index=True, return_inverse=True)
-    evals = symmetric_eigen(mats[first])[at]
-    return ks, j, (jps[0] if jps else [0.0] * len(ks)), evals
+    evals = symmetric_eigen(_matrices(table[first], cfg.n_planes))[at]
+    jp = table[:, 1] if table.shape[1] > 1 else np.zeros(len(kxy))
+    return kxy, table[:, 0], jp, evals
 
 
-def _write_modes(cfg: RunConfig, header: str, ks, tables, energies) -> str:
+def _write_modes(cfg: RunConfig, header: str, kxy, tables, energies) -> str:
     """One CSV row per k and mode: kxa, kya, the per-k ``tables``,
     mode_index and the mode's energy."""
     modes = energies.shape[-1]
-    per_k = ([k.kxa for k in ks], [k.kya for k in ks], *tables)
     columns = [
-        *(_column(np.repeat(col, modes)) for col in per_k),
-        [str(idx) for idx in range(modes)] * len(ks),
+        *(_column(col, modes) for col in (kxy[:, 0], kxy[:, 1], *tables)),
+        [str(idx) for idx in range(modes)] * len(kxy),
         _column(energies),
     ]
     _write_csv(cfg.output_path, header, columns)
@@ -309,20 +310,18 @@ def _write_modes(cfg: RunConfig, header: str, ks, tables, energies) -> str:
 
 def cmd_sweep_phi(cfg: RunConfig) -> str:
     """J'(phi)/J0 on a closed-open [0, 2 pi) grid, one curve per theta."""
-    points = [
-        (ka, 2.0 * math.pi * i / cfg.phi_points)
-        for ka in cfg.ka_values
-        for i in range(cfg.phi_points)
-    ]
-    ks = [WaveVector(ka * math.cos(phi), ka * math.sin(phi)) for ka, phi in points]
-    tensors = _engine(cfg).tensors(ks, cfg.b_over_a)
+    phi = 2.0 * math.pi * np.arange(cfg.phi_points) / cfg.phi_points
+    # libm's cos and sin, as NumPy's may differ from them in the last bit
+    unit = np.array([(math.cos(p), math.sin(p)) for p in phi.tolist()])
+    kxy = (np.array(cfg.ka_values)[:, None, None] * unit).reshape(-1, 2)
+    tensors = _engine(cfg).tensors(kxy, cfg.b_over_a)
     jps = [couplings(tensors, dipole_from_theta(theta)) for theta in cfg.theta]
     curves = len(cfg.theta)
     columns = [
-        _column(np.repeat(cfg.theta, len(points))),
-        _column([phi for _, phi in points]) * curves,
-        _column([ka for ka, _ in points]) * curves,
-        _column([cfg.b_over_a]) * (curves * len(points)),
+        _column(cfg.theta, len(kxy)),
+        _column(phi) * (len(cfg.ka_values) * curves),
+        _column(cfg.ka_values, len(phi)) * curves,
+        _column([cfg.b_over_a]) * (curves * len(kxy)),
         _column(jps),
     ]
     _write_csv(cfg.output_path, "theta,phi,ka,b_over_a,jprime_over_j0", columns)
@@ -336,11 +335,11 @@ def cmd_dispersion(cfg: RunConfig) -> str:
     is the nearest-plane coupling (0 for a single plane).
     """
     scale = EnergyScale(j0_scale(cfg.mu_e_angstrom, cfg.a_angstrom), cfg.ea_ev)
-    ks, js, jps, evals = _modes(cfg)
+    kxy, js, jps, evals = _modes(cfg)
     return _write_modes(
         cfg,
         "kxa,kya,j_over_j0,jprime_over_j0,mode_index,energy_ev",
-        ks,
+        kxy,
         (js, jps),
         scale.ea_ev + scale.j0_ev * evals,
     )
@@ -359,16 +358,15 @@ def cmd_convergence(cfg: RunConfig) -> str:
     if cfg.k_direction == "grid":
         raise ConfigError("k_direction: convergence needs a single direction, not grid")
     d = float(cfg.k_direction)
-    ka = cfg.ka_values[0]
-    k = WaveVector(ka * math.cos(d), ka * math.sin(d))
+    k = cfg.ka_values[0] * np.array([[math.cos(d), math.sin(d)]])
     b = cfg.b_over_a
-    ref = _lattice_sums([k], b, 10)[2][0].real
+    ref = _lattice_sums(k, b, 10)[2][0].real
 
     runs = [
-        ("direct", (2 * L + 1) ** 2, lambda L=L: window_tensors([k], b, L)[0, 2, 2])
+        ("direct", (2 * L + 1) ** 2, lambda L=L: window_tensors(k, b, L)[0, 2, 2])
         for L in _DIRECT_CONVERGENCE_CUTOFFS
     ] + [
-        ("ewald", _terms(b, R), lambda R=R: _lattice_sums([k], b, R)[2][0])
+        ("ewald", _terms(b, R), lambda R=R: _lattice_sums(k, b, R)[2][0])
         for R in _EWALD_CONVERGENCE_SHELLS
     ]
     vals, elapsed = [], []
@@ -391,8 +389,8 @@ def cmd_stack(cfg: RunConfig) -> str:
     """N-plane eigenvalues per k in J0 units (relative to E_A)."""
     if cfg.n_planes < 2:
         raise ConfigError(f"n_planes: stack needs at least 2 planes, got {cfg.n_planes}")
-    ks, _j, _jp, evals = _modes(cfg)
-    return _write_modes(cfg, "kxa,kya,mode_index,energy_over_j0", ks, (), evals)
+    kxy, _j, _jp, evals = _modes(cfg)
+    return _write_modes(cfg, "kxa,kya,mode_index,energy_over_j0", kxy, (), evals)
 
 
 _COMMANDS = {

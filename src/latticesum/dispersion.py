@@ -5,10 +5,11 @@ the tensors of a whole list of k to the plane at offset c (c = 0 for the
 site's own plane) as one (K, 3, 3) stack through its ``tensors(ks, offsets)``
 method, or to each of a sequence of S offsets as one (S, K, 3, 3) stack
 (:func:`~latticesum.model.check_offsets`). Contracting them with the
-transition dipole gives J(k) at c = 0 and J'(k) at c = b, in units of J0;
-N-plane stack matrices are assembled from one coupling table per plane
-separation s b, s = 0 included, all from one engine call, and diagonalized
-in one batched LAPACK call (``np.linalg.eigvalsh``).
+transition dipole gives J(k) at c = 0 and J'(k) at c = b, in units of J0.
+A stack's (K, S) coupling table holds one column per plane separation s b,
+s = 0 included, all from one engine call; its N-plane matrices are one
+gather from that table, diagonalized in one batched LAPACK call
+(``np.linalg.eigvalsh``).
 
 Sign conventions: the symmetric two-plane mode carries +J', so a
 two-plane stack's eigenvalues are Jt +- Jt' (energies E_A + J0 (Jt +- Jt'))
@@ -38,6 +39,7 @@ __all__ = [
     "Ewald",
     "LongWave",
     "Method",
+    "coupling_table",
     "couplings",
     "stack_matrices",
     "symmetric_eigen",
@@ -133,34 +135,38 @@ def couplings(tensors, dipole: TransitionDipole) -> np.ndarray:
     return vals.real
 
 
-def stack_matrices(
-    ks,
-    dipole: TransitionDipole,
-    geometry: LatticeGeometry,
-    method: Method,
+def coupling_table(
+    ks, dipole: TransitionDipole, geometry: LatticeGeometry, method: Method,
     nearest_only: bool = False,
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """Coupling tables and N-plane stack matrices over ``ks``, in J0 units.
+) -> np.ndarray:
+    """The (K, S) couplings a stack of ``geometry.n_planes`` planes needs, in J0.
 
-    Returns Jt at every k, shape (K,); one (K,) table of Jt' per plane
-    separation s b that the stack needs, s = 1 .. N-1 (only s = 1 with
-    nearest_only); and the (K, N, N) matrices, diagonal relative to E_A,
-    with Jt' at separation |alpha - beta| b in entry (alpha, beta) and
-    zero beyond the tables. Each tensor is evaluated once per k and
-    separation s, at plane offset s b, all in one engine call; the
-    Hamiltonian is pairwise and nothing else enters.
+    Column s holds Jt'(k) at plane separation s b, column 0 Jt(k) in the
+    plane: s = 0 .. N-1, or only s <= 1 with nearest_only. All S offsets
+    s b go to one engine call.
     """
     n = geometry.n_planes
     last = min(n - 1, 1) if nearest_only else n - 1
     offsets = [sep * geometry.b_over_a for sep in range(last + 1)]
-    j, *jps = couplings(method.tensors(ks, offsets), dipole)
-    mats = np.zeros((len(j), n, n))
-    idx = np.arange(n)
-    mats[:, idx, idx] = j[:, None]
-    for sep, jp in enumerate(jps, start=1):
-        mats[:, idx[:-sep], idx[sep:]] = jp[:, None]
-        mats[:, idx[sep:], idx[:-sep]] = jp[:, None]
-    return j, jps, mats
+    return np.ascontiguousarray(couplings(method.tensors(ks, offsets), dipole).T)
+
+
+def stack_matrices(
+    ks, dipole: TransitionDipole, geometry: LatticeGeometry, method: Method,
+    nearest_only: bool = False,
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Jt (K,), the (K,) Jt' of each separation s = 1 .. S-1 of the
+    :func:`coupling_table` and the (K, N, N) stack matrices gathered from it."""
+    table = coupling_table(ks, dipole, geometry, method, nearest_only)
+    return table[:, 0], list(table[:, 1:].T), _matrices(table, geometry.n_planes)
+
+
+def _matrices(table, n_planes: int) -> np.ndarray:
+    """(K, N, N) stack matrices relative to E_A from a (K, S) coupling table,
+    in one gather: entry (alpha, beta) is column |alpha - beta|, or 0 past S."""
+    padded = np.concatenate([table, np.zeros((len(table), 1))], axis=1)
+    sep = np.abs(np.subtract.outer(np.arange(n_planes), np.arange(n_planes)))
+    return padded[:, np.minimum(sep, table.shape[1])]
 
 
 def symmetric_eigen(matrix) -> np.ndarray:

@@ -112,21 +112,19 @@ def lattice_tensors(ks, offsets) -> np.ndarray:
     cs = check_offsets(offsets)
     # D is periodic in k; folding k into the zone centres the reciprocal sum
     kxy = _fold_into_zone(k_array(ks))
-    # one orbit member with kx >= ky >= 0 is summed, the others restored
+    # one orbit member with kx >= ky >= 0 is summed, the others restored; a
+    # complex key sorts by kx, then ky, like the member's (kx, ky) row
     ax, ay = np.abs(kxy).T
-    swap = ay > ax
-    orbits, member = np.unique(
-        np.stack([np.maximum(ax, ay), np.minimum(ax, ay)], axis=1),
-        axis=0,
-        return_inverse=True,
-    )
-    member = member.reshape(-1)  # NumPy 2.0.0 returns it as (K, 1)
-    # each k is the signed permutation s_i s_j orb[p(i), p(j)] of its checked orbit
-    orb = tensors_from_components(*_sums(orbits, cs, _SHELLS))
-    p = np.where(swap[:, None], [1, 0, 2], [0, 1, 2])
+    key = np.maximum(ax, ay) + 1j * np.minimum(ax, ay)
+    orbits, member = np.unique(key, return_inverse=True)
+    orb = tensors_from_components(*_sums(orbits.view(float).reshape(-1, 2), cs, _SHELLS))
+    # each k is s_i s_j orb[p(i), p(j)] of its checked orbit, p the x <-> y swap
+    # where ky > kx: one gather of the flattened entries 3 p(i) + p(j)
+    p = np.where((ay > ax)[:, None], [4, 3, 5, 1, 0, 2, 7, 6, 8], np.arange(9))
+    flat = orb.reshape(len(cs), 9 * len(orbits))
+    out = np.take(flat, 9 * member[:, None] + p, axis=1).reshape(len(cs), len(kxy), 3, 3)
     s = np.ones((len(kxy), 3))
     s[:, :2][kxy < 0.0] = -1.0
-    out = orb[:, member[:, None, None], p[:, :, None], p[:, None, :]]
     out *= s[:, :, None] * s[:, None, :]
     return out.reshape(np.shape(offsets) + out.shape[1:])
 

@@ -256,8 +256,9 @@ def j0_scale(mu: float, a: float) -> float:
     return mu * mu * COULOMB_EV_ANGSTROM / a**3
 
 
-def make_k_grid(geometry: LatticeGeometry) -> list[WaveVector]:
-    """Allowed wave vectors of a sqrt(N) x sqrt(N) plane with periodic BCs.
+def make_k_grid(geometry: LatticeGeometry) -> np.ndarray:
+    """Allowed wave vectors of a sqrt(N) x sqrt(N) plane with periodic BCs,
+    as a (K, 2) array of (kxa, kya), kxa varying slowest.
 
     k_{x,y} a = 2 pi p / sqrt(N) with p = 0, +-1, ..., +-floor(sqrt(N)/2).
     Both signed edge values are kept, so for even sqrt(N) the grid has
@@ -266,12 +267,8 @@ def make_k_grid(geometry: LatticeGeometry) -> list[WaveVector]:
     """
     root = math.isqrt(geometry.n_sites)
     half = root // 2
-    step = 2.0 * math.pi / root
-    return [
-        WaveVector(step * p, step * q)
-        for p in range(-half, half + 1)
-        for q in range(-half, half + 1)
-    ]
+    axis = (2.0 * math.pi / root) * np.arange(-half, half + 1)
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def k_array(ks) -> np.ndarray:

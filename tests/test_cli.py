@@ -263,6 +263,23 @@ def test_modes_solve_each_distinct_coupling_row_once(cfg, monkeypatch):
     assert solved[0] == len(np.unique(np.column_stack([j, jp]), axis=0)) < len(ks)
 
 
+def test_commands_build_no_wave_vectors(tmp_path, monkeypatch):
+    # k travels as a (K, 2) array from the grid or ray to the CSV
+    def refuse(self):
+        raise AssertionError("a WaveVector was built")
+
+    monkeypatch.setattr(WaveVector, "__post_init__", refuse)
+    grid = {"k_direction": "grid", "n_sites": 16, "n_planes": 3, "b_over_a": 1.0}
+    for command, cfg in (
+        ("sweep-phi", {"phi_points": 8, "ka_values": [0.5, 2.0]}),
+        ("dispersion", grid),
+        ("dispersion", {"ka_values": [0.5, 1.0], "k_direction": 0.3}),
+        ("stack", dict(grid, method="direct", direct_cutoff=10)),
+        ("convergence", {"ka_values": [0.5], "k_direction": 0.3}),
+    ):
+        assert run_cli(tmp_path, command, cfg)[0] == 0
+
+
 def test_help_lists_every_command_and_bad_commands_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -138,6 +138,13 @@ def test_direct_batch_equals_single_k():
     ):
         for k, got in zip(ks, tensors):
             assert np.array_equal(got, alone(k))
+    # several stripes of the triangle, and more than one block of k
+    many = np.random.default_rng(5).uniform(-math.pi, math.pi, (20, 2))
+    assert len(_core_py._stripes(300)) > 1 and len(many) > _core_py._BLOCK
+    method = Direct(cutoff=300)
+    stacked = method.tensors(many, [0.0, 1.5])
+    for i, k in enumerate(many):
+        assert np.array_equal(stacked[:, i], method.tensors(k[None], [0.0, 1.5])[:, 0])
 
 
 def test_direct_offsets_in_one_call_equal_one_at_a_time():

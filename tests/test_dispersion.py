@@ -10,6 +10,7 @@ from latticesum.dispersion import (
     Direct,
     Ewald,
     LongWave,
+    coupling_table,
     couplings,
     stack_matrices,
     symmetric_eigen,
@@ -24,6 +25,7 @@ from latticesum.model import (
     TransitionDipole,
     WaveVector,
     dipole_from_theta,
+    make_k_grid,
 )
 
 
@@ -191,6 +193,28 @@ def test_stack_matrix_structure():
     assert near[0, 2] == 0.0 and near[0, 3] == 0.0
     assert near[0, 1] == m[0, 1]
     assert np.array_equal(np.diag(near), np.diag(m))
+
+
+@pytest.mark.parametrize("nearest_only", [False, True])
+@pytest.mark.parametrize("n_planes", [1, 2, 8])
+def test_stack_matrices_equal_a_loop_over_separations(n_planes, nearest_only):
+    # the one gather from the coupling table puts Jt' at separation s in
+    # every entry |alpha - beta| = s, and +0.0 past the table, bit for bit
+    ks = make_k_grid(LatticeGeometry(1.0, n_sites=16))
+    dip = dipole_from_theta(0.6)
+    geom = LatticeGeometry(1.5, n_planes=n_planes)
+    j, jps, mats = stack_matrices(ks, dip, geom, Ewald(), nearest_only)
+    seps = min(n_planes - 1, 1) if nearest_only else n_planes - 1
+    offsets = [1.5 * s for s in range(seps + 1)]
+    table = couplings(Ewald().tensors(ks, offsets), dip).T
+    assert np.array_equal(coupling_table(ks, dip, geom, Ewald(), nearest_only), table)
+    assert np.array_equal(np.column_stack([j, *jps]), table)
+    want = np.zeros((len(ks), n_planes, n_planes))
+    for a in range(n_planes):
+        for b in range(n_planes):
+            if abs(a - b) <= seps:
+                want[:, a, b] = table[:, abs(a - b)]
+    assert mats.tobytes() == want.tobytes()
 
 
 def test_two_plane_stack_matches_pair_formula():
