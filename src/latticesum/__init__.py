@@ -13,7 +13,6 @@ from .model import (
     EnergyScale,
     LatticeGeometry,
     TransitionDipole,
-    WaveVector,
     dipole_from_theta,
     j0_scale,
     make_k_grid,

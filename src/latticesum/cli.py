@@ -26,9 +26,9 @@ from .dispersion import (
     Direct,
     Ewald,
     Method,
-    _matrices,
     coupling_table,
     couplings,
+    stack_matrices,
     symmetric_eigen,
 )
 from .ewald import _lattice_sums, _terms
@@ -62,9 +62,9 @@ _DEFAULT_THETAS = (
 )
 
 # The most CSV rows a config can ask for, a stack's matrix entries counting
-# 1/32 of a row each. By peak RSS a row costs up to 1 kB (its k point,
-# tensors and text) and a matrix entry 31 B, so a run at the bound peaks
-# near 2 GB.
+# 1/32 of a row each. By peak RSS a row costs at most 0.73 kB (sweep-phi,
+# one tilt) and a matrix entry 31 B, 32 of them 0.99 kB, so a run at the
+# bound peaks below 2 GB. Kept until CSV text is written in blocks.
 MAX_SIZE = 2 * 10**6
 
 _DIRECT_CONVERGENCE_CUTOFFS = (10, 30, 100, 300, 1000)
@@ -290,7 +290,7 @@ def _modes(cfg: RunConfig):
     # equal table rows (by bits) give equal matrices: build and solve each once
     rows = table.view(f"V{table.itemsize * table.shape[1]}").ravel()
     _, first, at = np.unique(rows, return_index=True, return_inverse=True)
-    evals = symmetric_eigen(_matrices(table[first], cfg.n_planes))[at]
+    evals = symmetric_eigen(stack_matrices(table[first], cfg.n_planes))[at]
     jp = table[:, 1] if table.shape[1] > 1 else np.zeros(len(kxy))
     return kxy, table[:, 0], jp, evals
 

@@ -84,16 +84,18 @@ def tail_bound(cutoff: int, offset: float) -> float:
     """Truncation-error estimate for window_tensors at generic interior k.
 
     In-plane: the 1/r^3 pieces dominate and the exterior integral gives
-    2 pi / L; the oscillatory phase makes this quite conservative away
-    from k = 0. Between planes the 1/r^3 pieces cancel under the phase
-    (summation by parts trades them for 1/r^5-type differences), leaving
-    the 1/r^5 exterior integral 2 pi / (3 L^3); measured worst cases over
-    generic directions sit near 8 / L^3, so 4 pi / L^3 keeps headroom.
+    2 pi / L; the oscillatory phase makes this conservative, by about 10^3
+    on the lattice axes and up to 10^7 at generic k (L = 1000). Between
+    planes the 1/r^3 pieces cancel under the phase (summation by parts
+    trades them for 1/r^5-type differences), leaving the 1/r^5 exterior
+    integral 2 pi / (3 L^3); measured worst cases over generic directions
+    sit near 8 / L^3, so 4 pi / L^3 keeps headroom.
 
     Validity: k should sit away from the reciprocal lattice and off the
-    lattice axes. Along an axis one coordinate stops oscillating and the
-    true error can exceed this estimate by two orders of magnitude;
-    exactly at k = 0 nothing oscillates at all, use k0_tail_correction.
+    lattice axes. Along an axis one coordinate stops oscillating, and
+    between planes the true error exceeds this estimate: at c = 1.5 and
+    L = 200 by 38x at k = (1, 0) and by 497x at k = (0.05, 0). Exactly at
+    k = 0 nothing oscillates at all, use k0_tail_correction.
     """
     _check_cutoff(cutoff)
     if check_offset(offset) == 0.0:

@@ -151,19 +151,10 @@ def coupling_table(
     return np.ascontiguousarray(couplings(method.tensors(ks, offsets), dipole).T)
 
 
-def stack_matrices(
-    ks, dipole: TransitionDipole, geometry: LatticeGeometry, method: Method,
-    nearest_only: bool = False,
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """Jt (K,), the (K,) Jt' of each separation s = 1 .. S-1 of the
-    :func:`coupling_table` and the (K, N, N) stack matrices gathered from it."""
-    table = coupling_table(ks, dipole, geometry, method, nearest_only)
-    return table[:, 0], list(table[:, 1:].T), _matrices(table, geometry.n_planes)
-
-
-def _matrices(table, n_planes: int) -> np.ndarray:
-    """(K, N, N) stack matrices relative to E_A from a (K, S) coupling table,
-    in one gather: entry (alpha, beta) is column |alpha - beta|, or 0 past S."""
+def stack_matrices(table, n_planes: int) -> np.ndarray:
+    """(K, N, N) stack matrices relative to E_A from a (K, S)
+    :func:`coupling_table`, in one gather: entry (alpha, beta) is column
+    |alpha - beta|, or 0 past S."""
     padded = np.concatenate([table, np.zeros((len(table), 1))], axis=1)
     sep = np.abs(np.subtract.outer(np.arange(n_planes), np.arange(n_planes)))
     return padded[:, np.minimum(sep, table.shape[1])]

@@ -20,7 +20,6 @@ __all__ = [
     "MIN_OFFSET",
     "LatticeGeometry",
     "TransitionDipole",
-    "WaveVector",
     "CouplingTensor",
     "EnergyScale",
     "check_offset",
@@ -111,25 +110,6 @@ class TransitionDipole:
         norm2 = mx * mx + my * my + mz * mz
         if abs(norm2 - 1.0) > 1e-12:
             raise ValueError(f"direction must be a unit vector, |m|^2 = {norm2!r}")
-
-
-@dataclass(frozen=True)
-class WaveVector:
-    """In-plane wave vector stored dimensionless as (k_x a, k_y a)."""
-
-    kxa: float
-    kya: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.kxa) and math.isfinite(self.kya)):
-            raise ValueError(f"wave vector must be finite, got ({self.kxa}, {self.kya})")
-
-    @property
-    def ka(self) -> float:
-        return math.hypot(self.kxa, self.kya)
-
-    def __neg__(self) -> "WaveVector":
-        return WaveVector(-self.kxa, -self.kya)
 
 
 def check_tensors(m) -> np.ndarray:
@@ -272,12 +252,13 @@ def make_k_grid(geometry: LatticeGeometry) -> np.ndarray:
 
 
 def k_array(ks) -> np.ndarray:
-    """(K, 2) float array of (kxa, kya) from a sequence of wave vectors or
-    from a (K, 2) real array, whose entries must be finite."""
-    if not isinstance(ks, np.ndarray):
-        return np.array([(k.kxa, k.kya) for k in ks], dtype=float).reshape(-1, 2)
-    if ks.shape[1:] != (2,) or ks.dtype.kind not in "iuf" or not np.isfinite(ks).all():
+    """(K, 2) float array of (kxa, kya) from a (K, 2) real array or a
+    sequence of (kxa, kya) pairs, whose entries must be finite."""
+    kxy = np.asarray(ks)
+    if kxy.shape == (0,):
+        kxy = kxy.reshape(0, 2)
+    if kxy.shape[1:] != (2,) or kxy.dtype.kind not in "iuf" or not np.isfinite(kxy).all():
         raise ValueError(
-            f"expected a (K, 2) real array of finite (kxa, kya), got {ks.dtype} {ks.shape}"
+            f"expected a (K, 2) real array of finite (kxa, kya), got {kxy.dtype} {kxy.shape}"
         )
-    return ks.astype(float)
+    return kxy.astype(float)

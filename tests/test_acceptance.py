@@ -21,6 +21,7 @@ from latticesum.direct_sum import k0_tail_correction, window_tensors
 from latticesum.dispersion import (
     Ewald,
     LongWave,
+    coupling_table,
     couplings,
     stack_matrices,
     symmetric_eigen,
@@ -28,7 +29,6 @@ from latticesum.dispersion import (
 from latticesum.ewald import f_constant, lattice_tensors
 from latticesum.model import (
     LatticeGeometry,
-    WaveVector,
     dipole_from_theta,
     j0_scale,
 )
@@ -78,7 +78,7 @@ def test_criterion_01():
         # oracle: plain window sum at k = 0 plus the analytic tail of the
         # missing exterior, no shared code with the Bessel sum;
         # built before the clock starts, so the limit times f_constant
-        oracle = window_tensors([WaveVector(0.0, 0.0)], 0.0, 2000)[0]
+        oracle = window_tensors([(0.0, 0.0)], 0.0, 2000)[0]
         oracle = oracle + k0_tail_correction(2000, 0.0)
         f_direct = 0.5 * float(oracle[2, 2].real)
         start = time.perf_counter()
@@ -104,7 +104,7 @@ def test_criterion_03():
         start = time.perf_counter()
         worst = 0.0
         ks = [
-            WaveVector(ka * math.cos(ang), ka * math.sin(ang))
+            (ka * math.cos(ang), ka * math.sin(ang))
             for ka in (0.7, 1.2, 2.0, math.pi)
             for ang in (0.35, 0.75, 1.05, 1.35)
         ]
@@ -126,7 +126,7 @@ def test_criterion_04():
             (0.8, 0.45), (0.8, 1.12), (1.3, 0.6), (1.3, 0.95),
             (1.9, 0.45), (1.9, 1.12), (2.6, 0.7), (2.9, 0.85),
         ]
-        ks = [WaveVector(ka * math.cos(ang), ka * math.sin(ang)) for ka, ang in points]
+        ks = [(ka * math.cos(ang), ka * math.sin(ang)) for ka, ang in points]
         for got, ref in zip(lattice_tensors(ks, 0.0), window_tensors(ks, 0.0, 2000)):
             _TENSORS.extend([got, ref])
             worst = max(worst, float(np.max(np.abs(got - ref))))
@@ -141,10 +141,10 @@ def test_criterion_05():
         # leave a finite k -> 0 tensor (zz about -0.327) while the closed
         # form decays like ka; the corrected k = 0 window gives those
         # images with no code shared with the kernel or the closed form
-        images = (window_tensors([WaveVector(0.0, 0.0)], 1.0, 200)[0]
+        images = (window_tensors([(0.0, 0.0)], 1.0, 200)[0]
                   + k0_tail_correction(200, 1.0))
         start = time.perf_counter()
-        k = WaveVector(1e-3 * math.cos(0.6), 1e-3 * math.sin(0.6))
+        k = (1e-3 * math.cos(0.6), 1e-3 * math.sin(0.6))
 
         def closed_and_kernel(b_over_a):
             got = LongWave().tensors([k], b_over_a)[0]
@@ -199,20 +199,21 @@ def test_criterion_06(tmp_path):
         assert elapsed < 1.0
         # tensors behind a few of the swept rows, audited by criterion 9
         angles = (0.0, 0.7, 1.4, 2.1, 2.8, 3.5)
-        kvecs = [WaveVector(1e-3 * math.cos(a), 1e-3 * math.sin(a)) for a in angles]
+        kvecs = [(1e-3 * math.cos(a), 1e-3 * math.sin(a)) for a in angles]
         _TENSORS.extend(lattice_tensors(kvecs, 10.0))
 
 
 def test_criterion_07():
     with criterion(7, "two-plane eigenvalues are the pair couplings J +- J'"):
         start = time.perf_counter()
-        k = WaveVector(0.9 * math.cos(0.7), 0.9 * math.sin(0.7))
+        k = (0.9 * math.cos(0.7), 0.9 * math.sin(0.7))
         dipole = dipole_from_theta(math.pi / 5)
         method = Ewald()
         j = couplings(method.tensors([k], 0.0), dipole)[0]
         jp = couplings(method.tensors([k], 2.0), dipole)[0]
         geometry = LatticeGeometry(b_over_a=2.0, n_planes=2)
-        evals = symmetric_eigen(stack_matrices([k], dipole, geometry, method)[2][0])
+        table = coupling_table([k], dipole, geometry, method)
+        evals = symmetric_eigen(stack_matrices(table, geometry.n_planes)[0])
         expect = np.sort([j - jp, j + jp])
         assert float(np.max(np.abs(evals - expect))) <= 1e-12
         assert abs((evals[1] - evals[0]) - 2.0 * abs(jp)) <= 1e-12
@@ -224,7 +225,7 @@ def test_criterion_08():
     with criterion(8, "inter-plane coupling decays like exp(-ka b/a)"):
         start = time.perf_counter()
         ka = 0.5
-        k = WaveVector(ka * math.cos(0.3), ka * math.sin(0.3))
+        k = (ka * math.cos(0.3), ka * math.sin(0.3))
         dipole = dipole_from_theta(math.pi / 2)
         spacings = np.linspace(5.0, 15.0, 11)
         logs = [
@@ -307,7 +308,7 @@ def test_criterion_12():
             if math.hypot(kx, ky) < 0.2:
                 continue
             points.append((kx, ky))
-        got = lattice_tensors([WaveVector(kx, ky) for kx, ky in points], 1.0)
+        got = lattice_tensors(points, 1.0)
         ref = np.array([plane_wave_tensor(kx, ky, 1.0) for kx, ky in points])
         worst = {}
         entries = {"xz": (0, 2), "yz": (1, 2), "xx": (0, 0), "yy": (1, 1)}

@@ -20,7 +20,6 @@ from latticesum.dispersion import couplings
 from latticesum.ewald import f_constant, lattice_tensors
 from latticesum.model import (
     LatticeGeometry,
-    WaveVector,
     dipole_from_theta,
     j0_scale,
     make_k_grid,
@@ -256,28 +255,11 @@ def test_modes_solve_each_distinct_coupling_row_once(cfg, monkeypatch):
     monkeypatch.setattr(cli, "symmetric_eigen", solve)
     ks, j, jp, evals = cli._modes(run)
     geom = LatticeGeometry(run.b_over_a, n_sites=run.n_sites, n_planes=run.n_planes)
-    _j, _jps, mats = dispersion.stack_matrices(
-        ks, dipole_from_theta(run.theta[0]), geom, cli._engine(run)
-    )
+    dip = dipole_from_theta(run.theta[0])
+    table = dispersion.coupling_table(ks, dip, geom, cli._engine(run))
+    mats = dispersion.stack_matrices(table, geom.n_planes)
     assert np.array_equal(evals, dispersion.symmetric_eigen(mats))
     assert solved[0] == len(np.unique(np.column_stack([j, jp]), axis=0)) < len(ks)
-
-
-def test_commands_build_no_wave_vectors(tmp_path, monkeypatch):
-    # k travels as a (K, 2) array from the grid or ray to the CSV
-    def refuse(self):
-        raise AssertionError("a WaveVector was built")
-
-    monkeypatch.setattr(WaveVector, "__post_init__", refuse)
-    grid = {"k_direction": "grid", "n_sites": 16, "n_planes": 3, "b_over_a": 1.0}
-    for command, cfg in (
-        ("sweep-phi", {"phi_points": 8, "ka_values": [0.5, 2.0]}),
-        ("dispersion", grid),
-        ("dispersion", {"ka_values": [0.5, 1.0], "k_direction": 0.3}),
-        ("stack", dict(grid, method="direct", direct_cutoff=10)),
-        ("convergence", {"ka_values": [0.5], "k_direction": 0.3}),
-    ):
-        assert run_cli(tmp_path, command, cfg)[0] == 0
 
 
 def test_help_lists_every_command_and_bad_commands_exit_2(capsys):
@@ -310,7 +292,7 @@ def test_reciprocal_lattice_point_runs_as_zone_centre(tmp_path, method):
     assert code == 0
     _, rows = read_rows(op)
     assert float(rows[0][1]) == 0.0
-    origin = [WaveVector(0.0, 0.0)]
+    origin = [(0.0, 0.0)]
     if method == "direct":
         tensors = dispersion.Direct(20).tensors(origin, 0.5)
     else:
@@ -333,7 +315,7 @@ def test_small_spacings_match_the_window(tmp_path, b):
     code, op = run_cli(tmp_path, "dispersion", cfg)
     assert code == 0
     _, rows = read_rows(op)
-    k = WaveVector(float(rows[0][0]), float(rows[0][1]))
+    k = (float(rows[0][0]), float(rows[0][1]))
     window = window_tensors([k], b, 300)
     want = couplings(window, dipole_from_theta(0.7))[0]
     assert float(rows[0][3]) == pytest.approx(want, rel=1e-12)
@@ -370,7 +352,7 @@ def test_stack_matches_toeplitz_spectrum_at_65_planes(tmp_path):
     assert len(rows) == 9 * n
     dip = dipole_from_theta(theta)
     for i in range(0, len(rows), n):
-        k = WaveVector(float(rows[i][0]), float(rows[i][1]))
+        k = (float(rows[i][0]), float(rows[i][1]))
         j = couplings(lattice_tensors([k], 0.0), dip)[0]
         jp = couplings(lattice_tensors([k], b), dip)[0]
         want = np.sort(j + 2.0 * jp * np.cos(np.arange(1, n + 1) * math.pi / (n + 1)))
@@ -466,7 +448,7 @@ def test_sweep_phi_deterministic_bytes(tmp_path):
 
 def test_dispersion_two_planes(tmp_path):
     cfg = {"theta": [0.7], "ka_values": [0.5, 1.0], "k_direction": 0.25, "n_planes": 2}
-    ks = [WaveVector(ka * math.cos(0.25), ka * math.sin(0.25)) for ka in (0.5, 1.0)]
+    ks = [(ka * math.cos(0.25), ka * math.sin(0.25)) for ka in (0.5, 1.0)]
     dip = dipole_from_theta(0.7)
     js = couplings(lattice_tensors(ks, 0.0), dip)
     jps = couplings(lattice_tensors(ks, 10.0), dip)

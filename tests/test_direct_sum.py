@@ -16,9 +16,8 @@ from latticesum.direct_sum import (
 )
 from latticesum.dispersion import Direct
 from latticesum.ewald import f_constant
-from latticesum.model import WaveVector
 
-ORIGIN = WaveVector(0.0, 0.0)
+ORIGIN = (0.0, 0.0)
 
 
 def test_dyadic_term_nearest_neighbors():
@@ -127,10 +126,10 @@ def test_k_block_seams(monkeypatch, offset):
 def test_direct_batch_equals_single_k():
     # a generic k, both axes, near the zone centre, the zone corner, k = 0
     # and a reciprocal-lattice point, which takes the corrected k = 0 window
-    ks = [WaveVector(x, y) for x, y in (
+    ks = [
         (0.83, -1.37), (0.9, 0.0), (0.0, -1.2), (1e-3, 0.0),
         (math.pi, math.pi), (0.0, 0.0), (2.0 * math.pi, 0.0),
-    )]
+    ]
     method = Direct(cutoff=40)
     for tensors, alone in (
         (method.tensors(ks, 0.0), lambda k: method.tensors([k], 0.0)[0]),
@@ -149,7 +148,7 @@ def test_direct_batch_equals_single_k():
 
 def test_direct_offsets_in_one_call_equal_one_at_a_time():
     # a generic k, an axis and k = 0, which takes the corrected k = 0 window
-    ks = [WaveVector(0.83, -1.37), WaveVector(0.9, 0.0), WaveVector(0.0, 0.0)]
+    ks = [(0.83, -1.37), (0.9, 0.0), (0.0, 0.0)]
     offsets = [0.0, 1.5, 3.0]
     method = Direct()
     stacked = method.tensors(ks, offsets)
@@ -159,13 +158,13 @@ def test_direct_offsets_in_one_call_equal_one_at_a_time():
 
 
 def test_minus_k_conjugates_exactly():
-    k = WaveVector(0.6, 1.1)
-    plus, minus = window_tensors([k, -k], 2.0, 25)
+    kxy = np.array([0.6, 1.1])
+    plus, minus = window_tensors([kxy, -kxy], 2.0, 25)
     assert np.array_equal(minus, np.conj(plus))
 
 
 def test_intra_diagonal_real_inter_xz_imaginary():
-    k = WaveVector(0.9, 0.4)
+    k = (0.9, 0.4)
     intra = window_tensors([k], 0.0, 50)[0]
     assert abs(intra[0, 0].imag) <= 1e-12 * abs(intra[0, 0])
     assert abs(intra[0, 2]) == 0.0
@@ -182,7 +181,7 @@ def test_tail_bound_values():
 
 def test_window_error_within_tail_bound():
     # generic interior k (off-axis); L = 800 stands in for the full sum
-    k = WaveVector(0.8 * math.cos(0.45), 0.8 * math.sin(0.45))
+    k = (0.8 * math.cos(0.45), 0.8 * math.sin(0.45))
     for c in (0.0, 1.5):
         ref = window_tensors([k], c, 800)[0]
         errs = []
@@ -194,7 +193,7 @@ def test_window_error_within_tail_bound():
 
 
 def test_doubling_difference_within_tail_bound():
-    k = WaveVector(1.3 * math.cos(0.6), 1.3 * math.sin(0.6))
+    k = (1.3 * math.cos(0.6), 1.3 * math.sin(0.6))
     for c in (0.0, 1.0):
         for L in (100, 200):
             a = window_tensors([k], c, L)[0]
@@ -238,7 +237,7 @@ def test_k0_inter_plane_far_separation_vanishes():
 def test_window_tensors_hermitian_traceless(kx, ky, off):
     # the stack is checked Hermitian and traceless relative to each
     # tensor's largest entry; getting one back means the sums passed
-    m = window_tensors([WaveVector(kx, ky)], off * 1.25, 15)[0]
+    m = window_tensors([(kx, ky)], off * 1.25, 15)[0]
     scale = max(1.0, float(np.max(np.abs(m))))
     assert np.max(np.abs(m - m.conj().T)) <= 1e-12 * scale
     assert abs(np.trace(m)) <= tail_bound(15, off * 1.25)

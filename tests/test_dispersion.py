@@ -23,7 +23,6 @@ from latticesum.model import (
     CouplingTensor,
     LatticeGeometry,
     TransitionDipole,
-    WaveVector,
     dipole_from_theta,
     make_k_grid,
 )
@@ -40,14 +39,14 @@ def test_coupling_contraction():
 @pytest.mark.parametrize("method", [Ewald(), LongWave(), Direct(cutoff=6)])
 @pytest.mark.parametrize("offset", [0.0, 1.5])
 def test_engines_take_any_iterable_and_return_writable_stacks(method, offset):
-    ks = [WaveVector(0.8, 0.3), WaveVector(0.0, 0.0), WaveVector(-0.3, 0.8)]
+    ks = [(0.8, 0.3), (0.0, 0.0), (-0.3, 0.8)]
     empty = method.tensors([], offset)
     assert empty.shape == (0, 3, 3) and empty.flags.writeable
-    got = method.tensors((k for k in ks), offset)
+    got = method.tensors(tuple(ks), offset)
     assert got.shape == (len(ks), 3, 3) and got.flags.writeable
     assert np.array_equal(got, method.tensors(ks, offset))
     # or a (K, 2) array of (kxa, kya)
-    kxy = np.array([(k.kxa, k.kya) for k in ks])
+    kxy = np.array(ks)
     assert np.array_equal(got, method.tensors(kxy, offset))
     assert method.tensors(np.empty((0, 2)), offset).shape == (0, 3, 3)
 
@@ -67,7 +66,7 @@ def test_batched_engines_match_single_k(method):
     ]
     rng = np.random.default_rng(11)
     generic = rng.uniform(-math.pi, math.pi, size=(2 * ewald._BLOCK + 5, 2))
-    ks = [WaveVector(float(x), float(y)) for x, y in special + generic.tolist()]
+    ks = np.array(special + generic.tolist())
     for c in (0.0, 1e-3, 1.5):
         batch = method.tensors(ks, c)
         assert batch.shape == (len(ks), 3, 3)
@@ -88,8 +87,7 @@ def test_batched_engines_match_single_k(method):
 def test_direct_takes_corrected_window_on_reciprocal_lattice():
     # the bare window misses its O(1/L) tail wherever no phase oscillates
     method = Direct(cutoff=6)
-    ks = [WaveVector(0.0, 0.0), WaveVector(2.0 * math.pi, 0.0),
-          WaveVector(-2.0 * math.pi, 4.0 * math.pi)]
+    ks = [(0.0, 0.0), (2.0 * math.pi, 0.0), (-2.0 * math.pi, 4.0 * math.pi)]
     for c, got in [(0.0, method.tensors(ks, 0.0)), (1.5, method.tensors(ks, 1.5))]:
         want = window_tensors([ks[0]], c, 6)[0] + k0_tail_correction(6, c)
         assert np.array_equal(method.tensors(ks[:1], c)[0], want)
@@ -101,17 +99,17 @@ def test_direct_checks_the_corrected_window(monkeypatch):
     # the tail is added after the window's own check; the sum is checked too
     monkeypatch.setattr(dispersion, "k0_tail_correction", lambda *_: np.eye(3))
     with pytest.raises(ValueError, match="traceless"):
-        Direct(cutoff=6).tensors([WaveVector(2.0 * math.pi, 0.0)], 0.0)
+        Direct(cutoff=6).tensors([(2.0 * math.pi, 0.0)], 0.0)
     with pytest.raises(ValueError, match="traceless"):
-        Direct(cutoff=6).tensors([WaveVector(0.0, 0.0)], 1.5)
+        Direct(cutoff=6).tensors([(0.0, 0.0)], 1.5)
 
 
 def test_longwave_intra_and_polarization_gap():
     f = f_constant()
     # diag(-F, -F, 2F) at every k, and exactly so at k = 0
-    origin = LongWave().tensors([WaveVector(0.0, 0.0)], 0.0)[0]
+    origin = LongWave().tensors([(0.0, 0.0)], 0.0)[0]
     assert np.array_equal(origin, np.diag([-f, -f, 2.0 * f]))
-    tensors = LongWave().tensors([WaveVector(1e-4, 0.0)], 0.0)
+    tensors = LongWave().tensors([(1e-4, 0.0)], 0.0)
     j_par = couplings(tensors, dipole_from_theta(math.pi / 2.0))[0]
     j_z = couplings(tensors, dipole_from_theta(0.0))[0]
     assert j_par == pytest.approx(-f, rel=1e-12)
@@ -122,7 +120,7 @@ def test_longwave_intra_and_polarization_gap():
 
 def test_j_inter_longwave_closed_form():
     ka, b, phi = 0.5, 2.0, 0.7
-    k = WaveVector(ka * math.cos(phi), ka * math.sin(phi))
+    k = (ka * math.cos(phi), ka * math.sin(phi))
     tensors = LongWave().tensors([k], b)
     for theta in (0.0, 0.6, math.pi / 2.0):
         want = (
@@ -132,7 +130,7 @@ def test_j_inter_longwave_closed_form():
         got = couplings(tensors, dipole_from_theta(theta))[0]
         assert got == pytest.approx(want, abs=1e-14)
     # k = 0, where the closed form has no limit, takes the Ewald kernel
-    origin = [WaveVector(0.0, 0.0)]
+    origin = [(0.0, 0.0)]
     assert np.array_equal(LongWave().tensors(origin, b), ewald.lattice_tensors(origin, b))
 
 
@@ -141,14 +139,14 @@ def test_longwave_reciprocal_lattice_point_is_zone_centre():
     # Ewald kernel
     dipole = dipole_from_theta(0.3)
     for b in (0.5, 2.0):
-        origin = ewald.lattice_tensors([WaveVector(0.0, 0.0)], b)
-        tensors = LongWave().tensors([WaveVector(2.0 * math.pi, 0.0)], b)
+        origin = ewald.lattice_tensors([(0.0, 0.0)], b)
+        tensors = LongWave().tensors([(2.0 * math.pi, 0.0)], b)
         assert np.array_equal(tensors, origin)
         assert couplings(tensors, dipole)[0] == couplings(origin, dipole)[0]
 
 
 def test_engines_agree_on_couplings():
-    k = WaveVector(2.0 * math.cos(0.75), 2.0 * math.sin(0.75))
+    k = (2.0 * math.cos(0.75), 2.0 * math.sin(0.75))
     dip = dipole_from_theta(0.9)
     kernel, window = Ewald(), Direct(cutoff=200)
     assert couplings(kernel.tensors([k], 0.0), dip)[0] == pytest.approx(
@@ -162,7 +160,7 @@ def test_engines_agree_on_couplings():
 def test_plane_offset_rule():
     # offset 0 is the site's own plane; any other offset is finite and at
     # least MIN_OFFSET, 1e-3 a (9e-4 sits below it)
-    ks = [WaveVector(0.5, 0.2), WaveVector(0.0, 0.0)]
+    ks = [(0.5, 0.2), (0.0, 0.0)]
     for method in (Ewald(), LongWave(), Direct(cutoff=5)):
         for c in (-1.0, 9e-4, math.nan, math.inf):
             with pytest.raises(ValueError):
@@ -178,10 +176,10 @@ def test_plane_offset_rule():
 
 
 def test_stack_matrix_structure():
-    k = WaveVector(0.5 * math.cos(0.3), 0.5 * math.sin(0.3))
+    k = (0.5 * math.cos(0.3), 0.5 * math.sin(0.3))
     dip = dipole_from_theta(math.pi / 2.0)
     geom = LatticeGeometry(10.0, n_planes=4)
-    m = stack_matrices([k], dip, geom, LongWave())[2][0]
+    m = stack_matrices(coupling_table([k], dip, geom, LongWave()), geom.n_planes)[0]
     assert m.shape == (4, 4)
     assert np.array_equal(m, m.T)
     assert np.all(np.diag(m) == m[0, 0])
@@ -189,7 +187,8 @@ def test_stack_matrix_structure():
     decay = math.exp(-0.5 * 10.0)
     assert m[0, 2] / m[0, 1] == pytest.approx(decay, rel=1e-12)
     assert m[0, 3] / m[0, 2] == pytest.approx(decay, rel=1e-12)
-    near = stack_matrices([k], dip, geom, LongWave(), nearest_only=True)[2][0]
+    near_table = coupling_table([k], dip, geom, LongWave(), nearest_only=True)
+    near = stack_matrices(near_table, geom.n_planes)[0]
     assert near[0, 2] == 0.0 and near[0, 3] == 0.0
     assert near[0, 1] == m[0, 1]
     assert np.array_equal(np.diag(near), np.diag(m))
@@ -203,12 +202,12 @@ def test_stack_matrices_equal_a_loop_over_separations(n_planes, nearest_only):
     ks = make_k_grid(LatticeGeometry(1.0, n_sites=16))
     dip = dipole_from_theta(0.6)
     geom = LatticeGeometry(1.5, n_planes=n_planes)
-    j, jps, mats = stack_matrices(ks, dip, geom, Ewald(), nearest_only)
+    got = coupling_table(ks, dip, geom, Ewald(), nearest_only)
+    mats = stack_matrices(got, n_planes)
     seps = min(n_planes - 1, 1) if nearest_only else n_planes - 1
     offsets = [1.5 * s for s in range(seps + 1)]
     table = couplings(Ewald().tensors(ks, offsets), dip).T
-    assert np.array_equal(coupling_table(ks, dip, geom, Ewald(), nearest_only), table)
-    assert np.array_equal(np.column_stack([j, *jps]), table)
+    assert np.array_equal(got, table)
     want = np.zeros((len(ks), n_planes, n_planes))
     for a in range(n_planes):
         for b in range(n_planes):
@@ -218,10 +217,11 @@ def test_stack_matrices_equal_a_loop_over_separations(n_planes, nearest_only):
 
 
 def test_two_plane_stack_matches_pair_formula():
-    k = WaveVector(0.8, -0.2)
+    k = (0.8, -0.2)
     dip = dipole_from_theta(0.4)
     geom = LatticeGeometry(5.0, n_planes=2)
-    evals = symmetric_eigen(stack_matrices([k], dip, geom, Ewald())[2][0])
+    table = coupling_table([k], dip, geom, Ewald())
+    evals = symmetric_eigen(stack_matrices(table, geom.n_planes)[0])
     j = couplings(Ewald().tensors([k], 0.0), dip)[0]
     jp = couplings(Ewald().tensors([k], 5.0), dip)[0]
     assert evals == pytest.approx(sorted((j - jp, j + jp)), abs=1e-12)
@@ -230,11 +230,12 @@ def test_two_plane_stack_matches_pair_formula():
 def test_nearest_only_error_has_second_neighbor_scale():
     # dropping the plane pairs two apart perturbs eigenvalues by about
     # |Jt'(2b)| ~ pi e^{-2 k b}; here pi e^{-10}
-    k = WaveVector(0.5 * math.cos(0.3), 0.5 * math.sin(0.3))
+    k = (0.5 * math.cos(0.3), 0.5 * math.sin(0.3))
     dip = dipole_from_theta(math.pi / 2.0)
     geom = LatticeGeometry(10.0, n_planes=5)
-    _j, _jps, full = stack_matrices([k], dip, geom, Ewald())
-    _j, _jps, near = stack_matrices([k], dip, geom, Ewald(), nearest_only=True)
+    full = stack_matrices(coupling_table([k], dip, geom, Ewald()), geom.n_planes)
+    near_table = coupling_table([k], dip, geom, Ewald(), nearest_only=True)
+    near = stack_matrices(near_table, geom.n_planes)
     full, near = symmetric_eigen(full[0]), symmetric_eigen(near[0])
     gap = float(np.max(np.abs(full - near)))
     scale = math.pi * math.exp(-10.0)

@@ -14,7 +14,6 @@ from latticesum.dispersion import Direct, LongWave
 from latticesum.ewald import f_constant, lattice_tensors
 from latticesum.model import (
     LatticeGeometry,
-    WaveVector,
     make_k_grid,
     tensors_from_components,
 )
@@ -23,7 +22,7 @@ from latticesum.specfun import bessel_k
 from mpmath_oracle import ewald_components
 from plane_wave_oracle import plane_wave_tensor
 
-ORIGIN = WaveVector(0.0, 0.0)
+ORIGIN = (0.0, 0.0)
 TWO_PI = 2.0 * math.pi
 
 # the failing points of the fixed-order series this kernel replaced: the
@@ -36,7 +35,7 @@ IN_PLANE_POINTS = [
 def test_config_validation():
     # the plane offset is the kernel's only input besides k, and every
     # offset of a sequence is checked
-    k = WaveVector(0.5, 0.2)
+    k = (0.5, 0.2)
     for bad in (-1e-12, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             lattice_tensors([k], bad)
@@ -47,7 +46,7 @@ def test_config_validation():
 
 
 def test_offset_sequence_shapes():
-    ks = [WaveVector(0.5, 0.2), WaveVector(-0.2, 0.5)]
+    ks = [(0.5, 0.2), (-0.2, 0.5)]
     assert lattice_tensors(ks, 1.5).shape == (2, 3, 3)
     assert lattice_tensors(ks, [1.5]).shape == (1, 2, 3, 3)
     assert lattice_tensors(ks, np.array([0.0, 1.5, 3.0])).shape == (3, 2, 3, 3)
@@ -89,7 +88,7 @@ def test_kernel_matches_mpmath_split(kx, ky, c):
     # measured within 6.7e-16 of max(1, largest entry); at 3 shells within
     # 6.7e-16 too, at 2 shells off by 1.3e-8
     want = np.array(ewald_components(kx, ky, c))
-    t = lattice_tensors([WaveVector(kx, ky)], c)[0]
+    t = lattice_tensors([(kx, ky)], c)[0]
     got = t[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
     assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
@@ -102,10 +101,10 @@ def test_scalar_series_frozen_values():
     diag = lattice_tensors([ORIGIN], 1.0)[0].real.diagonal()
     want = [0.16373231415904563, 0.16373231415904563, -0.32746462831809153]
     assert diag == pytest.approx(want, rel=1e-12)
-    t = lattice_tensors([WaveVector(0.8, 0.3)], 0.0)[0]
+    t = lattice_tensors([(0.8, 0.3)], 0.0)[0]
     assert t[0, 0].real == pytest.approx(-0.3585670242621526, rel=1e-12)
     assert t[0, 1].real == pytest.approx(1.2337696066654136, rel=1e-12)
-    t = lattice_tensors([WaveVector(0.8, 0.3)], 1.0)[0]
+    t = lattice_tensors([(0.8, 0.3)], 1.0)[0]
     assert t[2, 2].real == pytest.approx(-2.6460881566980143, rel=1e-12)
     assert t[0, 2].imag == pytest.approx(-2.0422538122098532, rel=1e-12)
 
@@ -113,8 +112,7 @@ def test_scalar_series_frozen_values():
 def test_series_truncation_settled(monkeypatch):
     # doubling the shells of both sums moves nothing: the first omitted
     # terms at the default are below 1e-21
-    ks = [WaveVector(0.7, -0.3), WaveVector(math.pi, 0.0), WaveVector(1e-3, 0.0),
-          ORIGIN]
+    ks = [(0.7, -0.3), (math.pi, 0.0), (1e-3, 0.0), ORIGIN]
     offsets = (0.0, 0.05, 1.0, 10.0)
     default = [lattice_tensors(ks, c) for c in offsets]
     monkeypatch.setattr(ewald, "_SHELLS", 8)
@@ -128,8 +126,7 @@ def test_partials_match_series_and_finite_differences():
     # term by term, d/dkx D_xz - d/dky D_yz = i c (D_xx - D_yy) and
     # d/dky D_xz = d/dkx D_yz = i c D_xy, since D_xz carries -3 l_x c / r^5
     kx, ky, h = 0.9, 0.4, 1e-5
-    ks = [WaveVector(kx, ky), WaveVector(kx + h, ky), WaveVector(kx - h, ky),
-          WaveVector(kx, ky + h), WaveVector(kx, ky - h)]
+    ks = [(kx, ky), (kx + h, ky), (kx - h, ky), (kx, ky + h), (kx, ky - h)]
     for c in (0.3, 1.0):
         t, xp, xm, yp, ym = lattice_tensors(ks, c)
         dxz_dx = (xp[0, 2] - xm[0, 2]) / (2 * h)
@@ -145,10 +142,10 @@ def test_partials_match_series_and_finite_differences():
 def test_reciprocal_lattice_points_equal_zone_centre():
     # D is periodic in k, and every k is defined, in a batch too; at
     # subnormal |k|, where pi / |k| overflows, the kernel gives D(0)
-    ks = [ORIGIN, WaveVector(TWO_PI, 0.0), WaveVector(-TWO_PI, 2.0 * TWO_PI),
-          WaveVector(3e-308, 0.0), WaveVector(1e-310, 0.0), WaveVector(5e-324, 5e-324)]
+    ks = [ORIGIN, (TWO_PI, 0.0), (-TWO_PI, 2.0 * TWO_PI),
+          (3e-308, 0.0), (1e-310, 0.0), (5e-324, 5e-324)]
     for c in (0.0, 1.0, 1.5):
-        origin, *lattice = lattice_tensors([WaveVector(0.5, 0.2)] + ks, c)[1:]
+        origin, *lattice = lattice_tensors([(0.5, 0.2)] + ks, c)[1:]
         scale = np.max(np.abs(origin))
         for t in lattice:
             assert np.max(np.abs(t - origin)) <= 1e-15 * scale
@@ -156,12 +153,11 @@ def test_reciprocal_lattice_points_equal_zone_centre():
 
 def test_kernel_is_eta_independent_in_plane(monkeypatch):
     # any error in the split makes the sum depend on the splitting parameter
-    ks = [WaveVector(kx, ky) for kx, ky in IN_PLANE_POINTS]
-    want = lattice_tensors(ks, 0.0)
+    want = lattice_tensors(IN_PLANE_POINTS, 0.0)
     monkeypatch.setattr(ewald, "_SHELLS", 10)
     for eta in (1.0, 3.0):
         monkeypatch.setattr(ewald, "_ETA", eta)
-        got = lattice_tensors(ks, 0.0)
+        got = lattice_tensors(IN_PLANE_POINTS, 0.0)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
@@ -170,7 +166,7 @@ def test_kernel_is_eta_independent_in_plane(monkeypatch):
 def test_kernel_matches_plane_wave_sum_between_planes(b):
     points = [(0.8, 0.3), (0.8, 0.0), (0.0, -1.7), (0.05, 0.02), (1e-3, 0.0),
               (0.0, 0.0), (TWO_PI, 0.0)]
-    got = lattice_tensors([WaveVector(kx, ky) for kx, ky in points], b)
+    got = lattice_tensors(points, b)
     for (kx, ky), g in zip(points, got):
         want = plane_wave_tensor(kx, ky, b)
         assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
@@ -183,20 +179,18 @@ FAR_POINTS = [(0.8, 0.3), (0.8, 0.0), (0.0, -1.7), (1e-3, 0.0), (1e-8, 0.0), (0.
 def test_far_planes_match_full_split(monkeypatch):
     # the plane-wave pass at c >= _FAR is the split's eta -> infinity
     # limit: the full split, with doubled shells, gives the same tensors
-    ks = [WaveVector(kx, ky) for kx, ky in FAR_POINTS]
     offsets = (2.0, 3.0, 6.0, 14.0)
-    default = lattice_tensors(ks, offsets)
+    default = lattice_tensors(FAR_POINTS, offsets)
     monkeypatch.setattr(ewald, "_FAR", math.inf)
     monkeypatch.setattr(ewald, "_SHELLS", 8)
-    split = lattice_tensors(ks, offsets)
+    split = lattice_tensors(FAR_POINTS, offsets)
     scale = np.maximum(1.0, np.max(np.abs(split), axis=(2, 3), keepdims=True))
     assert np.max(np.abs(default - split) / scale) <= 1e-14
 
 
 def test_no_jump_at_far_threshold():
     # just below _FAR the full split, at _FAR the plane-wave pass
-    ks = [WaveVector(kx, ky) for kx, ky in FAR_POINTS]
-    below, at = lattice_tensors(ks, [np.nextafter(ewald._FAR, 0.0), ewald._FAR])
+    below, at = lattice_tensors(FAR_POINTS, [np.nextafter(ewald._FAR, 0.0), ewald._FAR])
     scale = np.maximum(1.0, np.max(np.abs(at), axis=(1, 2), keepdims=True))
     assert np.max(np.abs(below - at) / scale) <= 1e-15
 
@@ -211,7 +205,7 @@ def test_kernel_matches_corrected_window_at_k0():
 
 
 def test_longwave_closed_form_components():
-    t = LongWave().tensors([WaveVector(1e-3, 0.0)], 10.0)[0]
+    t = LongWave().tensors([(1e-3, 0.0)], 10.0)[0]
     e = 2.0 * math.pi * 1e-3 * math.exp(-0.01)
     assert t[0, 0].real == pytest.approx(e, rel=1e-15)
     assert t[1, 1] == 0.0
@@ -222,14 +216,14 @@ def test_longwave_closed_form_components():
 def test_longwave_matches_series_at_small_k():
     # the edges of the stated domain c >= 10, ka <= 1, on the axis, the
     # diagonal and a generic direction
-    ks = [WaveVector(ka * math.cos(phi), ka * math.sin(phi))
+    ks = [(ka * math.cos(phi), ka * math.sin(phi))
           for ka in (1e-3, 1.0) for phi in (0.0, math.pi / 4.0, 0.6)]
     for lw, ew in zip(LongWave().tensors(ks, 10.0), lattice_tensors(ks, 10.0)):
         assert np.max(np.abs(lw - ew)) <= 1e-10 * np.max(np.abs(ew))
 
 
 def test_inter_series_matches_window():
-    k = WaveVector(1.3 * math.cos(0.6), 1.3 * math.sin(0.6))
+    k = (1.3 * math.cos(0.6), 1.3 * math.sin(0.6))
     for b in (1.0, 2.0):
         kernel = lattice_tensors([k], b)[0]
         window = window_tensors([k], b, 300)[0]
@@ -240,7 +234,7 @@ def test_inter_series_matches_window():
 @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.5, 4.0))
 def test_inter_conjugation_symmetry(kx, ky, b):
     assume(math.hypot(kx, ky) > 1e-3)
-    plus, minus = lattice_tensors([WaveVector(kx, ky), WaveVector(-kx, -ky)], b)
+    plus, minus = lattice_tensors([(kx, ky), (-kx, -ky)], b)
     scale = max(1.0, float(np.max(np.abs(plus))))
     assert np.max(np.abs(minus - np.conj(plus))) <= 1e-12 * scale
 
@@ -252,8 +246,8 @@ def _images(kx, ky):
     for sx in (1.0, -1.0):
         for sy in (1.0, -1.0):
             s = np.array([sx, sy, 1.0])
-            out.append((WaveVector(sx * kx, sy * ky), s, [0, 1, 2]))
-            out.append((WaveVector(sy * ky, sx * kx), s[[1, 0, 2]], [1, 0, 2]))
+            out.append(((sx * kx, sy * ky), s, [0, 1, 2]))
+            out.append(((sy * ky, sx * kx), s[[1, 0, 2]], [1, 0, 2]))
     return out
 
 
@@ -310,11 +304,11 @@ def test_kernel_fault_is_refused_after_the_orbit_reduction(monkeypatch):
 
 
 def test_intra_xy_vanishes_on_axis():
-    assert abs(lattice_tensors([WaveVector(1.1, 0.0)], 0.0)[0, 0, 1]) <= 1e-12
+    assert abs(lattice_tensors([(1.1, 0.0)], 0.0)[0, 0, 1]) <= 1e-12
 
 
 def test_intra_xy_matches_window():
-    k = WaveVector(1.0, 1.0)
+    k = (1.0, 1.0)
     window = window_tensors([k], 0.0, 2000)[0]
     assert lattice_tensors([k], 0.0)[0, 0, 1].real == pytest.approx(
         window[0, 1].real, abs=1e-6
@@ -322,7 +316,7 @@ def test_intra_xy_matches_window():
 
 
 def test_intra_tensor_matches_window():
-    k = WaveVector(1.9 * math.cos(0.45), 1.9 * math.sin(0.45))
+    k = (1.9 * math.cos(0.45), 1.9 * math.sin(0.45))
     kernel = lattice_tensors([k], 0.0)[0]
     window = window_tensors([k], 0.0, 400)[0]
     assert np.max(np.abs(kernel - window)) <= 1e-5

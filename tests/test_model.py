@@ -13,7 +13,6 @@ from latticesum.model import (
     EnergyScale,
     LatticeGeometry,
     TransitionDipole,
-    WaveVector,
     check_tensors,
     dipole_from_theta,
     j0_scale,
@@ -70,16 +69,6 @@ def test_dipole_from_theta_poles():
 def test_dipole_validation():
     with pytest.raises(ValueError):
         TransitionDipole((1.0, 1.0, 0.0))
-
-
-def test_wave_vector():
-    k = WaveVector(3.0, 4.0)
-    assert k.ka == pytest.approx(5.0)
-    assert (-k).kxa == -3.0 and (-k).kya == -4.0
-    with pytest.raises(ValueError):
-        WaveVector(math.nan, 0.0)
-    with pytest.raises(ValueError):
-        WaveVector(0.0, math.inf)
 
 
 def test_tensor_from_components_layout():
@@ -140,24 +129,35 @@ def test_energy_scale_validation():
         EnergyScale(0.0)
 
 
-def test_k_array_takes_wave_vectors_or_a_real_array():
-    ks = [WaveVector(0.5, -1.0), WaveVector(-0.0, 3.0)]
-    want = k_array(ks)
-    assert want.shape == (2, 2) and want.dtype == float
-    for kxy in (want, want.astype(np.float32), np.array([[0.5, -1.0], [0.0, 3.0]])):
-        assert np.array_equal(k_array(kxy), want)
+def test_k_array_takes_pairs_or_a_real_array():
+    want = np.array([[0.5, -1.0], [-0.0, 3.0]])
+    ks = [(0.5, -1.0), (-0.0, 3.0)]
+    for kxy in (ks, tuple(ks), [[0.5, -1], [0, 3]], want, want.astype(np.float32)):
+        got = k_array(kxy)
+        assert got.shape == (2, 2) and got.dtype == float
+        assert np.array_equal(got, want)
+    assert np.signbit(k_array(ks)[1, 0])  # -0.0 kept, bit for bit
     assert np.array_equal(k_array(np.array([[1, -2]])), [[1.0, -2.0]])
     assert k_array(np.empty((0, 2))).shape == (0, 2)
+    assert k_array([]).shape == (0, 2)
     out = k_array(want)
     out[0, 0] = 9.0
     assert want[0, 0] == 0.5  # a copy, not the caller's array
     for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 2)),
-                np.zeros((2, 2), complex), np.array([["0", "1"]])):
+                np.zeros((2, 2), complex), np.array([["0", "1"]]), np.empty((0, 3)),
+                [(0.5, 0.0, 1.0)], [(0.5 + 1j, 0.0)], [("0.5", "0.0")], [[]], 0.5,
+                iter([(0.5, 0.0)])):
         with pytest.raises(ValueError, match=r"\(K, 2\) real array"):
             k_array(bad)
+    with pytest.raises(ValueError):  # ragged: NumPy refuses it
+        k_array([(0.5, 0.0), (1.0,)])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             k_array(np.array([[0.5, 0.0], [0.0, bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            k_array([(0.5, 0.0), (bad, 0.0)])
+        with pytest.raises(ValueError, match="finite"):
+            k_array([(0.0, bad)])
 
 
 def test_k_grid_single_site():
