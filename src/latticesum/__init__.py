@@ -10,7 +10,6 @@ CSV-producing command line.
 from .model import (
     COULOMB_EV_ANGSTROM,
     CouplingTensor,
-    EnergyScale,
     LatticeGeometry,
     TransitionDipole,
     dipole_from_theta,

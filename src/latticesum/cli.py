@@ -34,7 +34,6 @@ from .dispersion import (
 from .ewald import _lattice_sums, _terms
 from .model import (
     MIN_OFFSET,
-    EnergyScale,
     LatticeGeometry,
     dipole_from_theta,
     j0_scale,
@@ -66,6 +65,11 @@ _DEFAULT_THETAS = (
 # one tilt) and a matrix entry 31 B, 32 of them 0.99 kB, so a run at the
 # bound peaks below 2 GB. Kept until CSV text is written in blocks.
 MAX_SIZE = 2 * 10**6
+
+# The most window terms a "direct" run may sum: (L + 1)(L + 2)/2 per k and
+# plane offset, the triangle the kernel builds. At the measured 1.5 ns per
+# term (k in blocks of 16) to 13 ns (one k alone) that is 15 s to 2 min.
+MAX_WINDOW_TERMS = 10**10
 
 _DIRECT_CONVERGENCE_CUTOFFS = (10, 30, 100, 300, 1000)
 _EWALD_CONVERGENCE_SHELLS = range(1, 7)
@@ -248,28 +252,49 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def _column(values, each=1) -> list[str]:
-    """Shortest round-trip text of every value, ``each`` times in a row, formatted
-    once per distinct bit pattern (0.0 and -0.0 apart); non-finite ones are refused."""
-    v = np.asarray(values, dtype=float).ravel()
-    finite = np.isfinite(v)
-    if not finite.all():
-        bad = v[~finite][0].item()
-        raise ArithmeticError(f"refusing to write non-finite value {bad!r}")
-    bits, at = np.unique(v.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-    return text[np.repeat(at, each)].tolist()
+def _column(values) -> np.ndarray:
+    """Text of every value, in the shape of ``values``, formatted once per
+    distinct value: ints and strings by ``str``, floats by shortest
+    round-trip ``repr`` per bit pattern (0.0 and -0.0 apart). Non-finite
+    floats are refused."""
+    v = np.asarray(values)
+    fmt = str
+    if v.dtype.kind == "f":
+        v, fmt = v.astype(float), repr
+        finite = np.isfinite(v)
+        if not finite.all():
+            bad = v[~finite][0].item()
+            raise ArithmeticError(f"refusing to write non-finite value {bad!r}")
+        distinct, at = np.unique(v.view(np.int64), return_inverse=True)
+        distinct = distinct.view(float)
+    else:
+        distinct, at = np.unique(v, return_inverse=True)
+    text = np.array(list(map(fmt, distinct.tolist())), dtype=object)
+    return text[at.ravel()].reshape(v.shape)
 
 
-def _write_csv(path, header, columns):
+def _write_csv(path, header, *columns):
+    """Write ``path``: the header, then one row per element of the columns
+    broadcast together, in C order, so each column's axes are row axes."""
+    texts = [_column(col) for col in columns]
+    shape = np.broadcast_shapes(*(text.shape for text in texts))
+    cells = [np.broadcast_to(text, shape).ravel().tolist() for text in texts]
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
+        fh.write("\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+    return path
 
 
-def _engine(cfg: RunConfig) -> Method:
-    if cfg.method == "direct":
-        return Direct(cfg.direct_cutoff)
-    return Ewald()
+def _engine(cfg: RunConfig, windows: int = 1) -> Method:
+    """The config's engine, for ``windows`` (k, plane offset) pairs; a direct
+    one is refused past MAX_WINDOW_TERMS triangle terms in all."""
+    if cfg.method == "ewald":
+        return Ewald()
+    cutoff = cfg.direct_cutoff
+    if windows * (cutoff + 1) * (cutoff + 2) // 2 > MAX_WINDOW_TERMS:
+        raise ConfigError(
+            f"direct_cutoff: asks for more than {MAX_WINDOW_TERMS} window terms"
+        )
+    return Direct(cutoff)
 
 
 def _modes(cfg: RunConfig):
@@ -286,7 +311,9 @@ def _modes(cfg: RunConfig):
         d = float(cfg.k_direction)
         kxy = np.array(cfg.ka_values)[:, None] * [math.cos(d), math.sin(d)]
     dip = dipole_from_theta(cfg.theta[0])
-    table = coupling_table(kxy, dip, geom, _engine(cfg), cfg.nearest_only)
+    offsets = min(cfg.n_planes, 2) if cfg.nearest_only else cfg.n_planes
+    method = _engine(cfg, len(kxy) * offsets)
+    table = coupling_table(kxy, dip, geom, method, cfg.nearest_only)
     # equal table rows (by bits) give equal matrices: build and solve each once
     rows = table.view(f"V{table.itemsize * table.shape[1]}").ravel()
     _, first, at = np.unique(rows, return_index=True, return_inverse=True)
@@ -295,37 +322,20 @@ def _modes(cfg: RunConfig):
     return kxy, table[:, 0], jp, evals
 
 
-def _write_modes(cfg: RunConfig, header: str, kxy, tables, energies) -> str:
-    """One CSV row per k and mode: kxa, kya, the per-k ``tables``,
-    mode_index and the mode's energy."""
-    modes = energies.shape[-1]
-    columns = [
-        *(_column(col, modes) for col in (kxy[:, 0], kxy[:, 1], *tables)),
-        [str(idx) for idx in range(modes)] * len(kxy),
-        _column(energies),
-    ]
-    _write_csv(cfg.output_path, header, columns)
-    return cfg.output_path
-
-
 def cmd_sweep_phi(cfg: RunConfig) -> str:
     """J'(phi)/J0 on a closed-open [0, 2 pi) grid, one curve per theta."""
     phi = 2.0 * math.pi * np.arange(cfg.phi_points) / cfg.phi_points
     # libm's cos and sin, as NumPy's may differ from them in the last bit
     unit = np.array([(math.cos(p), math.sin(p)) for p in phi.tolist()])
     kxy = (np.array(cfg.ka_values)[:, None, None] * unit).reshape(-1, 2)
-    tensors = _engine(cfg).tensors(kxy, cfg.b_over_a)
+    tensors = _engine(cfg, len(kxy)).tensors(kxy, cfg.b_over_a)
     jps = [couplings(tensors, dipole_from_theta(theta)) for theta in cfg.theta]
-    curves = len(cfg.theta)
-    columns = [
-        _column(cfg.theta, len(kxy)),
-        _column(phi) * (len(cfg.ka_values) * curves),
-        _column(cfg.ka_values, len(phi)) * curves,
-        _column([cfg.b_over_a]) * (curves * len(kxy)),
-        _column(jps),
-    ]
-    _write_csv(cfg.output_path, "theta,phi,ka,b_over_a,jprime_over_j0", columns)
-    return cfg.output_path
+    # rows run over theta, then ka, then phi: one array axis each
+    return _write_csv(
+        cfg.output_path, "theta,phi,ka,b_over_a,jprime_over_j0",
+        np.reshape(cfg.theta, (-1, 1, 1)), phi, np.reshape(cfg.ka_values, (-1, 1)),
+        cfg.b_over_a, np.reshape(jps, (len(cfg.theta), len(cfg.ka_values), -1)),
+    )
 
 
 def cmd_dispersion(cfg: RunConfig) -> str:
@@ -334,14 +344,13 @@ def cmd_dispersion(cfg: RunConfig) -> str:
     Uses the first theta entry as the dipole orientation. jprime_over_j0
     is the nearest-plane coupling (0 for a single plane).
     """
-    scale = EnergyScale(j0_scale(cfg.mu_e_angstrom, cfg.a_angstrom), cfg.ea_ev)
+    j0 = j0_scale(cfg.mu_e_angstrom, cfg.a_angstrom)
     kxy, js, jps, evals = _modes(cfg)
-    return _write_modes(
-        cfg,
-        "kxa,kya,j_over_j0,jprime_over_j0,mode_index,energy_ev",
-        kxy,
-        (js, jps),
-        scale.ea_ev + scale.j0_ev * evals,
+    # rows run over k, then mode: per-k columns are (K, 1)
+    return _write_csv(
+        cfg.output_path, "kxa,kya,j_over_j0,jprime_over_j0,mode_index,energy_ev",
+        *np.column_stack([kxy, js, jps]).T[..., None], np.arange(evals.shape[1]),
+        cfg.ea_ev + j0 * evals,
     )
 
 
@@ -373,16 +382,13 @@ def cmd_convergence(cfg: RunConfig) -> str:
     for *_, evaluate in runs:
         t0 = time.perf_counter_ns()
         vals.append(evaluate().real)
-        elapsed.append(str(time.perf_counter_ns() - t0))
+        elapsed.append(time.perf_counter_ns() - t0)
     engines, terms, _ = zip(*runs)
     errs = [abs(val - ref) for val in vals]
-    columns = [engines, map(str, terms), _column(vals), _column(errs), elapsed]
-    _write_csv(
-        cfg.output_path,
-        "engine,terms,value_dzz,abs_err_vs_reference,wall_time_ns",
-        columns,
+    return _write_csv(
+        cfg.output_path, "engine,terms,value_dzz,abs_err_vs_reference,wall_time_ns",
+        engines, terms, vals, errs, elapsed,
     )
-    return cfg.output_path
 
 
 def cmd_stack(cfg: RunConfig) -> str:
@@ -390,7 +396,10 @@ def cmd_stack(cfg: RunConfig) -> str:
     if cfg.n_planes < 2:
         raise ConfigError(f"n_planes: stack needs at least 2 planes, got {cfg.n_planes}")
     kxy, _j, _jp, evals = _modes(cfg)
-    return _write_modes(cfg, "kxa,kya,mode_index,energy_over_j0", kxy, (), evals)
+    return _write_csv(
+        cfg.output_path, "kxa,kya,mode_index,energy_over_j0",
+        *kxy.T[..., None], np.arange(evals.shape[1]), evals,
+    )
 
 
 _COMMANDS = {

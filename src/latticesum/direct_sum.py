@@ -8,17 +8,11 @@ kept, they cost nothing and simplify the exclusion rule to "no
 self-interaction".
 
 :func:`window_tensors` sums every k and every plane offset of a call in
-one kernel pass, ``_core_py.window_sums``: it folds the window onto the
-quadrant lx, ly >= 0 by parity, and the quadrant's 1/r^5 onto its
-triangle ly >= lx by the lx <-> ly symmetry. The triangle is built once
-per offset and block of 16 k, in stripes of at most 2^14 elements, and
-applied to the six phase tables of every k of the block in one stacked
-product per stripe, one matrix product per k inside NumPy; the tables
-are built once per block for all offsets and take
-O(16 L) memory. Components that parity makes real or imaginary come out
-exactly so, with the other lane 0.
-The tests hold the six sums to 1e-12 of a ``math.fsum`` loop over
-:func:`dyadic_term` at L = 1, 2, 3 and 40, on and off the lattice axes.
+one kernel pass, ``_core_py.window_sums``, whose docstring gives the
+algorithm. Components that parity makes real or imaginary come out
+exactly so, with the other lane 0. The tests hold the six sums to 1e-12
+of a ``math.fsum`` loop over :func:`dyadic_term` at L = 1, 2, 3 and 40,
+on and off the lattice axes.
 """
 
 from __future__ import annotations

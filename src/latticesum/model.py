@@ -3,7 +3,7 @@
 Everything internal is dimensionless: wave vectors are stored as k*a,
 coupling tensors follow the convention Dt_ij = a^3 * D_ij, and couplings
 are reported in units of J0 = mu^2 / (4 pi eps0 a^3). Physical eV values
-appear only at the output boundary through :class:`EnergyScale`. Keeping a
+appear only at the output boundary, J0 from :func:`j0_scale`. Keeping a
 single convention avoids the factor-of-a bookkeeping bugs that creep in
 when some expressions carry 1/a^2 and others 1/a^3.
 """
@@ -21,7 +21,6 @@ __all__ = [
     "LatticeGeometry",
     "TransitionDipole",
     "CouplingTensor",
-    "EnergyScale",
     "check_offset",
     "check_offsets",
     "check_tensors",
@@ -206,18 +205,6 @@ class CouplingTensor:
         return self.entries[1, 2]
 
 
-@dataclass(frozen=True)
-class EnergyScale:
-    """Coupling scale J0 and transition energy E_A, both in eV."""
-
-    j0_ev: float
-    ea_ev: float = 1.0
-
-    def __post_init__(self):
-        if not self.j0_ev > 0:
-            raise ValueError(f"j0_ev must be positive, got {self.j0_ev}")
-
-
 def dipole_from_theta(theta: float) -> TransitionDipole:
     """Dipole tilted by theta from the plane normal: (sin t, 0, cos t).
 
@@ -228,12 +215,16 @@ def dipole_from_theta(theta: float) -> TransitionDipole:
 
 
 def j0_scale(mu: float, a: float) -> float:
-    """J0 = mu^2 / (4 pi eps0 a^3) in eV, for mu in e*Angstrom and a in Angstrom."""
+    """J0 = mu^2 / (4 pi eps0 a^3) in eV, for mu in e*Angstrom and a in Angstrom;
+    a J0 that is not a positive finite float is refused."""
     if not mu > 0:
         raise ValueError(f"dipole magnitude must be positive, got {mu}")
     if not a > 0:
         raise ValueError(f"lattice constant must be positive, got {a}")
-    return mu * mu * COULOMB_EV_ANGSTROM / a**3
+    j0 = mu * mu * COULOMB_EV_ANGSTROM / a**3
+    if not 0.0 < j0 < math.inf:
+        raise ValueError(f"J0 must be a positive finite float, got {j0!r} eV")
+    return j0
 
 
 def make_k_grid(geometry: LatticeGeometry) -> np.ndarray:

@@ -155,10 +155,8 @@ def test_exit_codes(tmp_path):
     [
         # below the stated spacing floor, refused before any numerics run
         ("sweep-phi", {"b_over_a": 1e-9, "ka_values": [0.5]}, "config error: b_over_a"),
-        # a window of 7 PiB, which NumPy refuses before touching memory
-        ("dispersion",
-         {"method": "direct", "direct_cutoff": 10**15, "ka_values": [0.5]},
-         "error: "),
+        # accepted by parse_config, but J0 underflows to 0
+        ("dispersion", {"mu_e_angstrom": 1e-200}, "error: "),
     ],
     ids=["cfg0", "cfg1"],
 )
@@ -178,8 +176,10 @@ def test_numerical_failures_exit_2_with_one_line(tmp_path, capsys, command, cfg,
         ("stack", {"n_planes": 10**10}),
         # 10^6 k points, but ten tilts write 10^7 rows
         ("sweep-phi", {"phi_points": 10**6, "theta": [0.1] * 10}),
+        # 10^30 window terms at one k and two offsets
+        ("dispersion", {"direct_cutoff": 10**15, "method": "direct", "ka_values": [0.5]}),
     ],
-    ids=["phi_points", "n_sites", "n_planes", "theta"],
+    ids=["phi_points", "n_sites", "n_planes", "theta", "direct_cutoff"],
 )
 def test_oversized_configs_are_refused_before_allocation(tmp_path, capsys, command, cfg):
     start = time.perf_counter()
@@ -188,6 +188,28 @@ def test_oversized_configs_are_refused_before_allocation(tmp_path, capsys, comma
     assert code == 2
     key = next(iter(cfg))
     assert capsys.readouterr().err.startswith(f"config error: {key}: asks for more than")
+    assert not op.exists()
+
+
+@pytest.mark.parametrize(
+    "command,cfg,windows",
+    [
+        ("dispersion", {"n_planes": 8, "ka_values": [0.5, 1.0]}, 16),
+        ("stack", {"n_planes": 8, "nearest_only": True, "ka_values": [0.5, 1.0]}, 4),
+        ("sweep-phi", {"phi_points": 3, "ka_values": [0.5, 1.0], "theta": [0.1, 0.2]}, 6),
+    ],
+    ids=["planes", "nearest_only", "sweep-phi"],
+)
+def test_direct_window_bound_counts_k_times_offsets(
+    tmp_path, capsys, monkeypatch, command, cfg, windows
+):
+    # L = 3 sums 10 triangle terms per window, L = 4 sums 15
+    monkeypatch.setattr(cli, "MAX_WINDOW_TERMS", 10 * windows)
+    cfg = {**cfg, "method": "direct"}
+    assert run_cli(tmp_path, command, {**cfg, "direct_cutoff": 3})[0] == 0
+    code, op = run_cli(tmp_path, command, {**cfg, "direct_cutoff": 4}, name="over")
+    assert code == 2
+    assert "config error: direct_cutoff: asks for more than" in capsys.readouterr().err
     assert not op.exists()
 
 
@@ -211,7 +233,7 @@ def test_bare_memory_error_names_itself(tmp_path, capsys, monkeypatch):
 
 
 def test_non_finite_values_are_not_written():
-    assert cli._column([0.5, 1e-300, -2.0]) == ["0.5", "1e-300", "-2.0"]
+    assert cli._column([0.5, 1e-300, -2.0]).tolist() == ["0.5", "1e-300", "-2.0"]
     for bad in (math.nan, -math.inf):
         with pytest.raises(ArithmeticError, match=f"non-finite value {bad!r}"):
             cli._column(np.array([[0.5, 1.0], [bad, 2.0]]))
@@ -220,13 +242,29 @@ def test_non_finite_values_are_not_written():
 def test_column_formats_each_distinct_float_once_and_keeps_the_text():
     # each bit pattern is formatted once: 0.0 and -0.0 keep their own text
     values = [0.0, -0.0, 1.5, 0.0, -0.0, 1.5, 0.1 + 0.2, 0.3, -2.0, 1e-300, 1.5]
-    assert cli._column(values) == list(map(repr, values))
-    assert cli._column(np.reshape(values[:10], (2, 5))) == list(map(repr, values[:10]))
+    texts = list(map(repr, values))
+    assert cli._column(values).tolist() == texts
+    assert cli._column(np.reshape(values[:10], (2, 5))).tolist() == [texts[:5], texts[5:10]]
     # however many values repeat, a non-finite one anywhere is refused
     for at in (0, 5, len(values) - 1):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ArithmeticError, match="non-finite"):
                 cli._column(values[:at] + [bad] + values[at + 1 :])
+
+
+def test_write_csv_broadcasts_columns_into_rows_in_c_order(tmp_path):
+    # rows run over the broadcast shape (2, 3); ints by str, -0.0 kept
+    path = tmp_path / "rows.csv"
+    assert cli._write_csv(path, "x,n,s", [[-0.0], [0.5]], [7, 0, 10**12], "a") == path
+    assert path.read_bytes() == (
+        b"x,n,s\n-0.0,7,a\n-0.0,0,a\n-0.0,1000000000000,a\n"
+        b"0.5,7,a\n0.5,0,a\n0.5,1000000000000,a\n"
+    )
+    # a NaN in an input that broadcasts is refused before the file is opened
+    bad = tmp_path / "bad.csv"
+    with pytest.raises(ArithmeticError, match="non-finite value nan"):
+        cli._write_csv(bad, "x,n", [[0.5], [math.nan]], np.arange(3))
+    assert not bad.exists()
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from scipy.constants import elementary_charge, epsilon_0
 from latticesum.model import (
     COULOMB_EV_ANGSTROM,
     CouplingTensor,
-    EnergyScale,
     LatticeGeometry,
     TransitionDipole,
     check_tensors,
@@ -40,6 +39,13 @@ def test_j0_scaling_laws():
 def test_j0_rejects_nonpositive(mu, a):
     with pytest.raises(ValueError):
         j0_scale(mu, a)
+
+
+@pytest.mark.parametrize("mu", [1e-200, 1e200])
+def test_j0_refuses_a_scale_that_is_not_positive_finite(mu):
+    # J0 underflows to 0 or overflows to inf at a = 1
+    with pytest.raises(ValueError, match="positive finite"):
+        j0_scale(mu, 1.0)
 
 
 def test_geometry_validation():
@@ -121,12 +127,6 @@ def test_tensor_assembly_is_hermitian_traceless(xx, yy, re_xy, im_xy, xz, yz):
     m = t.entries
     assert np.max(np.abs(m - m.conj().T)) == 0.0
     assert abs(np.trace(m)) <= 1e-12
-
-
-def test_energy_scale_validation():
-    assert EnergyScale(1e-8).ea_ev == 1.0
-    with pytest.raises(ValueError):
-        EnergyScale(0.0)
 
 
 def test_k_array_takes_pairs_or_a_real_array():
