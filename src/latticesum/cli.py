@@ -60,7 +60,7 @@ _DEFAULT_THETAS = (
     math.pi / 2.0,
 )
 
-# The most CSV rows a config can ask for, a stack's matrix entries counting
+# The most CSV rows a command may write, a stack's matrix entries counting
 # 1/32 of a row each. By peak RSS a row costs at most 0.73 kB (sweep-phi,
 # one tilt) and a matrix entry 31 B, 32 of them 0.99 kB, so a run at the
 # bound peaks below 2 GB. Kept until CSV text is written in blocks.
@@ -97,20 +97,23 @@ class RunConfig:
     output_path: str = "out.csv"
 
 
-def _want_real(path, value, positive=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {_shown(value)}")
+def _want(ok, path, expected, value):
+    """``value`` if ``ok``, else a ConfigError naming ``path``, what it
+    expected and what it got."""
+    if ok:
+        return value
+    raise ConfigError(f"{path}: {expected}, got {_shown(value)}")
+
+
+def _want_real(path, value, positive=True):
+    _want(isinstance(value, (int, float)) and not isinstance(value, bool), path,
+          "expected a number", value)
     try:
         v = float(value)
-    except OverflowError as exc:
-        # an integer of hundreds of digits; echoing it would swamp the line
-        raise ConfigError(
-            f"{path}: must be finite, got an integer beyond the float range"
-        ) from exc
-    if not math.isfinite(v):
-        raise ConfigError(f"{path}: must be finite, got {_shown(value)}")
-    if positive and not v > 0:
-        raise ConfigError(f"{path}: must be positive, got {_shown(value)}")
+    except OverflowError:  # an integer of hundreds of digits
+        v = math.inf
+    _want(math.isfinite(v), path, "must be finite", value)
+    _want(v > 0 or not positive, path, "must be positive", value)
     return v
 
 
@@ -132,23 +135,54 @@ def _named(key: str) -> str:
     return key if len(key) <= 40 else _shown(key)
 
 
-def _want_int(path, value, minimum):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {_shown(value)}")
-    if value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {_shown(value)}")
-    return value
+def _want_int(path, value):
+    _want(isinstance(value, int) and not isinstance(value, bool), path,
+          "expected an integer", value)
+    return _want(value >= 1, path, "must be >= 1", value)
 
 
 def _want_theta(path, value):
-    v = _want_real(path, value)
-    if not 0.0 <= v <= math.pi:
-        raise ConfigError(f"{path}: must lie in [0, pi], got {_shown(value)}")
-    return v
+    v = _want_real(path, value, positive=False)
+    return _want(0.0 <= v <= math.pi, path, "must lie in [0, pi]", v)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON config; unknown keys are rejected.
+def _want_list(path, value, want):
+    _want(isinstance(value, list) and value, path, "expected a non-empty list", value)
+    return tuple(want(f"{path}[{i}]", v) for i, v in enumerate(value))
+
+
+# each RunConfig field's validator, called as want(key, value)
+_VALIDATORS = {
+    "a_angstrom": _want_real,
+    "b_over_a": lambda k, v: _want(
+        _want_real(k, v) >= MIN_OFFSET, k, f"must be >= {MIN_OFFSET}", float(v)
+    ),
+    "mu_e_angstrom": _want_real,
+    "ea_ev": _want_real,
+    "theta": lambda k, v: (
+        _want_list(k, v, _want_theta) if isinstance(v, list) else (_want_theta(k, v),)
+    ),
+    "phi_points": _want_int,
+    "ka_values": lambda k, v: _want_list(k, v, _want_real),
+    "k_direction": lambda k, v: "grid" if v == "grid" else _want_real(k, v, positive=False),
+    "n_sites": lambda k, v: _want(
+        math.isqrt(_want_int(k, v)) ** 2 == v, k, "must be a perfect square", v
+    ),
+    "n_planes": _want_int,
+    "method": lambda k, v: _want(
+        v in ("ewald", "direct"), k, 'expected "ewald" (exact at every k) or "direct"', v
+    ),
+    "direct_cutoff": _want_int,
+    "nearest_only": lambda k, v: _want(isinstance(v, bool), k, "expected true or false", v),
+    "output_path": lambda k, v: _want(
+        isinstance(v, str) and v, k, "expected a non-empty string", v
+    ),
+}
+
+
+def parse_config(text: str | bytes) -> RunConfig:
+    """Parse and validate a JSON config; unknown keys are rejected. Each
+    command bounds the sizes it writes.
 
     Defaults are the reference setup: a = 1000 A, b = 10 a, mu = 1 e A,
     E_A = 1 eV, ka = [1e-3], Ewald engine.
@@ -156,72 +190,18 @@ def parse_config(text: str) -> RunConfig:
     try:
         raw = json.loads(text)
     except ValueError as exc:
-        # JSONDecodeError, or an integer literal past Python's digit limit
+        # JSONDecodeError, bytes that are not UTF-8/16/32, or an integer
+        # literal past Python's digit limit
         raise ConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
-
     out = {}
     for key, value in raw.items():
-        if key in ("a_angstrom", "b_over_a", "mu_e_angstrom", "ea_ev"):
-            out[key] = _want_real(key, value, positive=True)
-            if key == "b_over_a" and out[key] < MIN_OFFSET:
-                raise ConfigError(
-                    f"{key}: must be >= {MIN_OFFSET}, got {_shown(value)}"
-                )
-        elif key == "theta":
-            if isinstance(value, list):
-                if not value:
-                    raise ConfigError("theta: must not be empty")
-                out[key] = tuple(
-                    _want_theta(f"theta[{i}]", v) for i, v in enumerate(value)
-                )
-            else:
-                out[key] = (_want_theta(key, value),)
-        elif key == "phi_points":
-            out[key] = _want_int(key, value, 1)
-        elif key == "ka_values":
-            if not isinstance(value, list) or not value:
-                raise ConfigError(f"{key}: expected a non-empty list")
-            out[key] = tuple(
-                _want_real(f"{key}[{i}]", v, positive=True)
-                for i, v in enumerate(value)
-            )
-        elif key == "k_direction":
-            if value == "grid":
-                out[key] = "grid"
-            else:
-                out[key] = _want_real(key, value)
-        elif key == "n_sites":
-            v = _want_int(key, value, 1)
-            root = math.isqrt(v)
-            if root * root != v:
-                raise ConfigError(
-                    f"{key}: must be a perfect square, got {_shown(v)}"
-                )
-            out[key] = v
-        elif key == "n_planes":
-            out[key] = _want_int(key, value, 1)
-        elif key == "method":
-            if value not in ("direct", "ewald"):
-                raise ConfigError(
-                    f'method: expected "ewald" (exact at every k) or "direct", '
-                    f"got {_shown(value)}"
-                )
-            out[key] = value
-        elif key == "direct_cutoff":
-            out[key] = _want_int(key, value, 1)
-        elif key == "nearest_only":
-            if not isinstance(value, bool):
-                raise ConfigError(
-                    f"{key}: expected true or false, got {_shown(value)}"
-                )
-            out[key] = value
-        elif key == "output_path":
-            if not isinstance(value, str) or not value:
-                raise ConfigError(f"{key}: expected a non-empty string")
-            out[key] = value
-        elif key == "ewald":
+        if key in _VALIDATORS:
+            out[key] = _VALIDATORS[key](key, value)
+        elif key != "ewald":
+            raise ConfigError(f"{_named(key)}: unknown key")
+        else:
             # the kernel's shells are fixed; name (the first few of) what an
             # older config set
             dropped = ""
@@ -233,23 +213,7 @@ def parse_config(text: str) -> RunConfig:
                 "ewald: unknown key; the Ewald kernel takes no settings"
                 + (f", drop {dropped}" if dropped else "")
             )
-        else:
-            raise ConfigError(f"{_named(key)}: unknown key")
-    cfg = RunConfig(**out)
-    # sizes are bounded before anything is allocated; a grid of even side
-    # keeps both zone edges
-    side = math.isqrt(cfg.n_sites) // 2 * 2 + 1
-    ks = side * side if cfg.k_direction == "grid" else len(cfg.ka_values)
-    for key, size, what in (
-        ("phi_points", cfg.phi_points * len(cfg.ka_values) * len(cfg.theta),
-         "rows (phi_points x len(ka_values) x len(theta))"),
-        ("n_sites", ks, "k points"),
-        ("n_planes", ks * (cfg.n_planes + cfg.n_planes**2 // 32),
-         "rows (k points x (n_planes + n_planes^2 / 32))"),
-    ):
-        if size > MAX_SIZE:
-            raise ConfigError(f"{key}: asks for more than {MAX_SIZE} {what}")
-    return cfg
+    return RunConfig(**out)
 
 
 def _column(values) -> np.ndarray:
@@ -284,16 +248,25 @@ def _write_csv(path, header, *columns):
     return path
 
 
-def _engine(cfg: RunConfig, windows: int = 1) -> Method:
-    """The config's engine, for ``windows`` (k, plane offset) pairs; a direct
-    one is refused past MAX_WINDOW_TERMS triangle terms in all."""
+def _window_offset(c):
+    """``c``, a plane offset at which the window kernel's r^5 = c r^2 r^2 is
+    finite, or a ConfigError naming b_over_a: from about 4.5e61 its terms
+    are inf or NaN."""
+    return _want(math.isfinite(c * (c * c) * (c * c)), "b_over_a",
+                 "the direct window needs c^5 finite at plane offset c", c)
+
+
+def _engine(cfg: RunConfig, windows: int = 1, offset: float = 0.0) -> Method:
+    """The config's engine, for ``windows`` (k, plane offset) pairs, the
+    farthest plane ``offset`` away; a direct one is refused past
+    MAX_WINDOW_TERMS triangle terms in all, or past the window's float range."""
     if cfg.method == "ewald":
         return Ewald()
+    _window_offset(offset)
     cutoff = cfg.direct_cutoff
-    if windows * (cutoff + 1) * (cutoff + 2) // 2 > MAX_WINDOW_TERMS:
-        raise ConfigError(
-            f"direct_cutoff: asks for more than {MAX_WINDOW_TERMS} window terms"
-        )
+    terms = windows * (cutoff + 1) * (cutoff + 2) // 2
+    _want(terms <= MAX_WINDOW_TERMS, "direct_cutoff",
+          f"asks for more than {MAX_WINDOW_TERMS} window terms", terms)
     return Direct(cutoff)
 
 
@@ -304,15 +277,24 @@ def _modes(cfg: RunConfig):
     distinct table rows, for the dipole of the first theta entry. Jt' is
     zero for a single plane.
     """
+    grid = cfg.k_direction == "grid"
+    # a grid of even side keeps both zone edges
+    side = math.isqrt(cfg.n_sites) // 2 * 2 + 1
+    ks = side * side if grid else len(cfg.ka_values)
+    _want(ks <= MAX_SIZE, "n_sites" if grid else "ka_values",
+          f"asks for more than {MAX_SIZE} k points", ks)
+    size = ks * (cfg.n_planes + cfg.n_planes**2 // 32)
+    _want(size <= MAX_SIZE, "n_planes", f"asks for more than {MAX_SIZE} rows "
+          "(k points x (n_planes + n_planes^2 / 32))", size)
     geom = LatticeGeometry(cfg.b_over_a, n_sites=cfg.n_sites, n_planes=cfg.n_planes)
-    if cfg.k_direction == "grid":
+    if grid:
         kxy = make_k_grid(geom)
     else:
         d = float(cfg.k_direction)
         kxy = np.array(cfg.ka_values)[:, None] * [math.cos(d), math.sin(d)]
     dip = dipole_from_theta(cfg.theta[0])
     offsets = min(cfg.n_planes, 2) if cfg.nearest_only else cfg.n_planes
-    method = _engine(cfg, len(kxy) * offsets)
+    method = _engine(cfg, len(kxy) * offsets, (offsets - 1) * cfg.b_over_a)
     table = coupling_table(kxy, dip, geom, method, cfg.nearest_only)
     # equal table rows (by bits) give equal matrices: build and solve each once
     rows = table.view(f"V{table.itemsize * table.shape[1]}").ravel()
@@ -324,11 +306,14 @@ def _modes(cfg: RunConfig):
 
 def cmd_sweep_phi(cfg: RunConfig) -> str:
     """J'(phi)/J0 on a closed-open [0, 2 pi) grid, one curve per theta."""
+    rows = cfg.phi_points * len(cfg.ka_values) * len(cfg.theta)
+    _want(rows <= MAX_SIZE, "phi_points", f"asks for more than {MAX_SIZE} rows "
+          "(phi_points x len(ka_values) x len(theta))", rows)
     phi = 2.0 * math.pi * np.arange(cfg.phi_points) / cfg.phi_points
     # libm's cos and sin, as NumPy's may differ from them in the last bit
     unit = np.array([(math.cos(p), math.sin(p)) for p in phi.tolist()])
     kxy = (np.array(cfg.ka_values)[:, None, None] * unit).reshape(-1, 2)
-    tensors = _engine(cfg, len(kxy)).tensors(kxy, cfg.b_over_a)
+    tensors = _engine(cfg, len(kxy), cfg.b_over_a).tensors(kxy, cfg.b_over_a)
     jps = [couplings(tensors, dipole_from_theta(theta)) for theta in cfg.theta]
     # rows run over theta, then ka, then phi: one array axis each
     return _write_csv(
@@ -338,13 +323,29 @@ def cmd_sweep_phi(cfg: RunConfig) -> str:
     )
 
 
+def _j0(cfg: RunConfig) -> float:
+    """J0 in eV. Outside the positive finite floats it is refused as
+    a_angstrom if a^3 alone leaves the normal floats, else as mu_e_angstrom."""
+    try:
+        return j0_scale(cfg.mu_e_angstrom, cfg.a_angstrom)
+    except (ValueError, ArithmeticError) as exc:
+        # a^3 overflows (OverflowError), is 0 (ZeroDivisionError) or subnormal
+        a = cfg.a_angstrom
+        by_a = isinstance(exc, ArithmeticError) or a**3 < sys.float_info.min
+        key = "a_angstrom" if by_a else "mu_e_angstrom"
+        raise ConfigError(
+            f"{key}: puts J0 = mu^2 / (4 pi eps0 a^3) outside the positive "
+            f"finite floats, got {_shown(getattr(cfg, key))}"
+        ) from exc
+
+
 def cmd_dispersion(cfg: RunConfig) -> str:
     """Stack eigenmodes per k; one row per mode, energies in eV.
 
     Uses the first theta entry as the dipole orientation. jprime_over_j0
     is the nearest-plane coupling (0 for a single plane).
     """
-    j0 = j0_scale(cfg.mu_e_angstrom, cfg.a_angstrom)
+    j0 = _j0(cfg)
     kxy, js, jps, evals = _modes(cfg)
     # rows run over k, then mode: per-k columns are (K, 1)
     return _write_csv(
@@ -364,11 +365,10 @@ def cmd_convergence(cfg: RunConfig) -> str:
     are unchecked sums, since a truncated tensor is only traceless once
     converged.
     """
-    if cfg.k_direction == "grid":
-        raise ConfigError("k_direction: convergence needs a single direction, not grid")
+    _want(cfg.k_direction != "grid", "k_direction", "convergence needs one direction", "grid")
     d = float(cfg.k_direction)
     k = cfg.ka_values[0] * np.array([[math.cos(d), math.sin(d)]])
-    b = cfg.b_over_a
+    b = _window_offset(cfg.b_over_a)
     ref = _lattice_sums(k, b, 10)[2][0].real
 
     runs = [
@@ -393,8 +393,7 @@ def cmd_convergence(cfg: RunConfig) -> str:
 
 def cmd_stack(cfg: RunConfig) -> str:
     """N-plane eigenvalues per k in J0 units (relative to E_A)."""
-    if cfg.n_planes < 2:
-        raise ConfigError(f"n_planes: stack needs at least 2 planes, got {cfg.n_planes}")
+    _want(cfg.n_planes >= 2, "n_planes", "stack needs at least 2 planes", cfg.n_planes)
     kxy, _j, _jp, evals = _modes(cfg)
     return _write_csv(
         cfg.output_path, "kxa,kya,mode_index,energy_over_j0",
@@ -428,7 +427,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config) as fh:
+        with open(args.config, "rb") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)

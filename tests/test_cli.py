@@ -41,6 +41,19 @@ def read_rows(path):
     return header.split(","), [r.split(",") for r in rows]
 
 
+# the config keys each command reads
+READS = {
+    "sweep-phi": {"b_over_a", "theta", "phi_points", "ka_values", "method",
+                  "direct_cutoff", "output_path"},
+    "dispersion": {"a_angstrom", "b_over_a", "mu_e_angstrom", "ea_ev", "theta",
+                   "ka_values", "k_direction", "n_sites", "n_planes", "method",
+                   "direct_cutoff", "nearest_only", "output_path"},
+    "stack": {"b_over_a", "theta", "ka_values", "k_direction", "n_sites", "n_planes",
+              "method", "direct_cutoff", "nearest_only", "output_path"},
+    "convergence": {"b_over_a", "ka_values", "k_direction", "output_path"},
+}
+
+
 def test_defaults():
     cfg = parse_config("{}")
     assert cfg == RunConfig()
@@ -53,6 +66,21 @@ def test_readme_config_table_lists_the_config_fields():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     keys = re.findall(r"^\| `(\w+)` \|", readme, flags=re.MULTILINE)
     assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+
+
+def test_readme_config_table_names_the_commands_that_read_each_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \|.*\| ([^|]*) \|$", readme, flags=re.MULTILINE)
+    listed = {key: set(re.findall(r"`([\w-]+)`", cell)) for key, cell in rows}
+    assert listed == {
+        key: {command for command, keys in READS.items() if key in keys}
+        for key in listed
+    }
+    assert set(listed) == set().union(*READS.values())
+
+
+def test_validators_cover_exactly_the_config_fields():
+    assert list(cli._VALIDATORS) == [f.name for f in fields(RunConfig)]
 
 
 def test_readme_python_examples_run(tmp_path):
@@ -155,17 +183,56 @@ def test_exit_codes(tmp_path):
     [
         # below the stated spacing floor, refused before any numerics run
         ("sweep-phi", {"b_over_a": 1e-9, "ka_values": [0.5]}, "config error: b_over_a"),
-        # accepted by parse_config, but J0 underflows to 0
-        ("dispersion", {"mu_e_angstrom": 1e-200}, "error: "),
+        # J0 underflows to 0, refused by dispersion before the kernel runs
+        ("dispersion", {"mu_e_angstrom": 1e-200}, "config error: mu_e_angstrom"),
+        # J0 is inf; a^3 overflows, is 0, or is subnormal so that J0 is inf
+        ("dispersion", {"mu_e_angstrom": 1e200}, "config error: mu_e_angstrom"),
+        ("dispersion", {"a_angstrom": 1e200}, "config error: a_angstrom"),
+        ("dispersion", {"a_angstrom": 1e-200}, "config error: a_angstrom"),
+        ("dispersion", {"a_angstrom": 1e-103}, "config error: a_angstrom"),
+        # c * c overflows in the window kernel, where inf * 0 would give NaN
+        ("convergence", {"b_over_a": 1.35e154}, "config error: b_over_a"),
+        ("dispersion", {"method": "direct", "b_over_a": 1e200}, "config error: b_over_a"),
+        # c^5 overflows, in a stack at the farthest of three planes only
+        ("stack", {"method": "direct", "b_over_a": 3e61, "n_planes": 3},
+         "config error: b_over_a"),
+        ("sweep-phi", {"method": "direct", "b_over_a": 4.5e61, "phi_points": 2},
+         "config error: b_over_a"),
     ],
-    ids=["cfg0", "cfg1"],
+    ids=[f"cfg{i}" for i in range(10)],
 )
 def test_numerical_failures_exit_2_with_one_line(tmp_path, capsys, command, cfg, prefix):
-    code, _ = run_cli(tmp_path, command, cfg)
+    code, op = run_cli(tmp_path, command, cfg)
     assert code == 2
+    assert not op.exists()
     err = capsys.readouterr().err
     assert err.startswith(prefix)
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        # the largest offset, 4.4e61, below the window's bound; warnings are errors
+        ("convergence", {"b_over_a": 4.4e61}),
+        ("stack", {"method": "direct", "b_over_a": 2.2e61, "n_planes": 3}),
+        # the Ewald kernel runs at any finite spacing
+        ("dispersion", {"b_over_a": 1e200}),
+    ],
+)
+def test_window_offsets_within_the_float_range_run(tmp_path, command, cfg):
+    assert run_cli(tmp_path, command, {**cfg, "direct_cutoff": 10})[0] == 0
+
+
+def test_config_that_is_not_utf8_is_malformed_json(tmp_path, capsys):
+    cp = tmp_path / "bad.json"
+    cp.write_bytes(b'{"theta": 0.5}\xff')
+    assert main(["stack", "--config", str(cp), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: malformed JSON") and err.count("\n") == 1
+    # json.loads detects UTF-16 and UTF-32 from the bytes
+    cp.write_bytes('{"theta": 0.5, "ka_values": [0.5]}'.encode("utf-16"))
+    assert main(["stack", "--config", str(cp), "--out", str(tmp_path / "x.csv")]) == 0
 
 
 @pytest.mark.parametrize(
@@ -210,6 +277,46 @@ def test_direct_window_bound_counts_k_times_offsets(
     code, op = run_cli(tmp_path, command, {**cfg, "direct_cutoff": 4}, name="over")
     assert code == 2
     assert "config error: direct_cutoff: asks for more than" in capsys.readouterr().err
+    assert not op.exists()
+
+
+@pytest.mark.parametrize(
+    "command,cfg,rows",
+    [
+        ("dispersion", {"ka_values": [0.001 * i for i in range(1, 1001)]}, 2000),
+        ("sweep-phi", {"n_planes": 10**9}, 6 * 360),
+        ("stack", {"phi_points": 10**12}, 2),
+        ("convergence", {"ka_values": [0.5] * 1000}, 11),
+    ],
+)
+def test_each_command_bounds_only_what_it_writes(tmp_path, command, cfg, rows):
+    code, op = run_cli(tmp_path, command, cfg)
+    assert code == 0
+    assert len(read_rows(op)[1]) == rows
+
+
+@pytest.mark.parametrize(
+    "command,cfg,key",
+    [
+        ("sweep-phi", {"n_planes": 1}, "phi_points"),
+        ("dispersion", {"ka_values": [0.5] * 20, "phi_points": 1}, "ka_values"),
+        ("dispersion", {"k_direction": "grid", "phi_points": 1}, "n_sites"),
+        ("stack", {"n_planes": 20, "phi_points": 1}, "n_planes"),
+        ("convergence", {"ka_values": [0.5] * 20, "phi_points": 10**12}, None),
+    ],
+    ids=["sweep-phi", "dispersion-path", "dispersion-grid", "stack", "convergence"],
+)
+def test_size_refusals_name_a_key_the_command_reads(
+    tmp_path, capsys, monkeypatch, command, cfg, key
+):
+    monkeypatch.setattr(cli, "MAX_SIZE", 10)
+    code, op = run_cli(tmp_path, command, cfg)
+    if key is None:  # a fixed table of 11 rows
+        assert code == 0
+        return
+    assert code == 2
+    assert key in READS[command]
+    assert capsys.readouterr().err.startswith(f"config error: {key}: asks for more than 10 ")
     assert not op.exists()
 
 
