@@ -66,9 +66,9 @@ _DEFAULT_THETAS = (
 # bound peaks below 2 GB. Kept until CSV text is written in blocks.
 MAX_SIZE = 2 * 10**6
 
-# The most window terms a "direct" run may sum: (L + 1)(L + 2)/2 per k and
-# plane offset, the triangle the kernel builds. At the measured 1.5 ns per
-# term (k in blocks of 16) to 13 ns (one k alone) that is 15 s to 2 min.
+# The most window terms a "direct" run may ask for: (L + 1)(L + 2)/2, the
+# kernel's triangle, per k and plane offset, of which it sums one k per orbit.
+# At the measured 1.5 ns (k in blocks of 16) to 13 ns per term: 15 s to 2 min.
 MAX_WINDOW_TERMS = 10**10
 
 _DIRECT_CONVERGENCE_CUTOFFS = (10, 30, 100, 300, 1000)
@@ -248,21 +248,20 @@ def _write_csv(path, header, *columns):
     return path
 
 
-def _window_offset(c):
-    """``c``, a plane offset at which the window kernel's r^5 = c r^2 r^2 is
-    finite, or a ConfigError naming b_over_a: from about 4.5e61 its terms
-    are inf or NaN."""
-    return _want(math.isfinite(c * (c * c) * (c * c)), "b_over_a",
-                 "the direct window needs c^5 finite at plane offset c", c)
+def _far_offset(c, window=True):
+    """``c``, the farthest plane offset of a run, or a ConfigError naming
+    b_over_a unless c is finite, and for the direct window c^5 too: from
+    about 4.5e61 the window's r^5 = c r^2 r^2 makes its terms inf or NaN."""
+    return _want(math.isfinite(c * (c * c) * (c * c) if window else c), "b_over_a",
+                 f"needs {'c^5' if window else 'c'} finite at the farthest plane offset c", c)
 
 
 def _engine(cfg: RunConfig, windows: int = 1, offset: float = 0.0) -> Method:
-    """The config's engine, for ``windows`` (k, plane offset) pairs, the
-    farthest plane ``offset`` away; a direct one is refused past
-    MAX_WINDOW_TERMS triangle terms in all, or past the window's float range."""
+    """The config's engine for ``windows`` (k, plane offset) pairs, the farthest
+    ``offset`` away; a direct one is refused past MAX_WINDOW_TERMS terms in all."""
+    _far_offset(offset, window=cfg.method == "direct")
     if cfg.method == "ewald":
         return Ewald()
-    _window_offset(offset)
     cutoff = cfg.direct_cutoff
     terms = windows * (cutoff + 1) * (cutoff + 2) // 2
     _want(terms <= MAX_WINDOW_TERMS, "direct_cutoff",
@@ -347,11 +346,15 @@ def cmd_dispersion(cfg: RunConfig) -> str:
     """
     j0 = _j0(cfg)
     kxy, js, jps, evals = _modes(cfg)
+    with np.errstate(over="ignore"):
+        energy = j0 * evals
+        key = "ea_ev" if np.isfinite(energy).all() else "mu_e_angstrom"
+        energy += cfg.ea_ev
+    _want(np.isfinite(energy).all(), key, "overflows E_A + J0 x eigenvalue", getattr(cfg, key))
     # rows run over k, then mode: per-k columns are (K, 1)
     return _write_csv(
         cfg.output_path, "kxa,kya,j_over_j0,jprime_over_j0,mode_index,energy_ev",
-        *np.column_stack([kxy, js, jps]).T[..., None], np.arange(evals.shape[1]),
-        cfg.ea_ev + j0 * evals,
+        *np.column_stack([kxy, js, jps]).T[..., None], np.arange(evals.shape[1]), energy,
     )
 
 
@@ -368,7 +371,7 @@ def cmd_convergence(cfg: RunConfig) -> str:
     _want(cfg.k_direction != "grid", "k_direction", "convergence needs one direction", "grid")
     d = float(cfg.k_direction)
     k = cfg.ka_values[0] * np.array([[math.cos(d), math.sin(d)]])
-    b = _window_offset(cfg.b_over_a)
+    b = _far_offset(cfg.b_over_a)
     ref = _lattice_sums(k, b, 10)[2][0].real
 
     runs = [

@@ -58,15 +58,12 @@ def dyadic_term(lx: int, ly: int, lz_scaled: float, i, j) -> float:
 
 
 def window_tensors(ks, offsets, cutoff: int) -> np.ndarray:
-    """Window sums of dyadic_term * exp(i k.l) at every k, as a checked stack.
-
-    ``offsets`` is one plane offset c in units of a, 0 for the site's own
-    plane (origin excluded; see :func:`~latticesum.model.check_offset`),
-    giving a (K, 3, 3) stack, or a 1-D sequence of S offsets, giving
-    (S, K, 3, 3) whose s-th stack is bitwise that of ``offsets[s]`` alone;
-    ``cutoff`` is the half-width L. Inter-plane xz and yz come out purely
-    imaginary for real k (the coefficient is odd under l -> -l); the lower
-    triangle is the conjugate of the upper one.
+    """Window sums of dyadic_term * exp(i k.l) at every k, each on its own,
+    as a checked stack of the shape :func:`~latticesum.model.tensors_by_orbit`
+    states; the s-th stack is bitwise that of ``offsets[s]`` alone, and at
+    c = 0 the origin is left out. ``cutoff`` is the half-width L. Inter-plane
+    xz and yz come out purely imaginary for real k (the coefficient is odd
+    under l -> -l); the lower triangle is the conjugate of the upper one.
     """
     L = _check_cutoff(cutoff)
     cs = check_offsets(offsets)

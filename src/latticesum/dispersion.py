@@ -1,15 +1,14 @@
 """Exciton couplings and stack spectra built on the tensor engines.
 
 Each engine (:class:`Direct`, :class:`Ewald`, :class:`LongWave`) returns
-the tensors of a whole list of k to the plane at offset c (c = 0 for the
-site's own plane) as one (K, 3, 3) stack through its ``tensors(ks, offsets)``
-method, or to each of a sequence of S offsets as one (S, K, 3, 3) stack
-(:func:`~latticesum.model.check_offsets`). Contracting them with the
-transition dipole gives J(k) at c = 0 and J'(k) at c = b, in units of J0.
-A stack's (K, S) coupling table holds one column per plane separation s b,
-s = 0 included, all from one engine call; its N-plane matrices are one
-gather from that table, diagonalized in one batched LAPACK call
-(``np.linalg.eigvalsh``).
+the tensors of a whole list of k to the planes at offsets c (c = 0 for the
+site's own plane) through its ``tensors(ks, offsets)`` method, summed once
+per orbit of k (:func:`~latticesum.model.tensors_by_orbit`). Contracting
+them with the transition dipole gives J(k) at c = 0 and J'(k) at c = b,
+in units of J0. A stack's (K, S) coupling table holds one column per plane
+separation s b, s = 0 included, all from one engine call; its N-plane
+matrices are one gather from that table, diagonalized in one batched
+LAPACK call (``np.linalg.eigvalsh``).
 
 Sign conventions: the symmetric two-plane mode carries +J', so a
 two-plane stack's eigenvalues are Jt +- Jt' (energies E_A + J0 (Jt +- Jt'))
@@ -24,13 +23,12 @@ from typing import Union
 import numpy as np
 
 from .direct_sum import k0_tail_correction, window_tensors
-from .ewald import _fold_into_zone, _plane_waves, f_constant, lattice_tensors
+from .ewald import _plane_waves, f_constant, lattice_tensors
 from .model import (
     LatticeGeometry,
     TransitionDipole,
-    check_offsets,
     check_tensors,
-    k_array,
+    tensors_by_orbit,
     tensors_from_components,
 )
 
@@ -51,24 +49,24 @@ _IMAG_TOL = 1e-12
 @dataclass(frozen=True)
 class Direct:
     """Brute-force window engine: one window sum of half-width ``cutoff``
-    per k and offset, all k and offsets of a call in one kernel pass. On
-    the reciprocal lattice, k = 0 included, no phase oscillates and the
-    bare window misses an O(1/L) tail, so there it takes the k = 0 window
-    with its tail correction
-    (:func:`~latticesum.direct_sum.k0_tail_correction`)."""
+    per offset and orbit of k (:func:`~latticesum.model.tensors_by_orbit`),
+    all in one kernel pass; the window gives every other member of an orbit
+    bit for bit. On the reciprocal lattice, the k = 0 orbit, no phase
+    oscillates and the bare window misses an O(1/L) tail, so there it adds
+    :func:`~latticesum.direct_sum.k0_tail_correction`."""
 
     cutoff: int = 500
 
     def tensors(self, ks, offsets) -> np.ndarray:
         """(K, 3, 3) or (S, K, 3, 3) tensors to the planes ``offsets`` away."""
-        cs = check_offsets(offsets)
-        kxy = k_array(ks)
-        on_lattice = ~_fold_into_zone(kxy).any(axis=1)
-        out = window_tensors(np.where(on_lattice[:, None], 0.0, kxy), cs, self.cutoff)
-        if on_lattice.any():
-            tails = np.array([k0_tail_correction(self.cutoff, c) for c in cs])
-            out[:, on_lattice] = check_tensors(out[:, on_lattice] + tails[:, None])
-        return out.reshape(np.shape(offsets) + out.shape[1:])
+        return tensors_by_orbit(ks, offsets, self._orbit_tensors)
+
+    def _orbit_tensors(self, kxy, cs):
+        out = window_tensors(kxy, cs, self.cutoff)
+        if len(kxy) and not kxy[0].any():  # the k = 0 orbit sorts first
+            tails = np.reshape([k0_tail_correction(self.cutoff, c) for c in cs], (-1, 3, 3))
+            out[:, 0] = check_tensors(out[:, 0] + tails)
+        return out
 
 
 @dataclass(frozen=True)
@@ -96,23 +94,23 @@ class LongWave:
 
     def tensors(self, ks, offsets) -> np.ndarray:
         """(K, 3, 3) or (S, K, 3, 3) tensors to the planes ``offsets`` away."""
-        c = np.array(check_offsets(offsets))[:, None, None]
-        # D is periodic in k, and the closed form holds near the zone centre
-        kxy = _fold_into_zone(k_array(ks))
+        return tensors_by_orbit(ks, offsets, self._orbit_tensors)
+
+    @staticmethod
+    def _orbit_tensors(kxy, cs):
+        c = np.array(cs)[:, None, None]
         qx, qy = kxy[:, :1], kxy[:, 1:]
         q = np.hypot(qx, qy)
         # the kernel's rule: below 1e-300, pi / q can overflow
         q_div = np.where(q > 1e-300, q, np.inf)
         out = tensors_from_components(*_plane_waves(qx, qy, q, q_div, c))
         # every entry carries a factor of k, and the limit at k = 0 has none
-        at_origin = q[:, 0] == 0.0
-        if at_origin.any():
-            out[:, at_origin] = lattice_tensors(np.zeros((1, 2)), c[:, 0, 0])
-        in_plane = c[:, 0, 0] == 0.0
-        if in_plane.any():
+        if len(kxy) and not kxy[0].any():  # the k = 0 orbit sorts first
+            out[:, :1] = lattice_tensors(kxy[:1], cs)
+        if 0.0 in cs:
             f = f_constant()
-            out[in_plane] = np.diag([-f, -f, 2.0 * f])
-        return out.reshape(np.shape(offsets) + out.shape[1:])
+            out[c[:, 0, 0] == 0.0] = np.diag([-f, -f, 2.0 * f])
+        return out
 
 
 Method = Union[Direct, Ewald, LongWave]

@@ -42,23 +42,14 @@ plane-wave series
 for the in-plane entries, xz and yz, and zz, with no erfc. It converges
 by itself: with k in the zone the first omitted q has |q| >= 9 pi, so
 every omitted term is below 2 pi 9 pi e^{-18 pi}, about 5e-23. All far
-offsets of a call are summed in one pass.
+offsets of a call are summed in one pass. The long-wave closed forms,
+:class:`latticesum.dispersion.LongWave`, keep its (0, 0) term alone.
 
-One call of :func:`lattice_tensors` serves any number of plane offsets:
-k folding, the orbit reduction, the phase tables and q are built once,
-and only the offset-dependent terms are evaluated per offset, with the
-same operations as for one offset alone, so each offset's tensors are
-bitwise those of a call with that offset only.
-
-The square lattice's mirrors and its x <-> y swap map D onto itself:
-kx -> -kx flips xy and xz, ky -> -ky flips xy and yz, and swapping kx
-and ky swaps xx with yy and xz with yz. :func:`lattice_tensors` therefore
-sums and checks each orbit of these eight maps once, at its member with
-kx >= ky >= 0, and restores every k of the orbit from it exactly as
-s_i s_j D_p(i)p(j), a signed permutation that leaves the checked
-residuals bitwise unchanged. The long-wave closed forms,
-:class:`latticesum.dispersion.LongWave`, keep the plane-wave series'
-(0, 0) term alone.
+One call of :func:`lattice_tensors` sums each orbit of k once
+(:func:`latticesum.model.tensors_by_orbit`) at any number of plane
+offsets, building the phase tables and q once and evaluating per offset
+only the terms that depend on it, by the same operations as for one
+offset alone: each offset's tensors are bitwise those of it alone.
 """
 
 from __future__ import annotations
@@ -68,7 +59,9 @@ import math
 
 import numpy as np
 
-from .model import check_offset, check_offsets, k_array, tensors_from_components
+from .model import (
+    _fold_into_zone, check_offset, k_array, tensors_by_orbit, tensors_from_components,
+)
 
 # Unused here, but perfbench/tracing.py wraps ewald.bessel_k by name.
 from .specfun import bessel_k  # noqa: F401
@@ -91,42 +84,19 @@ _BLOCK = 64
 _FAR = 2.0
 
 
-def _fold_into_zone(kxy: np.ndarray) -> np.ndarray:
-    return kxy - 2.0 * math.pi * np.round(kxy / (2.0 * math.pi))
-
-
 def _erfc(x: np.ndarray) -> np.ndarray:
     out = np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size)
     return out.reshape(x.shape)
 
 
 def lattice_tensors(ks, offsets) -> np.ndarray:
-    """Tensors D(k) to the planes ``offsets`` above, as a checked stack.
-
-    ``offsets`` is one plane offset c in units of a, 0 for the site's own
-    plane (see :func:`~latticesum.model.check_offset`), giving a (K, 3, 3)
-    stack, or a 1-D sequence of S offsets, giving (S, K, 3, 3) whose s-th
+    """Tensors D(k) to the planes ``offsets`` above, as a checked stack
+    (:func:`~latticesum.model.tensors_by_orbit`) whose s-th (K, 3, 3)
     stack is bitwise that of ``offsets[s]`` alone. The lower triangle is
-    the conjugate of the upper one; xz and yz are imaginary.
-    """
-    cs = check_offsets(offsets)
-    # D is periodic in k; folding k into the zone centres the reciprocal sum
-    kxy = _fold_into_zone(k_array(ks))
-    # one orbit member with kx >= ky >= 0 is summed, the others restored; a
-    # complex key sorts by kx, then ky, like the member's (kx, ky) row
-    ax, ay = np.abs(kxy).T
-    key = np.maximum(ax, ay) + 1j * np.minimum(ax, ay)
-    orbits, member = np.unique(key, return_inverse=True)
-    orb = tensors_from_components(*_sums(orbits.view(float).reshape(-1, 2), cs, _SHELLS))
-    # each k is s_i s_j orb[p(i), p(j)] of its checked orbit, p the x <-> y swap
-    # where ky > kx: one gather of the flattened entries 3 p(i) + p(j)
-    p = np.where((ay > ax)[:, None], [4, 3, 5, 1, 0, 2, 7, 6, 8], np.arange(9))
-    flat = orb.reshape(len(cs), 9 * len(orbits))
-    out = np.take(flat, 9 * member[:, None] + p, axis=1).reshape(len(cs), len(kxy), 3, 3)
-    s = np.ones((len(kxy), 3))
-    s[:, :2][kxy < 0.0] = -1.0
-    out *= s[:, :, None] * s[:, None, :]
-    return out.reshape(np.shape(offsets) + out.shape[1:])
+    the conjugate of the upper one; xz and yz are imaginary."""
+    return tensors_by_orbit(
+        ks, offsets, lambda kxy, cs: tensors_from_components(*_sums(kxy, cs, _SHELLS))
+    )
 
 
 def _lattice_sums(ks, offset: float, shells: int):

@@ -29,6 +29,7 @@ __all__ = [
     "j0_scale",
     "make_k_grid",
     "k_array",
+    "tensors_by_orbit",
 ]
 
 # e^2/(4 pi eps0) expressed in eV * Angstrom: the CODATA expression
@@ -61,11 +62,7 @@ def check_offset(offset: float, *, spacing: bool = False) -> float:
 
 
 def check_offsets(offsets) -> list[float]:
-    """:func:`check_offset` applied to one offset or to a 1-D sequence of them.
-
-    The engines take either: one offset gives a (K, 3, 3) tensor stack, S
-    offsets give (S, K, 3, 3), their result reshaped to ``np.shape(offsets)``.
-    """
+    """:func:`check_offset` applied to one offset or to a 1-D sequence of them."""
     if np.ndim(offsets) > 1:
         raise ValueError(
             f"expected one offset or a 1-D sequence, got shape {np.shape(offsets)}"
@@ -253,3 +250,38 @@ def k_array(ks) -> np.ndarray:
             f"expected a (K, 2) real array of finite (kxa, kya), got {kxy.dtype} {kxy.shape}"
         )
     return kxy.astype(float)
+
+
+def _fold_into_zone(kxy: np.ndarray) -> np.ndarray:
+    return kxy - 2.0 * math.pi * np.round(kxy / (2.0 * math.pi))
+
+
+def tensors_by_orbit(ks, offsets, sums) -> np.ndarray:
+    """D(k) to the planes ``offsets`` away, summed once per orbit of k.
+
+    D is periodic in k, so k is folded into the zone, and the square
+    lattice's mirrors and x <-> y swap map D onto itself: kx -> -kx flips
+    xy and xz, ky -> -ky flips xy and yz, and swapping kx and ky swaps xx
+    with yy and xz with yz. ``sums(reps, cs)`` returns the checked
+    (S, O, 3, 3) tensors of the orbits' members with kx >= ky >= 0, (O, 2)
+    in ascending order (k = 0 first), at the S offsets ``cs`` checked by
+    :func:`check_offsets`. Each k is restored as s_i s_j D_p(i)p(j), which
+    leaves the checked residuals bitwise unchanged. One offset gives a
+    (K, 3, 3) stack, a 1-D sequence of S offsets (S, K, 3, 3).
+    """
+    cs = check_offsets(offsets)
+    kxy = _fold_into_zone(k_array(ks))
+    # a complex key sorts by kx, then ky, like the member's (kx, ky) row
+    ax, ay = np.abs(kxy).T
+    key = np.maximum(ax, ay) + 1j * np.minimum(ax, ay)
+    orbits, member = np.unique(key, return_inverse=True)
+    orb = sums(orbits.view(float).reshape(-1, 2), cs)
+    # each k is s_i s_j orb[p(i), p(j)] of its checked orbit, p the x <-> y swap
+    # where ky > kx: one gather of the flattened entries 3 p(i) + p(j)
+    p = np.where((ay > ax)[:, None], [4, 3, 5, 1, 0, 2, 7, 6, 8], np.arange(9))
+    flat = orb.reshape(len(cs), 9 * len(orbits))
+    out = np.take(flat, 9 * member[:, None] + p, axis=1).reshape(len(cs), len(kxy), 3, 3)
+    s = np.ones((len(kxy), 3))
+    s[:, :2][kxy < 0.0] = -1.0
+    out *= s[:, :, None] * s[:, None, :]
+    return out.reshape(np.shape(offsets) + out.shape[1:])

@@ -198,8 +198,15 @@ def test_exit_codes(tmp_path):
          "config error: b_over_a"),
         ("sweep-phi", {"method": "direct", "b_over_a": 4.5e61, "phi_points": 2},
          "config error: b_over_a"),
+        # the farthest of three planes is at inf, refused for the Ewald kernel too
+        ("stack", {"b_over_a": 1e308, "n_planes": 3}, "config error: b_over_a"),
+        # E_A + J0 x eigenvalue overflows; J0 x eigenvalue alone does so too
+        ("dispersion", {"ea_ev": 1.79e308, "mu_e_angstrom": 1e152, "a_angstrom": 1},
+         "config error: ea_ev"),
+        ("dispersion", {"mu_e_angstrom": 1e152, "a_angstrom": 0.1},
+         "config error: mu_e_angstrom"),
     ],
-    ids=[f"cfg{i}" for i in range(10)],
+    ids=[f"cfg{i}" for i in range(13)],
 )
 def test_numerical_failures_exit_2_with_one_line(tmp_path, capsys, command, cfg, prefix):
     code, op = run_cli(tmp_path, command, cfg)
@@ -541,7 +548,17 @@ def test_far_planes_call_no_erfc(tmp_path, monkeypatch):
     assert args and stack_args == args
 
 
-def test_direct_window_kernel_once_per_separation(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "ks,want",
+    [
+        # one kernel call over both k, in the plane and between planes
+        ({"ka_values": [0.5, 1.0]}, [(2, [0.0, 1.5])]),
+        # the 25 k of a 4 x 4 grid are 6 orbits of the lattice's symmetries
+        ({"k_direction": "grid", "n_sites": 16}, [(6, [0.0, 1.5])]),
+    ],
+    ids=["path", "grid"],
+)
+def test_direct_window_kernel_once_per_separation(tmp_path, monkeypatch, ks, want):
     calls = []
     kernel = _core_py.window_sums
 
@@ -551,10 +568,9 @@ def test_direct_window_kernel_once_per_separation(tmp_path, monkeypatch):
 
     monkeypatch.setattr(_core_py, "window_sums", counting)
     cfg = {"method": "direct", "direct_cutoff": 5, "n_planes": 2, "b_over_a": 1.5}
-    code, _ = run_cli(tmp_path, "dispersion", {**cfg, "ka_values": [0.5, 1.0]})
+    code, _ = run_cli(tmp_path, "dispersion", {**cfg, **ks})
     assert code == 0
-    # one kernel call over both k, in the plane and between planes
-    assert calls == [(2, [0.0, 1.5])]
+    assert calls == want
 
 
 def test_sweep_phi_schema_and_closed_form(tmp_path):

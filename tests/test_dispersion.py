@@ -49,6 +49,8 @@ def test_engines_take_any_iterable_and_return_writable_stacks(method, offset):
     kxy = np.array(ks)
     assert np.array_equal(got, method.tensors(kxy, offset))
     assert method.tensors(np.empty((0, 2)), offset).shape == (0, 3, 3)
+    # or no offsets, k = 0 among the k
+    assert method.tensors(ks, []).shape == (0, len(ks), 3, 3)
 
 
 @pytest.mark.parametrize("method", [Ewald(), LongWave(), Direct(cutoff=6)])
