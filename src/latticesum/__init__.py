@@ -33,7 +33,6 @@ from .dispersion import (
     coupling_table,
     couplings,
     stack_matrices,
-    symmetric_eigen,
 )
 
 __version__ = "0.1.0"

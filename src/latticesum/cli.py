@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import eigvalsh
 
 from .direct_sum import window_tensors
 from .dispersion import (
@@ -29,7 +30,6 @@ from .dispersion import (
     coupling_table,
     couplings,
     stack_matrices,
-    symmetric_eigen,
 )
 from .ewald import _lattice_sums, _terms
 from .model import (
@@ -62,8 +62,8 @@ _DEFAULT_THETAS = (
 
 # The most CSV rows a command may write, a stack's matrix entries counting
 # 1/32 of a row each. By peak RSS a row costs at most 0.73 kB (sweep-phi,
-# one tilt) and a matrix entry 31 B, 32 of them 0.99 kB, so a run at the
-# bound peaks below 2 GB. Kept until CSV text is written in blocks.
+# one tilt) and a matrix entry 16 B, 32 of them 0.52 kB, so a run at the
+# bound peaks below 1.5 GB. Kept until CSV text is written in blocks.
 MAX_SIZE = 2 * 10**6
 
 # The most window terms a "direct" run may ask for: (L + 1)(L + 2)/2, the
@@ -298,7 +298,7 @@ def _modes(cfg: RunConfig):
     # equal table rows (by bits) give equal matrices: build and solve each once
     rows = table.view(f"V{table.itemsize * table.shape[1]}").ravel()
     _, first, at = np.unique(rows, return_index=True, return_inverse=True)
-    evals = symmetric_eigen(stack_matrices(table[first], cfg.n_planes))[at]
+    evals = eigvalsh(stack_matrices(table[first], cfg.n_planes))[at]
     jp = table[:, 1] if table.shape[1] > 1 else np.zeros(len(kxy))
     return kxy, table[:, 0], jp, evals
 

@@ -7,8 +7,8 @@ per orbit of k (:func:`~latticesum.model.tensors_by_orbit`). Contracting
 them with the transition dipole gives J(k) at c = 0 and J'(k) at c = b,
 in units of J0. A stack's (K, S) coupling table holds one column per plane
 separation s b, s = 0 included, all from one engine call; its N-plane
-matrices are one gather from that table, diagonalized in one batched
-LAPACK call (``np.linalg.eigvalsh``).
+matrices are one gather from that table, exactly symmetric, and their
+modes are ``np.linalg.eigvalsh(stack_matrices(table, n_planes))``.
 
 Sign conventions: the symmetric two-plane mode carries +J', so a
 two-plane stack's eigenvalues are Jt +- Jt' (energies E_A + J0 (Jt +- Jt'))
@@ -40,7 +40,6 @@ __all__ = [
     "coupling_table",
     "couplings",
     "stack_matrices",
-    "symmetric_eigen",
 ]
 
 _IMAG_TOL = 1e-12
@@ -99,11 +98,7 @@ class LongWave:
     @staticmethod
     def _orbit_tensors(kxy, cs):
         c = np.array(cs)[:, None, None]
-        qx, qy = kxy[:, :1], kxy[:, 1:]
-        q = np.hypot(qx, qy)
-        # the kernel's rule: below 1e-300, pi / q can overflow
-        q_div = np.where(q > 1e-300, q, np.inf)
-        out = tensors_from_components(*_plane_waves(qx, qy, q, q_div, c))
+        out = tensors_from_components(*_plane_waves(kxy[:, :1], kxy[:, 1:], c))
         # every entry carries a factor of k, and the limit at k = 0 has none
         if len(kxy) and not kxy[0].any():  # the k = 0 orbit sorts first
             out[:, :1] = lattice_tensors(kxy[:1], cs)
@@ -152,27 +147,13 @@ def coupling_table(
 def stack_matrices(table, n_planes: int) -> np.ndarray:
     """(K, N, N) stack matrices relative to E_A from a (K, S)
     :func:`coupling_table`, in one gather: entry (alpha, beta) is column
-    |alpha - beta|, or 0 past S."""
+    |alpha - beta|, or 0 past S. A finite real table gives exactly
+    symmetric finite matrices, ready for ``np.linalg.eigvalsh``; any other
+    table is refused."""
+    table = np.asarray(table)
+    if table.ndim != 2 or table.dtype.kind not in "iuf" or not np.isfinite(table).all():
+        raise ValueError(f"expected a (K, S) real array of finite couplings, "
+                         f"got {table.dtype} {table.shape}")
     padded = np.concatenate([table, np.zeros((len(table), 1))], axis=1)
     sep = np.abs(np.subtract.outer(np.arange(n_planes), np.arange(n_planes)))
-    return padded[:, np.minimum(sep, table.shape[1])]
-
-
-def symmetric_eigen(matrix) -> np.ndarray:
-    """Eigenvalues of real symmetric matrices, ascending.
-
-    Takes one (n, n) matrix or a (..., n, n) stack and returns (n,) or
-    (..., n) from one LAPACK call (``np.linalg.eigvalsh``). Non-finite
-    input and asymmetry beyond 1e-10 are rejected; the remaining
-    asymmetry is averaged out before the solve.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    at = np.swapaxes(a, -1, -2)
-    asym = float(np.max(np.abs(a - at), initial=0.0))
-    if asym > 1e-10:
-        raise ValueError(f"matrix is not symmetric: residual {asym:.3e}")
-    return np.linalg.eigvalsh(0.5 * (a + at))
+    return padded[:, np.minimum(sep, table.shape[1], out=sep)]

@@ -155,7 +155,7 @@ def _sums(kxy: np.ndarray, cs: list[float], shells: int) -> np.ndarray:
         # q <= 1e-300, where pi / q can overflow, they are dropped as 0
         q_div = np.where(q > 1e-300, q, np.inf)
         if far:
-            out[:, far, i : i + _BLOCK] = _plane_waves(qx, qy, q, q_div, c_far)
+            out[:, far, i : i + _BLOCK] = _plane_waves(qx, qy, c_far)
         # e^{i k.l} on the site grid, from one table per axis
         ex = np.exp(1j * k[:, :1] * n)
         ey = np.exp(1j * k[:, 1:] * n)
@@ -197,11 +197,14 @@ def _sums(kxy: np.ndarray, cs: list[float], shells: int) -> np.ndarray:
     return out
 
 
-def _plane_waves(qx, qy, q, q_div, c) -> list[np.ndarray]:
+def _plane_waves(qx, qy, c) -> list[np.ndarray]:
     """The six sums of the plane-wave series (module docstring) over the last
-    axis of q; ``c`` broadcasts against q, and ``q_div`` is q or inf."""
-    e = 2.0 * math.pi * np.exp(-q * c)
-    psi = e / q_div
+    axis of (qx, qy); ``c`` broadcasts against them."""
+    q = np.hypot(qx, qy)
+    with np.errstate(over="ignore"):  # q c past the floats: e^{-inf} = 0
+        e = 2.0 * math.pi * np.exp(-q * c)
+    # the kernel's rule: the terms carry q_a q_b, and at q <= 1e-300 they are 0
+    psi = e / np.where(q > 1e-300, q, np.inf)
     return [
         np.sum(qx * qx * psi, axis=-1),
         np.sum(qy * qy * psi, axis=-1),

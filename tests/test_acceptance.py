@@ -24,7 +24,6 @@ from latticesum.dispersion import (
     coupling_table,
     couplings,
     stack_matrices,
-    symmetric_eigen,
 )
 from latticesum.ewald import f_constant, lattice_tensors
 from latticesum.model import (
@@ -213,7 +212,7 @@ def test_criterion_07():
         jp = couplings(method.tensors([k], 2.0), dipole)[0]
         geometry = LatticeGeometry(b_over_a=2.0, n_planes=2)
         table = coupling_table([k], dipole, geometry, method)
-        evals = symmetric_eigen(stack_matrices(table, geometry.n_planes)[0])
+        evals = np.linalg.eigvalsh(stack_matrices(table, geometry.n_planes)[0])
         expect = np.sort([j - jp, j + jp])
         assert float(np.max(np.abs(evals - expect))) <= 1e-12
         assert abs((evals[1] - evals[0]) - 2.0 * abs(jp)) <= 1e-12

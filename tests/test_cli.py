@@ -225,6 +225,9 @@ def test_numerical_failures_exit_2_with_one_line(tmp_path, capsys, command, cfg,
         ("stack", {"method": "direct", "b_over_a": 2.2e61, "n_planes": 3}),
         # the Ewald kernel runs at any finite spacing
         ("dispersion", {"b_over_a": 1e200}),
+        # q c overflows to inf between planes, where e^{-qc} is 0
+        ("stack", {"b_over_a": 1e308}),
+        ("sweep-phi", {"b_over_a": 1e308}),
     ],
 )
 def test_window_offsets_within_the_float_range_run(tmp_path, command, cfg):
@@ -395,23 +398,24 @@ def test_write_csv_broadcasts_columns_into_rows_in_c_order(tmp_path):
     ids=["grid", "repeated-and-mirrored", "direct"],
 )
 def test_modes_solve_each_distinct_coupling_row_once(cfg, monkeypatch):
-    # _modes hands symmetric_eigen the distinct stack matrices only, and its
+    # _modes hands eigvalsh the distinct stack matrices only, and its
     # energies are bitwise those of solving every k
     run = parse_config(json.dumps(cfg))
     solved = []
 
     def solve(mats):
         solved.append(len(mats))
-        return dispersion.symmetric_eigen(mats)
+        return np.linalg.eigvalsh(mats)
 
-    monkeypatch.setattr(cli, "symmetric_eigen", solve)
+    monkeypatch.setattr(cli, "eigvalsh", solve)
     ks, j, jp, evals = cli._modes(run)
     geom = LatticeGeometry(run.b_over_a, n_sites=run.n_sites, n_planes=run.n_planes)
     dip = dipole_from_theta(run.theta[0])
     table = dispersion.coupling_table(ks, dip, geom, cli._engine(run))
     mats = dispersion.stack_matrices(table, geom.n_planes)
-    assert np.array_equal(evals, dispersion.symmetric_eigen(mats))
-    assert solved[0] == len(np.unique(np.column_stack([j, jp]), axis=0)) < len(ks)
+    assert np.array_equal(evals, np.linalg.eigvalsh(mats))
+    distinct = len(np.unique(np.column_stack([j, jp]), axis=0))
+    assert solved == [distinct] and distinct < len(ks)
 
 
 def test_help_lists_every_command_and_bad_commands_exit_2(capsys):

@@ -1,10 +1,9 @@
-"""Couplings, N-plane stacks and their two-plane limit, eigen-solver."""
+"""Couplings, N-plane stacks and their two-plane limit."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from latticesum.dispersion import (
     Direct,
@@ -13,7 +12,6 @@ from latticesum.dispersion import (
     coupling_table,
     couplings,
     stack_matrices,
-    symmetric_eigen,
 )
 from latticesum import dispersion, ewald
 from latticesum.direct_sum import k0_tail_correction, window_tensors
@@ -223,7 +221,7 @@ def test_two_plane_stack_matches_pair_formula():
     dip = dipole_from_theta(0.4)
     geom = LatticeGeometry(5.0, n_planes=2)
     table = coupling_table([k], dip, geom, Ewald())
-    evals = symmetric_eigen(stack_matrices(table, geom.n_planes)[0])
+    evals = np.linalg.eigvalsh(stack_matrices(table, geom.n_planes)[0])
     j = couplings(Ewald().tensors([k], 0.0), dip)[0]
     jp = couplings(Ewald().tensors([k], 5.0), dip)[0]
     assert evals == pytest.approx(sorted((j - jp, j + jp)), abs=1e-12)
@@ -238,70 +236,22 @@ def test_nearest_only_error_has_second_neighbor_scale():
     full = stack_matrices(coupling_table([k], dip, geom, Ewald()), geom.n_planes)
     near_table = coupling_table([k], dip, geom, Ewald(), nearest_only=True)
     near = stack_matrices(near_table, geom.n_planes)
-    full, near = symmetric_eigen(full[0]), symmetric_eigen(near[0])
+    full, near = np.linalg.eigvalsh(full[0]), np.linalg.eigvalsh(near[0])
     gap = float(np.max(np.abs(full - near)))
     scale = math.pi * math.exp(-10.0)
     assert 0.2 * scale < gap < 5.0 * scale
 
 
-def test_eigen_known_eigenvalues():
-    tri = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
-    want = [2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)]
-    assert symmetric_eigen(tri) == pytest.approx(want, abs=1e-12)
-    assert symmetric_eigen(np.diag([3.0, -1.0, 2.0])) == pytest.approx([-1.0, 2.0, 3.0])
-    [lone] = symmetric_eigen([[7.0]])
-    assert lone == 7.0
-
-
-def test_eigen_2x2_closed_form():
-    a, b, c = 1.3, -0.7, 0.4
-    mid = 0.5 * (a + c)
-    rad = math.hypot(0.5 * (a - c), b)
-    got = symmetric_eigen(np.array([[a, b], [b, c]]))
-    assert got == pytest.approx([mid - rad, mid + rad], abs=1e-13)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 8), st.data())
-def test_eigen_preserves_trace_and_frobenius(n, data):
-    vals = data.draw(
-        st.lists(st.floats(-10.0, 10.0), min_size=n * n, max_size=n * n)
-    )
-    m = np.array(vals).reshape(n, n)
-    m = 0.5 * (m + m.T)
-    lam = symmetric_eigen(m)
-    assert np.all(np.diff(lam) >= 0.0)
-    # similarity transforms preserve the trace and the Frobenius norm;
-    # together these pin the first two eigenvalue moments
-    assert np.sum(lam) == pytest.approx(np.trace(m), abs=1e-9)
-    assert np.sum(lam * lam) == pytest.approx(np.sum(m * m), rel=1e-10, abs=1e-9)
-
-
-def test_jacobi_handles_tiny_pivot():
-    # an off-diagonal 1e-300 of the diagonal must not upset the solve
-    m = np.array([[10.0, 1e-300], [1e-300, -10.0]])
-    assert symmetric_eigen(m) == pytest.approx([-10.0, 10.0], abs=1e-12)
-
-
-def test_jacobi_rejects_bad_input():
-    with pytest.raises(ValueError):
-        symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        symmetric_eigen(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        symmetric_eigen(np.array([[0.0, np.nan], [np.nan, 0.0]]))
-
-
-def test_eigen_accepts_large_and_stacked_input():
-    # no size cap: a 65-plane stack is a 65 x 65 matrix
-    tri = np.diag(np.full(65, 2.0)) + np.diag(np.ones(64), 1) + np.diag(np.ones(64), -1)
-    want = 2.0 + 2.0 * np.cos(np.pi * np.arange(65, 0, -1) / 66.0)
-    assert symmetric_eigen(tri) == pytest.approx(want, abs=1e-12)
-    # a (K, n, n) stack gives the same (K, n) values as one solve per matrix
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(5, 4, 4))
-    m = m + np.swapaxes(m, -1, -2)
-    stacked = symmetric_eigen(m)
-    assert stacked.shape == (5, 4)
-    for one, lam in zip(m, stacked):
-        assert np.array_equal(symmetric_eigen(one), lam)
+def test_stack_matrices_refuse_a_table_that_is_not_finite_real_2d():
+    # the matrices are exactly symmetric and finite only from such a table
+    for bad in (
+        [[0.0, np.nan]],
+        [[np.inf, 1.0]],
+        [[1.0 + 0.0j, 0.5]],
+        [1.0, 0.5],
+        np.zeros((1, 2, 1)),
+        [["1.0", "0.5"]],
+    ):
+        with pytest.raises(ValueError, match="real array of finite couplings"):
+            stack_matrices(bad, 3)
+    assert stack_matrices([[1, 2]], 2).tolist() == [[[1.0, 2.0], [2.0, 1.0]]]
