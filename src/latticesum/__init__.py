@@ -10,8 +10,6 @@ CSV-producing command line.
 from .model import (
     COULOMB_EV_ANGSTROM,
     CouplingTensor,
-    LatticeGeometry,
-    TransitionDipole,
     dipole_from_theta,
     j0_scale,
     make_k_grid,

@@ -32,13 +32,7 @@ from .dispersion import (
     stack_matrices,
 )
 from .ewald import _lattice_sums, _terms
-from .model import (
-    MIN_OFFSET,
-    LatticeGeometry,
-    dipole_from_theta,
-    j0_scale,
-    make_k_grid,
-)
+from .model import MAX_FOLD, MIN_OFFSET, dipole_from_theta, j0_scale, make_k_grid
 
 __all__ = [
     "ConfigError",
@@ -163,7 +157,9 @@ _VALIDATORS = {
         _want_list(k, v, _want_theta) if isinstance(v, list) else (_want_theta(k, v),)
     ),
     "phi_points": _want_int,
-    "ka_values": lambda k, v: _want_list(k, v, _want_real),
+    "ka_values": lambda k, v: _want_list(k, v, lambda path, ka: float(_want(
+        round(_want_real(path, ka) / (2.0 * math.pi)) < MAX_FOLD, path,
+        "must lie fewer than 2^29 periods of 2 pi from the zone (below about 3.37e9)", ka))),
     "k_direction": lambda k, v: "grid" if v == "grid" else _want_real(k, v, positive=False),
     "n_sites": lambda k, v: _want(
         math.isqrt(_want_int(k, v)) ** 2 == v, k, "must be a perfect square", v
@@ -272,7 +268,7 @@ def _engine(cfg: RunConfig, windows: int = 1, offset: float = 0.0) -> Method:
 def _modes(cfg: RunConfig):
     """((K, 2) k points, Jt, Jt' at the nearest separation, stack eigenvalues).
 
-    One geometry, one coupling table, one batched eigen-solve over the
+    One coupling table, one batched eigen-solve over the
     distinct table rows, for the dipole of the first theta entry. Jt' is
     zero for a single plane.
     """
@@ -285,16 +281,15 @@ def _modes(cfg: RunConfig):
     size = ks * (cfg.n_planes + cfg.n_planes**2 // 32)
     _want(size <= MAX_SIZE, "n_planes", f"asks for more than {MAX_SIZE} rows "
           "(k points x (n_planes + n_planes^2 / 32))", size)
-    geom = LatticeGeometry(cfg.b_over_a, n_sites=cfg.n_sites, n_planes=cfg.n_planes)
     if grid:
-        kxy = make_k_grid(geom)
+        kxy = make_k_grid(cfg.n_sites)
     else:
         d = float(cfg.k_direction)
         kxy = np.array(cfg.ka_values)[:, None] * [math.cos(d), math.sin(d)]
     dip = dipole_from_theta(cfg.theta[0])
     offsets = min(cfg.n_planes, 2) if cfg.nearest_only else cfg.n_planes
     method = _engine(cfg, len(kxy) * offsets, (offsets - 1) * cfg.b_over_a)
-    table = coupling_table(kxy, dip, geom, method, cfg.nearest_only)
+    table = coupling_table(kxy, dip, cfg.b_over_a, cfg.n_planes, method, cfg.nearest_only)
     # equal table rows (by bits) give equal matrices: build and solve each once
     rows = table.view(f"V{table.itemsize * table.shape[1]}").ravel()
     _, first, at = np.unique(rows, return_index=True, return_inverse=True)

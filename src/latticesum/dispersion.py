@@ -24,13 +24,7 @@ import numpy as np
 
 from .direct_sum import k0_tail_correction, window_tensors
 from .ewald import _plane_waves, f_constant, lattice_tensors
-from .model import (
-    LatticeGeometry,
-    TransitionDipole,
-    check_tensors,
-    tensors_by_orbit,
-    tensors_from_components,
-)
+from .model import check_offset, check_tensors, tensors_by_orbit, tensors_from_components
 
 __all__ = [
     "Direct",
@@ -111,16 +105,21 @@ class LongWave:
 Method = Union[Direct, Ewald, LongWave]
 
 
-def couplings(tensors, dipole: TransitionDipole) -> np.ndarray:
+def couplings(tensors, dipole) -> np.ndarray:
     """sum_ij m_i m_j Dt_ij for every tensor of a (..., 3, 3) stack, as (...).
 
-    Real for Hermitian tensors and real m: the imaginary residual is
-    asserted below 1e-12 and then discarded. Between planes the xz and yz
-    entries are purely imaginary, so the m_x m_z and m_y m_z cross terms
-    drop out; the long-wave forms give Jt' = 2 pi (ka) e^{-kb}
-    [(m_par . khat)^2 - m_z^2].
+    ``dipole`` is the real unit direction (m_x, m_y, m_z), |m|^2 within
+    1e-12 of 1; the magnitude enters through J0. Real for Hermitian tensors
+    and real m: the imaginary residual is asserted below 1e-12 and then
+    discarded. Between planes the xz and yz entries are purely imaginary,
+    so the m_x m_z and m_y m_z cross terms drop out; the long-wave forms
+    give Jt' = 2 pi (ka) e^{-kb} [(m_par . khat)^2 - m_z^2].
     """
-    m = np.asarray(dipole.direction)
+    m = np.asarray(dipole)
+    # |m|^2 in Python floats overflows to inf silently; NaN and inf fail the test
+    if (m.shape != (3,) or m.dtype.kind not in "iuf"
+            or not abs(sum(x * x for x in m.tolist()) - 1.0) <= 1e-12):
+        raise ValueError(f"expected a real unit dipole direction of shape (3,), got {m!r}")
     vals = (m @ np.asarray(tensors)) @ m
     resid = float(np.max(np.abs(vals.imag), initial=0.0))
     if resid > _IMAG_TOL:
@@ -129,18 +128,21 @@ def couplings(tensors, dipole: TransitionDipole) -> np.ndarray:
 
 
 def coupling_table(
-    ks, dipole: TransitionDipole, geometry: LatticeGeometry, method: Method,
-    nearest_only: bool = False,
+    ks, dipole, b_over_a: float, n_planes: int, method: Method, nearest_only: bool = False,
 ) -> np.ndarray:
-    """The (K, S) couplings a stack of ``geometry.n_planes`` planes needs, in J0.
+    """The (K, S) couplings a stack of ``n_planes`` >= 1 planes at spacing
+    ``b_over_a`` needs, in J0.
 
     Column s holds Jt'(k) at plane separation s b, column 0 Jt(k) in the
     plane: s = 0 .. N-1, or only s <= 1 with nearest_only. All S offsets
-    s b go to one engine call.
+    s b go to one engine call. The spacing must pass
+    :func:`~latticesum.model.check_offset` as a spacing, so b = 0 is refused.
     """
-    n = geometry.n_planes
-    last = min(n - 1, 1) if nearest_only else n - 1
-    offsets = [sep * geometry.b_over_a for sep in range(last + 1)]
+    b = check_offset(b_over_a, spacing=True)
+    if n_planes < 1:
+        raise ValueError(f"n_planes must be >= 1, got {n_planes}")
+    last = min(n_planes - 1, 1) if nearest_only else n_planes - 1
+    offsets = [sep * b for sep in range(last + 1)]
     return np.ascontiguousarray(couplings(method.tensors(ks, offsets), dipole).T)
 
 

@@ -27,9 +27,10 @@ periodicity, A. Grzybowski, E. Gwozdz and A. Brodka, Phys. Rev. B 61,
   part, removed by subtracting (4 eta^3 / 3 sqrt(pi)) delta_ij.
 
 With eta = sqrt(pi) and both sums over |l|, |n| <= 4, every omitted term
-is below 1e-21 at any offset and any k (k is folded into the zone first,
-since D is periodic in k), so the truncation is fixed and needs no
-option. erfc is the standard library's, one Python call per argument
+is below 1e-21 at any offset and any k (D is periodic in k, and k is first
+folded into the zone exactly, below 2^29 periods of 2 pi, the most that
+:func:`~latticesum.model.k_array` accepts), so the truncation is fixed and
+needs no option. erfc is the standard library's, one Python call per argument
 (about 0.1 us), which keeps SciPy off the import path. Below c = 2 every
 argument lies in (-3.6, 14.9), where it neither saturates nor underflows.
 

@@ -18,8 +18,7 @@ import numpy as np
 __all__ = [
     "COULOMB_EV_ANGSTROM",
     "MIN_OFFSET",
-    "LatticeGeometry",
-    "TransitionDipole",
+    "MAX_FOLD",
     "CouplingTensor",
     "check_offset",
     "check_offsets",
@@ -46,6 +45,10 @@ _INVARIANT_TOL = 1e-10
 # at c = 3e-4 already 3e-5 J0.
 MIN_OFFSET = 1e-3
 
+# Every k must lie fewer than MAX_FOLD periods of 2 pi from the zone (|k| below
+# about 3.37e9): up to there :func:`_fold_into_zone` subtracts n 2 pi exactly.
+MAX_FOLD = 2**29
+
 
 def check_offset(offset: float, *, spacing: bool = False) -> float:
     """The plane offset c in units of a, as a float, once it is accepted.
@@ -68,44 +71,6 @@ def check_offsets(offsets) -> list[float]:
             f"expected one offset or a 1-D sequence, got shape {np.shape(offsets)}"
         )
     return [check_offset(c) for c in np.reshape(offsets, -1).tolist()]
-
-
-@dataclass(frozen=True)
-class LatticeGeometry:
-    """Square-lattice stack: plane spacing and extent.
-
-    ``b_over_a`` is the plane separation in units of the lattice constant
-    a, ``n_sites`` is the number of sites per plane (must be a perfect
-    square: the plane is sqrt(N) x sqrt(N)), ``n_planes`` counts stacked
-    planes.
-    """
-
-    b_over_a: float
-    n_sites: int = 1
-    n_planes: int = 1
-
-    def __post_init__(self):
-        check_offset(self.b_over_a, spacing=True)
-        if self.n_planes < 1:
-            raise ValueError(f"n_planes must be >= 1, got {self.n_planes}")
-        if self.n_sites < 1:
-            raise ValueError(f"n_sites must be >= 1, got {self.n_sites}")
-        root = math.isqrt(self.n_sites)
-        if root * root != self.n_sites:
-            raise ValueError(f"n_sites must be a perfect square, got {self.n_sites}")
-
-
-@dataclass(frozen=True)
-class TransitionDipole:
-    """Unit direction (m_x, m_y, m_z); the magnitude enters through J0."""
-
-    direction: tuple[float, float, float]
-
-    def __post_init__(self):
-        mx, my, mz = self.direction
-        norm2 = mx * mx + my * my + mz * mz
-        if abs(norm2 - 1.0) > 1e-12:
-            raise ValueError(f"direction must be a unit vector, |m|^2 = {norm2!r}")
 
 
 def check_tensors(m) -> np.ndarray:
@@ -202,13 +167,14 @@ class CouplingTensor:
         return self.entries[1, 2]
 
 
-def dipole_from_theta(theta: float) -> TransitionDipole:
+def dipole_from_theta(theta: float) -> tuple[float, float, float]:
     """Dipole tilted by theta from the plane normal: (sin t, 0, cos t).
 
     The in-plane projection is fixed along x; anisotropy scans rotate the
-    wave vector instead. Angle wrapping is the caller's business.
+    wave vector instead. Angle wrapping is the caller's business. Only the
+    unit direction is returned; the magnitude enters through J0.
     """
-    return TransitionDipole((math.sin(theta), 0.0, math.cos(theta)))
+    return (math.sin(theta), 0.0, math.cos(theta))
 
 
 def j0_scale(mu: float, a: float) -> float:
@@ -224,16 +190,19 @@ def j0_scale(mu: float, a: float) -> float:
     return j0
 
 
-def make_k_grid(geometry: LatticeGeometry) -> np.ndarray:
-    """Allowed wave vectors of a sqrt(N) x sqrt(N) plane with periodic BCs,
-    as a (K, 2) array of (kxa, kya), kxa varying slowest.
+def make_k_grid(n_sites: int) -> np.ndarray:
+    """Allowed wave vectors of a sqrt(N) x sqrt(N) plane of N = ``n_sites``
+    sites with periodic BCs, as a (K, 2) array of (kxa, kya), kxa varying
+    slowest. N must be a perfect square of at least 1.
 
     k_{x,y} a = 2 pi p / sqrt(N) with p = 0, +-1, ..., +-floor(sqrt(N)/2).
     Both signed edge values are kept, so for even sqrt(N) the grid has
     (sqrt(N)+1)^2 points and the zone-edge rows appear twice; nothing
     downstream needs uniqueness.
     """
-    root = math.isqrt(geometry.n_sites)
+    root = math.isqrt(max(n_sites, 0))
+    if n_sites < 1 or root * root != n_sites:
+        raise ValueError(f"n_sites must be a perfect square >= 1, got {n_sites}")
     half = root // 2
     axis = (2.0 * math.pi / root) * np.arange(-half, half + 1)
     return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -241,7 +210,8 @@ def make_k_grid(geometry: LatticeGeometry) -> np.ndarray:
 
 def k_array(ks) -> np.ndarray:
     """(K, 2) float array of (kxa, kya) from a (K, 2) real array or a
-    sequence of (kxa, kya) pairs, whose entries must be finite."""
+    sequence of (kxa, kya) pairs, whose entries must be finite and fewer
+    than MAX_FOLD periods of 2 pi from the zone."""
     kxy = np.asarray(ks)
     if kxy.shape == (0,):
         kxy = kxy.reshape(0, 2)
@@ -249,11 +219,21 @@ def k_array(ks) -> np.ndarray:
         raise ValueError(
             f"expected a (K, 2) real array of finite (kxa, kya), got {kxy.dtype} {kxy.shape}"
         )
-    return kxy.astype(float)
+    kxy = kxy.astype(float)
+    if np.any(np.abs(np.round(kxy / (2.0 * math.pi))) >= MAX_FOLD):
+        raise ValueError("k must lie fewer than 2^29 periods of 2 pi from the zone "
+                         f"(|k| below about 3.37e9), got |k| = {np.max(np.abs(kxy))!r}")
+    return kxy
 
 
 def _fold_into_zone(kxy: np.ndarray) -> np.ndarray:
-    return kxy - 2.0 * math.pi * np.round(kxy / (2.0 * math.pi))
+    """k - 2 pi round(k / 2 pi), subtracting n 2 pi in three parts (Cody and
+    Waite, 1980) whose first two products with |n| < MAX_FOLD are exact. A k
+    equal to n times the double 2 pi is the lattice point n and folds to 0."""
+    n = np.round(kxy / (2.0 * math.pi))
+    folded = (kxy - n * 6.283185005187988 - n * 3.0199157663446385e-07
+              - n * 2.1561211432632476e-14)
+    return np.where(kxy == n * (2.0 * math.pi), 0.0, folded)
 
 
 def tensors_by_orbit(ks, offsets, sums) -> np.ndarray:

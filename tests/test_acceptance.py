@@ -27,7 +27,6 @@ from latticesum.dispersion import (
 )
 from latticesum.ewald import f_constant, lattice_tensors
 from latticesum.model import (
-    LatticeGeometry,
     dipole_from_theta,
     j0_scale,
 )
@@ -210,9 +209,8 @@ def test_criterion_07():
         method = Ewald()
         j = couplings(method.tensors([k], 0.0), dipole)[0]
         jp = couplings(method.tensors([k], 2.0), dipole)[0]
-        geometry = LatticeGeometry(b_over_a=2.0, n_planes=2)
-        table = coupling_table([k], dipole, geometry, method)
-        evals = np.linalg.eigvalsh(stack_matrices(table, geometry.n_planes)[0])
+        table = coupling_table([k], dipole, 2.0, 2, method)
+        evals = np.linalg.eigvalsh(stack_matrices(table, 2)[0])
         expect = np.sort([j - jp, j + jp])
         assert float(np.max(np.abs(evals - expect))) <= 1e-12
         assert abs((evals[1] - evals[0]) - 2.0 * abs(jp)) <= 1e-12

@@ -18,12 +18,7 @@ from latticesum.cli import ConfigError, RunConfig, main, parse_config
 from latticesum.direct_sum import window_tensors
 from latticesum.dispersion import couplings
 from latticesum.ewald import f_constant, lattice_tensors
-from latticesum.model import (
-    LatticeGeometry,
-    dipole_from_theta,
-    j0_scale,
-    make_k_grid,
-)
+from latticesum.model import MAX_FOLD, dipole_from_theta, j0_scale, make_k_grid
 
 
 TWO_PI = 2.0 * math.pi
@@ -114,6 +109,7 @@ def test_theta_scalar_becomes_tuple():
         ('{"phi_points": 0}', "phi_points"),
         ('{"ka_values": []}', "ka_values"),
         ('{"ka_values": [0.5, -1.0]}', "ka_values[1]"),
+        ('{"ka_values": [0.5, 1e17]}', "ka_values[1]: must lie fewer than 2^29 periods"),
         ('{"n_sites": 12}', "n_sites"),
         ('{"method": "magic"}', "method"),
         # the closed forms are API-only
@@ -159,6 +155,24 @@ def test_bad_configs_name_the_key(payload, needle):
         parse_config(payload)
     assert needle in str(err.value)
     assert len(str(err.value)) < 200
+
+
+def test_ka_past_the_fold_bound_is_refused(tmp_path, capsys):
+    # k is folded exactly only below 2^29 periods of 2 pi; past that every
+    # command refuses the ka with exit 2 and one line naming it
+    for command in READS:
+        code, _ = run_cli(tmp_path, command, {"ka_values": [0.5, 3.4e9], "n_planes": 2})
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ka_values[1]: ") and err.count("\n") == 1
+    # just inside the bound, the row is the library's at that k
+    ka = float(np.nextafter((MAX_FOLD - 0.5) * TWO_PI, 0.0))
+    cfg = {"ka_values": [ka], "phi_points": 4, "theta": [0.3], "b_over_a": 1.0}
+    code, op = run_cli(tmp_path, "sweep-phi", cfg)
+    assert code == 0
+    _, rows = read_rows(op)
+    want = couplings(lattice_tensors([(ka, 0.0)], 1.0), dipole_from_theta(0.3))[0]
+    assert float(rows[0][2]) == ka and float(rows[0][4]) == want
 
 
 def test_exit_codes(tmp_path):
@@ -409,10 +423,9 @@ def test_modes_solve_each_distinct_coupling_row_once(cfg, monkeypatch):
 
     monkeypatch.setattr(cli, "eigvalsh", solve)
     ks, j, jp, evals = cli._modes(run)
-    geom = LatticeGeometry(run.b_over_a, n_sites=run.n_sites, n_planes=run.n_planes)
     dip = dipole_from_theta(run.theta[0])
-    table = dispersion.coupling_table(ks, dip, geom, cli._engine(run))
-    mats = dispersion.stack_matrices(table, geom.n_planes)
+    table = dispersion.coupling_table(ks, dip, run.b_over_a, run.n_planes, cli._engine(run))
+    mats = dispersion.stack_matrices(table, run.n_planes)
     assert np.array_equal(evals, np.linalg.eigvalsh(mats))
     distinct = len(np.unique(np.column_stack([j, jp]), axis=0))
     assert solved == [distinct] and distinct < len(ks)
@@ -548,7 +561,7 @@ def test_far_planes_call_no_erfc(tmp_path, monkeypatch):
     assert code == 0
     stack_args = args.copy()
     args.clear()
-    lattice_tensors(make_k_grid(LatticeGeometry(2.0, n_sites=4)), 0.0)
+    lattice_tensors(make_k_grid(4), 0.0)
     assert args and stack_args == args
 
 

@@ -19,8 +19,6 @@ from latticesum.ewald import f_constant
 from latticesum.model import (
     MIN_OFFSET,
     CouplingTensor,
-    LatticeGeometry,
-    TransitionDipole,
     dipole_from_theta,
     make_k_grid,
 )
@@ -28,10 +26,25 @@ from latticesum.model import (
 
 def test_coupling_contraction():
     t = [CouplingTensor.from_components(1.0, 1.0, -2.0, 0.5, 0.0, 0.0).entries]
-    assert couplings(t, TransitionDipole((1.0, 0.0, 0.0)))[0] == 1.0
+    assert couplings(t, (1.0, 0.0, 0.0))[0] == 1.0
     s = math.sqrt(0.5)
-    diag = TransitionDipole((s, s, 0.0))
+    diag = (s, s, 0.0)
     assert couplings(t, diag)[0] == pytest.approx(1.5)
+
+
+def test_couplings_refuse_a_dipole_that_is_not_a_real_unit_3_vector():
+    # NaN and inf |m|^2 are refused as well as a plain non-unit one
+    tensors = Ewald().tensors([(0.8, 0.3)], [0.0, 1.5])
+    for bad in [(math.nan, 0.0, 1.0), (math.inf, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 0.0),
+                (1.0, 0.0, 0.0, 0.0), [[1.0, 0.0, 0.0]], (True, False, False),
+                (1.0 + 0j, 0.0, 0.0), (1e200, 0.0, 0.0), (1e154, 1e154, 1e154)]:
+        with pytest.raises(ValueError, match="unit dipole direction of shape"):
+            couplings(tensors, bad)
+    for theta in (0.0, 0.3, math.pi / 4.0, 1.2, math.pi / 2.0, math.pi):
+        m = dipole_from_theta(theta)
+        assert np.array_equal(couplings(tensors, m), couplings(tensors, np.array(m)))
+        assert couplings(tensors, m).shape == (2, 1)
+    assert couplings(tensors, (0, 0, 1)) == pytest.approx(tensors[..., 2, 2].real)
 
 
 @pytest.mark.parametrize("method", [Ewald(), LongWave(), Direct(cutoff=6)])
@@ -168,18 +181,22 @@ def test_plane_offset_rule():
         assert method.tensors(ks, 0.0).shape == (2, 3, 3)
         assert method.tensors(ks, MIN_OFFSET).shape == (2, 3, 3)
     assert np.array_equal(Ewald().tensors(ks, 0.0), ewald.lattice_tensors(ks, 0.0))
-    # a plane spacing must not be 0 either: offset 0 is the in-plane tensor
-    for b in (0.0, 9e-4, math.nan):
-        with pytest.raises(ValueError):
-            LatticeGeometry(b)
-    assert LatticeGeometry(MIN_OFFSET).b_over_a == MIN_OFFSET
+    # a stack's plane spacing must not be 0 either: offset 0 is the in-plane
+    # tensor; nor may it have fewer than one plane
+    dip = dipole_from_theta(0.6)
+    for b in (0.0, 9e-4, math.nan, math.inf):
+        with pytest.raises(ValueError, match="plane spacing"):
+            coupling_table(ks, dip, b, 2, Ewald())
+    with pytest.raises(ValueError, match="n_planes"):
+        coupling_table(ks, dip, 1.5, 0, Ewald())
+    assert np.array_equal(coupling_table(ks, dip, MIN_OFFSET, 2, Ewald()),
+                          couplings(Ewald().tensors(ks, [0.0, MIN_OFFSET]), dip).T)
 
 
 def test_stack_matrix_structure():
     k = (0.5 * math.cos(0.3), 0.5 * math.sin(0.3))
     dip = dipole_from_theta(math.pi / 2.0)
-    geom = LatticeGeometry(10.0, n_planes=4)
-    m = stack_matrices(coupling_table([k], dip, geom, LongWave()), geom.n_planes)[0]
+    m = stack_matrices(coupling_table([k], dip, 10.0, 4, LongWave()), 4)[0]
     assert m.shape == (4, 4)
     assert np.array_equal(m, m.T)
     assert np.all(np.diag(m) == m[0, 0])
@@ -187,8 +204,8 @@ def test_stack_matrix_structure():
     decay = math.exp(-0.5 * 10.0)
     assert m[0, 2] / m[0, 1] == pytest.approx(decay, rel=1e-12)
     assert m[0, 3] / m[0, 2] == pytest.approx(decay, rel=1e-12)
-    near_table = coupling_table([k], dip, geom, LongWave(), nearest_only=True)
-    near = stack_matrices(near_table, geom.n_planes)[0]
+    near_table = coupling_table([k], dip, 10.0, 4, LongWave(), nearest_only=True)
+    near = stack_matrices(near_table, 4)[0]
     assert near[0, 2] == 0.0 and near[0, 3] == 0.0
     assert near[0, 1] == m[0, 1]
     assert np.array_equal(np.diag(near), np.diag(m))
@@ -199,10 +216,9 @@ def test_stack_matrix_structure():
 def test_stack_matrices_equal_a_loop_over_separations(n_planes, nearest_only):
     # the one gather from the coupling table puts Jt' at separation s in
     # every entry |alpha - beta| = s, and +0.0 past the table, bit for bit
-    ks = make_k_grid(LatticeGeometry(1.0, n_sites=16))
+    ks = make_k_grid(16)
     dip = dipole_from_theta(0.6)
-    geom = LatticeGeometry(1.5, n_planes=n_planes)
-    got = coupling_table(ks, dip, geom, Ewald(), nearest_only)
+    got = coupling_table(ks, dip, 1.5, n_planes, Ewald(), nearest_only)
     mats = stack_matrices(got, n_planes)
     seps = min(n_planes - 1, 1) if nearest_only else n_planes - 1
     offsets = [1.5 * s for s in range(seps + 1)]
@@ -219,9 +235,8 @@ def test_stack_matrices_equal_a_loop_over_separations(n_planes, nearest_only):
 def test_two_plane_stack_matches_pair_formula():
     k = (0.8, -0.2)
     dip = dipole_from_theta(0.4)
-    geom = LatticeGeometry(5.0, n_planes=2)
-    table = coupling_table([k], dip, geom, Ewald())
-    evals = np.linalg.eigvalsh(stack_matrices(table, geom.n_planes)[0])
+    table = coupling_table([k], dip, 5.0, 2, Ewald())
+    evals = np.linalg.eigvalsh(stack_matrices(table, 2)[0])
     j = couplings(Ewald().tensors([k], 0.0), dip)[0]
     jp = couplings(Ewald().tensors([k], 5.0), dip)[0]
     assert evals == pytest.approx(sorted((j - jp, j + jp)), abs=1e-12)
@@ -232,10 +247,9 @@ def test_nearest_only_error_has_second_neighbor_scale():
     # |Jt'(2b)| ~ pi e^{-2 k b}; here pi e^{-10}
     k = (0.5 * math.cos(0.3), 0.5 * math.sin(0.3))
     dip = dipole_from_theta(math.pi / 2.0)
-    geom = LatticeGeometry(10.0, n_planes=5)
-    full = stack_matrices(coupling_table([k], dip, geom, Ewald()), geom.n_planes)
-    near_table = coupling_table([k], dip, geom, Ewald(), nearest_only=True)
-    near = stack_matrices(near_table, geom.n_planes)
+    full = stack_matrices(coupling_table([k], dip, 10.0, 5, Ewald()), 5)
+    near_table = coupling_table([k], dip, 10.0, 5, Ewald(), nearest_only=True)
+    near = stack_matrices(near_table, 5)
     full, near = np.linalg.eigvalsh(full[0]), np.linalg.eigvalsh(near[0])
     gap = float(np.max(np.abs(full - near)))
     scale = math.pi * math.exp(-10.0)

@@ -13,12 +13,12 @@ from latticesum.direct_sum import window_tensors
 from latticesum.dispersion import Direct, LongWave
 from latticesum.ewald import f_constant, lattice_tensors
 from latticesum.model import (
-    LatticeGeometry,
     make_k_grid,
     tensors_from_components,
 )
 from latticesum.specfun import bessel_k
 
+from mpmath import mp, mpf, nint
 from mpmath_oracle import ewald_components
 from plane_wave_oracle import plane_wave_tensor
 
@@ -73,21 +73,31 @@ def test_erfc_saturation_is_exact():
 # (kx, ky, c): generic k at offsets down to MIN_OFFSET and up to 300, with
 # |k| c near 1 on the far planes so that their entries are not far below
 # the bound's floor of 1; in the plane, an axis, |k| = 1e-8, the zone
-# corner and a reciprocal-lattice point
+# corner and a reciprocal-lattice point; and far outside the zone, in the
+# plane and one spacing up
 MPMATH_POINTS = [
     (0.8, 0.3, 1e-3), (0.8, 0.3, 0.01), (0.8, 0.3, 0.03),
     *((ka * math.cos(0.36), ka * math.sin(0.36), c)
       for ka, c in ((0.1, 10.0), (0.02, 50.0), (0.005, 300.0))),
     (0.8, 0.0, 0.0), (1e-8 * math.cos(0.6), 1e-8 * math.sin(0.6), 0.0),
     (math.pi, math.pi, 0.0), (TWO_PI, 0.0, 0.0),
+    *((1.0000001 * ka, 0.3 * ka + 0.1, c) for ka in (1e3, 1e6, 1e9) for c in (0.0, 1.0)),
 ]
+
+
+def _reduced(k):
+    """k folded into the zone by mpmath at 60 digits, apart from the kernel's
+    fold: the oracle sums an unfolded k out to |k| / 2 pi shells."""
+    with mp.workdps(60):
+        k = mpf(k)
+        return k - 2 * mp.pi * nint(k / (2 * mp.pi))
 
 
 @pytest.mark.parametrize("kx,ky,c", MPMATH_POINTS)
 def test_kernel_matches_mpmath_split(kx, ky, c):
     # measured within 6.7e-16 of max(1, largest entry); at 3 shells within
     # 6.7e-16 too, at 2 shells off by 1.3e-8
-    want = np.array(ewald_components(kx, ky, c))
+    want = np.array(ewald_components(_reduced(kx), _reduced(ky), c))
     t = lattice_tensors([(kx, ky)], c)[0]
     got = t[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
     assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
@@ -282,7 +292,7 @@ def _residuals(m):
 def test_orbit_check_guards_every_k():
     # only the orbit stack is checked; every k is a signed permutation of
     # its orbit's tensor, whose residuals are those of the orbit's bit for bit
-    grid = make_k_grid(LatticeGeometry(1.0, n_sites=400))
+    grid = make_k_grid(400)
     members = grid[(grid[:, 0] >= grid[:, 1]) & (grid[:, 1] >= 0.0)]
     offsets = [0.0, 1e-3, 1.5, 2.0, 14.0]
     got = lattice_tensors(grid, offsets)
@@ -297,7 +307,7 @@ def test_kernel_fault_is_refused_after_the_orbit_reduction(monkeypatch):
     xx = np.zeros((6, 1, 1))
     xx[0] = 1e-6
     monkeypatch.setattr(ewald, "_sums", lambda *args: sums(*args) + xx)
-    grid = make_k_grid(LatticeGeometry(1.0, n_sites=400))
+    grid = make_k_grid(400)
     for offsets in (0.0, [0.0, 1.5, 6.0]):
         with pytest.raises(ValueError, match="not traceless"):
             lattice_tensors(grid, offsets)

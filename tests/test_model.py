@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from mpmath import mp, mpf, nint
 from scipy.constants import elementary_charge, epsilon_0
 
+from latticesum.dispersion import couplings
 from latticesum.model import (
     COULOMB_EV_ANGSTROM,
+    MAX_FOLD,
+    _fold_into_zone,
     CouplingTensor,
-    LatticeGeometry,
-    TransitionDipole,
     check_tensors,
     dipole_from_theta,
     j0_scale,
@@ -49,32 +51,30 @@ def test_j0_refuses_a_scale_that_is_not_positive_finite(mu):
 
 
 def test_geometry_validation():
-    LatticeGeometry(10.0, n_sites=49, n_planes=3)
-    with pytest.raises(ValueError):
-        LatticeGeometry(0.0)
-    with pytest.raises(ValueError):
-        LatticeGeometry(10.0, n_sites=50)
-    with pytest.raises(ValueError):
-        LatticeGeometry(10.0, n_planes=0)
+    # a plane of N sites is sqrt(N) x sqrt(N), N >= 1
+    assert make_k_grid(49).shape == (49, 2)
+    for n_sites in (0, -4, 50):
+        with pytest.raises(ValueError, match="perfect square >= 1"):
+            make_k_grid(n_sites)
 
 
 @given(st.floats(-10.0, 10.0))
 def test_dipole_from_theta_is_unit(theta):
     dip = dipole_from_theta(theta)
-    assert math.hypot(*dip.direction) == pytest.approx(1.0, abs=1e-12)
-    assert dip.direction[1] == 0.0
+    assert math.hypot(*dip) == pytest.approx(1.0, abs=1e-12)
+    assert dip[1] == 0.0
 
 
 def test_dipole_from_theta_poles():
-    assert dipole_from_theta(0.0).direction == (0.0, 0.0, 1.0)
-    mx, _, mz = dipole_from_theta(math.pi / 2.0).direction
+    assert dipole_from_theta(0.0) == (0.0, 0.0, 1.0)
+    mx, _, mz = dipole_from_theta(math.pi / 2.0)
     assert mx == pytest.approx(1.0, abs=1e-15)
     assert mz == pytest.approx(0.0, abs=1e-15)
 
 
 def test_dipole_validation():
-    with pytest.raises(ValueError):
-        TransitionDipole((1.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match="unit dipole direction"):
+        couplings(np.zeros((1, 3, 3)), (1.0, 1.0, 0.0))
 
 
 def test_tensor_from_components_layout():
@@ -160,19 +160,48 @@ def test_k_array_takes_pairs_or_a_real_array():
             k_array([(0.0, bad)])
 
 
+def test_k_array_refuses_k_past_the_fold_bound():
+    # |round(k / 2 pi)| must stay below 2^29, where the fold is exact
+    edge = (MAX_FOLD - 0.5) * 2.0 * math.pi  # about 3.37e9
+    assert MAX_FOLD == 2**29
+    inside = np.nextafter(edge, 0.0)
+    assert np.array_equal(k_array([(inside, -inside)]), [[inside, -inside]])
+    for bad in (edge * (1.0 + 1e-15), 1e17, -1e300):
+        for ks in ([(bad, 0.0)], [(0.5, 0.0), (0.0, bad)]):
+            with pytest.raises(ValueError, match="2\\^29 periods of 2 pi"):
+                k_array(ks)
+
+
+def test_fold_is_exact_out_to_the_bound():
+    # within half an ulp of pi of k reduced at 60 digits, anywhere below the
+    # bound; in the zone k itself, bit for bit
+    rng = np.random.default_rng(5)
+    ks = np.concatenate([rng.uniform(-s, s, 200) for s in (10.0, 1e3, 1e6, 1e9, 3.3e9)])
+    got = _fold_into_zone(ks)
+    with mp.workdps(60):
+        want = [mpf(k) - 2 * mp.pi * nint(mpf(k) / (2 * mp.pi)) for k in ks.tolist()]
+        err = max(abs(float(mpf(g) - w)) for g, w in zip(got.tolist(), want))
+    assert err <= 2.3e-16
+    inside = rng.uniform(-math.pi, math.pi, 10**4)
+    assert _fold_into_zone(inside).tobytes() == inside.tobytes()
+    # k written as n times the double 2 pi is the reciprocal-lattice point n
+    lattice = 2.0 * math.pi * np.array([1.0, -3.0, 1e6, 2.0**28])
+    assert not _fold_into_zone(lattice).any()
+
+
 def test_k_grid_single_site():
-    [k] = make_k_grid(LatticeGeometry(1.0, n_sites=1))
+    [k] = make_k_grid(1)
     assert (k[0], k[1]) == (0.0, 0.0)
 
 
 def test_k_grid_even_root_keeps_both_edges():
-    ks = make_k_grid(LatticeGeometry(1.0, n_sites=4))
+    ks = make_k_grid(4)
     assert len(ks) == 9
     assert sorted(set(ks[:, 0].tolist())) == pytest.approx([-math.pi, 0.0, math.pi])
 
 
 def test_k_grid_spacing():
-    ks = make_k_grid(LatticeGeometry(1.0, n_sites=100))
+    ks = make_k_grid(100)
     assert len(ks) == 121
     xs = sorted(set(ks[:, 0].tolist()))
     assert np.diff(xs) == pytest.approx(np.full(10, 2.0 * math.pi / 10.0))

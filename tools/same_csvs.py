@@ -25,7 +25,8 @@ SEEDS = (1, 2, 3)
 
 # (command, config): every command's defaults, the b = 0.5a grid with and
 # without nearest_only, a 33-plane grid, a 2513-plane stack at one k, the
-# direct window on a grid and a spacing whose q c overflows
+# direct window on a grid, a spacing whose q c overflows, an odd-sided grid
+# of one plane and a MIN_OFFSET spacing with nearest_only
 _GRID = {"k_direction": "grid", "n_sites": 400, "n_planes": 8, "b_over_a": 0.5}
 EXTRA = [
     ("sweep-phi", {}),
@@ -41,6 +42,9 @@ EXTRA = [
     ("stack", {"k_direction": "grid", "n_sites": 400, "n_planes": 8, "b_over_a": 2.0,
                "theta": 0.6, "method": "direct", "direct_cutoff": 500}),
     ("stack", {"b_over_a": 1e308}),
+    ("dispersion", {"k_direction": "grid", "n_sites": 9, "n_planes": 1}),
+    ("stack", {"k_direction": "grid", "n_sites": 16, "n_planes": 3, "b_over_a": 0.001,
+               "nearest_only": True}),
 ]
 
 
