@@ -32,7 +32,9 @@ from .dispersion import (
     stack_matrices,
 )
 from .ewald import _lattice_sums, _terms
-from .model import MAX_FOLD, MIN_OFFSET, dipole_from_theta, j0_scale, make_k_grid
+from .model import (
+    COULOMB_EV_ANGSTROM, MAX_FOLD, MIN_OFFSET, dipole_from_theta, j0_scale, make_k_grid,
+)
 
 __all__ = [
     "ConfigError",
@@ -193,22 +195,9 @@ def parse_config(text: str | bytes) -> RunConfig:
         raise ConfigError("top level: expected a JSON object")
     out = {}
     for key, value in raw.items():
-        if key in _VALIDATORS:
-            out[key] = _VALIDATORS[key](key, value)
-        elif key != "ewald":
+        if key not in _VALIDATORS:
             raise ConfigError(f"{_named(key)}: unknown key")
-        else:
-            # the kernel's shells are fixed; name (the first few of) what an
-            # older config set
-            dropped = ""
-            if isinstance(value, dict):
-                dropped = ", ".join(f"ewald.{_named(k)}" for k in list(value)[:3])
-                if len(value) > 3:
-                    dropped += f" and {len(value) - 3} more"
-            raise ConfigError(
-                "ewald: unknown key; the Ewald kernel takes no settings"
-                + (f", drop {dropped}" if dropped else "")
-            )
+        out[key] = _VALIDATORS[key](key, value)
     return RunConfig(**out)
 
 
@@ -268,9 +257,9 @@ def _engine(cfg: RunConfig, windows: int = 1, offset: float = 0.0) -> Method:
 def _modes(cfg: RunConfig):
     """((K, 2) k points, Jt, Jt' at the nearest separation, stack eigenvalues).
 
-    One coupling table, one batched eigen-solve over the
-    distinct table rows, for the dipole of the first theta entry. Jt' is
-    zero for a single plane.
+    One coupling table, of two planes with nearest_only, and one batched
+    eigen-solve over the distinct table rows, for the dipole of the first
+    theta entry. Jt' is zero for a single plane.
     """
     grid = cfg.k_direction == "grid"
     # a grid of even side keeps both zone edges
@@ -289,7 +278,7 @@ def _modes(cfg: RunConfig):
     dip = dipole_from_theta(cfg.theta[0])
     offsets = min(cfg.n_planes, 2) if cfg.nearest_only else cfg.n_planes
     method = _engine(cfg, len(kxy) * offsets, (offsets - 1) * cfg.b_over_a)
-    table = coupling_table(kxy, dip, cfg.b_over_a, cfg.n_planes, method, cfg.nearest_only)
+    table = coupling_table(kxy, dip, cfg.b_over_a, offsets, method)
     # equal table rows (by bits) give equal matrices: build and solve each once
     rows = table.view(f"V{table.itemsize * table.shape[1]}").ravel()
     _, first, at = np.unique(rows, return_index=True, return_inverse=True)
@@ -317,16 +306,23 @@ def cmd_sweep_phi(cfg: RunConfig) -> str:
     )
 
 
+def _blame(cfg: RunConfig, fits) -> str:
+    """The key a J0 refusal names: a_angstrom if the a-only factor C / a^3
+    (mu = 1 e A) already fails ``fits``, else mu_e_angstrom."""
+    try:
+        by_a = COULOMB_EV_ANGSTROM / cfg.a_angstrom**3
+    except ArithmeticError:  # a^3 overflows, or underflows to 0
+        return "a_angstrom"
+    return "mu_e_angstrom" if fits(by_a) else "a_angstrom"
+
+
 def _j0(cfg: RunConfig) -> float:
-    """J0 in eV. Outside the positive finite floats it is refused as
-    a_angstrom if a^3 alone leaves the normal floats, else as mu_e_angstrom."""
+    """J0 in eV. Outside the positive finite floats it is refused by
+    :func:`_blame`."""
     try:
         return j0_scale(cfg.mu_e_angstrom, cfg.a_angstrom)
     except (ValueError, ArithmeticError) as exc:
-        # a^3 overflows (OverflowError), is 0 (ZeroDivisionError) or subnormal
-        a = cfg.a_angstrom
-        by_a = isinstance(exc, ArithmeticError) or a**3 < sys.float_info.min
-        key = "a_angstrom" if by_a else "mu_e_angstrom"
+        key = _blame(cfg, lambda j: 0.0 < j < math.inf)
         raise ConfigError(
             f"{key}: puts J0 = mu^2 / (4 pi eps0 a^3) outside the positive "
             f"finite floats, got {_shown(getattr(cfg, key))}"
@@ -343,7 +339,8 @@ def cmd_dispersion(cfg: RunConfig) -> str:
     kxy, js, jps, evals = _modes(cfg)
     with np.errstate(over="ignore"):
         energy = j0 * evals
-        key = "ea_ev" if np.isfinite(energy).all() else "mu_e_angstrom"
+        key = "ea_ev" if np.isfinite(energy).all() else _blame(
+            cfg, lambda j: np.isfinite(j * evals).all())
         energy += cfg.ea_ev
     _want(np.isfinite(energy).all(), key, "overflows E_A + J0 x eigenvalue", getattr(cfg, key))
     # rows run over k, then mode: per-k columns are (K, 1)

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import _core_py
-from .model import check_offset, check_offsets, k_array, tensors_from_components
+from .model import _check_count, check_offset, check_offsets, k_array, tensors_from_components
 
 # the window kernel's name, as benchmark records report it
 BACKEND = "numpy"
@@ -36,12 +36,6 @@ __all__ = [
 ]
 
 _AXES = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
-
-
-def _check_cutoff(cutoff: int) -> int:
-    if cutoff < 1:
-        raise ValueError(f"need cutoff >= 1, got {cutoff}")
-    return int(cutoff)
 
 
 def dyadic_term(lx: int, ly: int, lz_scaled: float, i, j) -> float:
@@ -65,7 +59,7 @@ def window_tensors(ks, offsets, cutoff: int) -> np.ndarray:
     xz and yz come out purely imaginary for real k (the coefficient is odd
     under l -> -l); the lower triangle is the conjugate of the upper one.
     """
-    L = _check_cutoff(cutoff)
+    L = _check_count(cutoff, "cutoff")
     cs = check_offsets(offsets)
     out = tensors_from_components(*_core_py.window_sums(k_array(ks), L, cs))
     return out.reshape(np.shape(offsets) + out.shape[1:])
@@ -88,10 +82,10 @@ def tail_bound(cutoff: int, offset: float) -> float:
     L = 200 by 38x at k = (1, 0) and by 497x at k = (0.05, 0). Exactly at
     k = 0 nothing oscillates at all, use k0_tail_correction.
     """
-    _check_cutoff(cutoff)
+    L = _check_count(cutoff, "cutoff")
     if check_offset(offset) == 0.0:
-        return 2.0 * math.pi / cutoff
-    return 4.0 * math.pi / cutoff**3
+        return 2.0 * math.pi / L
+    return 4.0 * math.pi / L**3
 
 
 def k0_tail_correction(cutoff: int, offset: float) -> np.ndarray:
@@ -111,9 +105,8 @@ def k0_tail_correction(cutoff: int, offset: float) -> np.ndarray:
     with v0 = sqrt(2 M^2 + c^2), and the diagonal corrections are
     T_xx = T_yy = -A/2 + (3/2) c^2 B and T_zz = A - 3 c^2 B.
     """
-    _check_cutoff(cutoff)
+    M = _check_count(cutoff, "cutoff") + 0.5
     c = check_offset(offset)
-    M = cutoff + 0.5
     if c == 0.0:
         A = 4.0 * math.sqrt(2.0) / M
         txx = -0.5 * A

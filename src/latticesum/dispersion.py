@@ -24,7 +24,8 @@ import numpy as np
 
 from .direct_sum import k0_tail_correction, window_tensors
 from .ewald import _plane_waves, f_constant, lattice_tensors
-from .model import check_offset, check_tensors, tensors_by_orbit, tensors_from_components
+from .model import (_check_count, check_offset, check_tensors, tensors_by_orbit,
+                    tensors_from_components)
 
 __all__ = [
     "Direct",
@@ -127,22 +128,17 @@ def couplings(tensors, dipole) -> np.ndarray:
     return vals.real
 
 
-def coupling_table(
-    ks, dipole, b_over_a: float, n_planes: int, method: Method, nearest_only: bool = False,
-) -> np.ndarray:
-    """The (K, S) couplings a stack of ``n_planes`` >= 1 planes at spacing
-    ``b_over_a`` needs, in J0.
-
-    Column s holds Jt'(k) at plane separation s b, column 0 Jt(k) in the
-    plane: s = 0 .. N-1, or only s <= 1 with nearest_only. All S offsets
-    s b go to one engine call. The spacing must pass
-    :func:`~latticesum.model.check_offset` as a spacing, so b = 0 is refused.
+def coupling_table(ks, dipole, b_over_a: float, n_planes: int, method: Method) -> np.ndarray:
+    """The (K, S) couplings between ``n_planes`` >= 1 planes at spacing
+    ``b_over_a``, in J0: column s holds Jt'(k) at plane separation s b,
+    s = 0 .. n_planes - 1, column 0 Jt(k) in the plane. All offsets s b go
+    to one engine call. A nearest-only stack of N planes is
+    ``stack_matrices(coupling_table(ks, dipole, b, 2, method), N)``. The
+    spacing must pass :func:`~latticesum.model.check_offset` as a spacing,
+    so b = 0 is refused.
     """
     b = check_offset(b_over_a, spacing=True)
-    if n_planes < 1:
-        raise ValueError(f"n_planes must be >= 1, got {n_planes}")
-    last = min(n_planes - 1, 1) if nearest_only else n_planes - 1
-    offsets = [sep * b for sep in range(last + 1)]
+    offsets = [sep * b for sep in range(_check_count(n_planes, "n_planes"))]
     return np.ascontiguousarray(couplings(method.tensors(ks, offsets), dipole).T)
 
 
@@ -157,5 +153,6 @@ def stack_matrices(table, n_planes: int) -> np.ndarray:
         raise ValueError(f"expected a (K, S) real array of finite couplings, "
                          f"got {table.dtype} {table.shape}")
     padded = np.concatenate([table, np.zeros((len(table), 1))], axis=1)
-    sep = np.abs(np.subtract.outer(np.arange(n_planes), np.arange(n_planes)))
+    planes = np.arange(_check_count(n_planes, "n_planes"))
+    sep = np.abs(np.subtract.outer(planes, planes))
     return padded[:, np.minimum(sep, table.shape[1], out=sep)]

@@ -64,6 +64,14 @@ def check_offset(offset: float, *, spacing: bool = False) -> float:
     raise ValueError(f"{name} must be finite and >= {MIN_OFFSET}, got {offset}")
 
 
+def _check_count(value, name: str) -> int:
+    """``value`` as an int if it is an integer >= 1, NumPy's included and
+    bools not, else a ValueError naming ``name``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def check_offsets(offsets) -> list[float]:
     """:func:`check_offset` applied to one offset or to a 1-D sequence of them."""
     if np.ndim(offsets) > 1:

@@ -52,6 +52,22 @@ def test_config_validation():
             tail_bound(5, bad)
 
 
+@pytest.mark.parametrize("bad", [2.5, 500.0, True, 0])
+def test_cutoff_is_an_integer_from_1(bad):
+    # the window ends at L and the k = 0 tail starts at L + 1/2, so every
+    # function must read the same integer L
+    calls = [
+        lambda L: window_tensors([ORIGIN], 1.5, L),
+        lambda L: tail_bound(L, 1.5),
+        lambda L: k0_tail_correction(L, 1.5),
+        lambda L: Direct(L).tensors([ORIGIN], 0.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="cutoff must be an integer >= 1"):
+            call(bad)
+        assert np.array_equal(call(np.int64(3)), call(3))
+
+
 def _window_sums_by_loop(qx, qy, cutoff, lz_scaled):
     """The six window sums, one dyadic_term at a time, summed with fsum."""
     pairs = ("xx", "yy", "zz", "xy", "xz", "yz")

@@ -204,8 +204,8 @@ def test_stack_matrix_structure():
     decay = math.exp(-0.5 * 10.0)
     assert m[0, 2] / m[0, 1] == pytest.approx(decay, rel=1e-12)
     assert m[0, 3] / m[0, 2] == pytest.approx(decay, rel=1e-12)
-    near_table = coupling_table([k], dip, 10.0, 4, LongWave(), nearest_only=True)
-    near = stack_matrices(near_table, 4)[0]
+    # nearest-only: the two-plane table, padded with zeros to four planes
+    near = stack_matrices(coupling_table([k], dip, 10.0, 2, LongWave()), 4)[0]
     assert near[0, 2] == 0.0 and near[0, 3] == 0.0
     assert near[0, 1] == m[0, 1]
     assert np.array_equal(np.diag(near), np.diag(m))
@@ -218,9 +218,9 @@ def test_stack_matrices_equal_a_loop_over_separations(n_planes, nearest_only):
     # every entry |alpha - beta| = s, and +0.0 past the table, bit for bit
     ks = make_k_grid(16)
     dip = dipole_from_theta(0.6)
-    got = coupling_table(ks, dip, 1.5, n_planes, Ewald(), nearest_only)
-    mats = stack_matrices(got, n_planes)
     seps = min(n_planes - 1, 1) if nearest_only else n_planes - 1
+    got = coupling_table(ks, dip, 1.5, seps + 1, Ewald())
+    mats = stack_matrices(got, n_planes)
     offsets = [1.5 * s for s in range(seps + 1)]
     table = couplings(Ewald().tensors(ks, offsets), dip).T
     assert np.array_equal(got, table)
@@ -248,8 +248,7 @@ def test_nearest_only_error_has_second_neighbor_scale():
     k = (0.5 * math.cos(0.3), 0.5 * math.sin(0.3))
     dip = dipole_from_theta(math.pi / 2.0)
     full = stack_matrices(coupling_table([k], dip, 10.0, 5, Ewald()), 5)
-    near_table = coupling_table([k], dip, 10.0, 5, Ewald(), nearest_only=True)
-    near = stack_matrices(near_table, 5)
+    near = stack_matrices(coupling_table([k], dip, 10.0, 2, Ewald()), 5)
     full, near = np.linalg.eigvalsh(full[0]), np.linalg.eigvalsh(near[0])
     gap = float(np.max(np.abs(full - near)))
     scale = math.pi * math.exp(-10.0)
@@ -269,3 +268,27 @@ def test_stack_matrices_refuse_a_table_that_is_not_finite_real_2d():
         with pytest.raises(ValueError, match="real array of finite couplings"):
             stack_matrices(bad, 3)
     assert stack_matrices([[1, 2]], 2).tolist() == [[[1.0, 2.0], [2.0, 1.0]]]
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 2.0, True, "2", None])
+def test_coupling_table_refuses_a_plane_count_that_is_not_an_integer_from_1(bad):
+    with pytest.raises(ValueError, match="n_planes must be an integer >= 1"):
+        coupling_table([(0.5, 0.0)], dipole_from_theta(0.6), 1.5, bad, Ewald())
+    table = coupling_table([(0.5, 0.0)], dipole_from_theta(0.6), 1.5, np.int64(3), Ewald())
+    assert table.shape == (1, 3)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 2.0, True, "2", None])
+def test_stack_matrices_refuse_a_plane_count_that_is_not_an_integer_from_1(bad):
+    with pytest.raises(ValueError, match="n_planes must be an integer >= 1"):
+        stack_matrices([[1.0, 0.5]], bad)
+    assert stack_matrices([[1.0, 0.5]], np.int64(3)).shape == (1, 3, 3)
+
+
+def test_couplings_refuse_an_imaginary_residual():
+    # a Hermitian-looking tensor whose zz entry is not real leaves an
+    # imaginary part in m.D.m that is not roundoff
+    t = np.diag([1.0, 1.0, -2.0 + 1e-9j])
+    with pytest.raises(ArithmeticError, match="imaginary residual 1.000e-09"):
+        couplings(t, (0.0, 0.0, 1.0))
+    assert couplings(t, (1.0, 0.0, 0.0)) == 1.0

@@ -224,3 +224,9 @@ def test_invariant_checks_are_relative():
         check_tensors(np.diag([1.0, 1.0, -2.0 + 1e-9]))
     with pytest.raises(ValueError):
         check_tensors(np.diag([math.nan, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2)])
+def test_check_tensors_refuses_a_shape_that_is_not_a_3x3_stack(shape):
+    with pytest.raises(ValueError, match="expected a 3x3 matrix, got shape"):
+        check_tensors(np.zeros(shape))

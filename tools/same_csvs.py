@@ -26,7 +26,8 @@ SEEDS = (1, 2, 3)
 # (command, config): every command's defaults, the b = 0.5a grid with and
 # without nearest_only, a 33-plane grid, a 2513-plane stack at one k, the
 # direct window on a grid, a spacing whose q c overflows, an odd-sided grid
-# of one plane and a MIN_OFFSET spacing with nearest_only
+# of one plane, a MIN_OFFSET spacing with nearest_only, nearest_only direct
+# stacks on a k list and on a grid, and a one-plane nearest_only dispersion
 _GRID = {"k_direction": "grid", "n_sites": 400, "n_planes": 8, "b_over_a": 0.5}
 EXTRA = [
     ("sweep-phi", {}),
@@ -45,6 +46,11 @@ EXTRA = [
     ("dispersion", {"k_direction": "grid", "n_sites": 9, "n_planes": 1}),
     ("stack", {"k_direction": "grid", "n_sites": 16, "n_planes": 3, "b_over_a": 0.001,
                "nearest_only": True}),
+    ("stack", {"n_planes": 6, "nearest_only": True, "method": "direct", "direct_cutoff": 40,
+               "ka_values": [0.5, 2.0]}),
+    ("stack", {"k_direction": "grid", "n_sites": 16, "n_planes": 5, "b_over_a": 1.5,
+               "nearest_only": True, "method": "direct", "direct_cutoff": 30}),
+    ("dispersion", {"n_planes": 1, "nearest_only": True}),
 ]
 
 
