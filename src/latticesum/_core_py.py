@@ -16,46 +16,74 @@ terms are written as (ly^2 + c^2 - 2 lx^2)/r^5 and its permutations, so all
 six sums are entries of one 3x3 matrix G = X R Y^T per k and the trace
 cancels to roundoff.
 
-R(lx, ly) = (lx^2 + ly^2 + c^2)^(-5/2) is symmetric, so R = U + U^T with
-U its triangle ly >= lx, halved on the diagonal, and
-G = X U Y^T + (Y U X^T)^T: only the triangle is built. Each k's six tables
-(cos, cos l^2 and sin l, along x and then along y) are the columns of one
-(L + 1, 6) array T, and W = U T is one stacked ``np.matmul`` per block,
-which NumPy runs as one product per k with the same 6 columns whatever the
-number of k, so each k's sums do not depend on its neighbours. The 6x6
-matrix T^T W holds X U Y^T in one corner and Y U X^T in the other.
+R is separable as a sum of Gaussians (G. Beylkin and L. Monzon, Appl.
+Comput. Harmon. Anal. 28, 131 (2010)). The trapezoid rule with step h on
+r^-5 = Gamma(5/2)^-1 int exp(5 s/2 - r^2 e^s) ds, at s_j = j h spanning
+[-ln(2 L^2 + c^2) - 15, 4 - ln r2_min] (r2_min = c^2, or 1 at c = 0), gives
+R = sum_j w_j exp(-t_j lx^2) exp(-t_j ly^2) with t_j = e^(s_j) and
+w_j = h exp(5 s_j/2 - t_j c^2) / Gamma(5/2), one exponent that neither
+over- nor underflows at large c. Over the window's r^2 its relative error
+is 7.9e-17 from aliasing at h = 7/32 (2 |Gamma(5/2 - 2 pi i / h)| /
+Gamma(5/2)), 2.0e-17 and 1e-20 from the nodes below and above the span,
+and 5.6e-19 from Gaussians past t l^2 = 50, set to exactly 0 to keep
+``np.exp`` off its slow underflow path; h and 5 s_j/2 are exact in binary,
+and with roundoff the sum is within 4e-15 of mpmath. At c = 0 the origin's
+term is finite and reaches only G[0, 0], which is multiplied by c^2 = 0.
 
-U does not depend on k: it is built once per offset and block of
-``_BLOCK`` k, in row stripes of at most ``_STRIPE`` elements (0.125 MB)
-in two reused buffers, and each stripe is applied to the tables of every
-k of the block while it is in cache. A stripe holds rows [s, s + n) and
-columns [s, L]; its leading n x n block is weighted 0 below the diagonal
-and 1/2 on it. The tables are built once per block for every offset of
-the call, and take O(_BLOCK L) memory whatever the number of k. Beyond
-L = 16383 (L + 1 = _STRIPE) a stripe is one row. The sums agree with a
-``math.fsum`` loop over ``dyadic_term`` to 1e-12 (tests/test_direct_sum.py).
+With each k's tables (cos, cos l^2 and sin l, along x and then y) as the
+rows of a (6, L + 1) array T and E = exp(-t l^2), U = T E^T gives
+G = U_x diag(w) U_y^T: O(M L) per k for M nodes (about 150 at L = 1000),
+where R has O(L^2) terms. Offsets go in blocks of ``_BLOCK`` on one lattice
+of nodes, k in blocks of ``_BLOCK`` and l in blocks of ``_L_BLOCK``, whose
+tables and Gaussians serve all the offsets of a block, leaving out the nodes
+whose Gaussians are 0 over the whole block. ``np.matmul`` runs each block's
+product as one per k and offset, of the same shape whatever the neighbours,
+so each k's and offset's sums are bitwise those of a call with it alone,
+and memory is bounded whatever L and the number of k and offsets. The sums
+agree with a ``math.fsum`` loop over ``dyadic_term`` to 1e-12 (tests).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-# elements per stripe of the triangle
-_STRIPE = 1 << 14
+# trapezoid step in s = ln t, and the t l^2 past which Gaussians are 0
+_H = 7 / 32
+_FAR = 50.0
 
-# k per pass over the triangle: bounds the tables' memory, untuned (README)
+# offsets and k per block, and l per block: they bound the memory (README)
 _BLOCK = 16
+_L_BLOCK = 256
 
 
-def _stripes(L):
-    """(first row, rows) of each stripe of the triangle ly >= lx >= 0."""
-    stripes, s = [], 0
-    while s <= L:
-        width = L + 1 - s
-        n = min(width, max(1, _STRIPE // width))
-        stripes.append((s, n))
-        s += n
-    return stripes
+def _nodes(L, cs):
+    """Ascending nodes t on the lattice s_j = j h spanning every offset in ``cs``
+    at half-width L, and per offset the slice of its own nodes and their weights."""
+    spans = []
+    for c in cs:
+        ln_c2 = 2.0 * math.log(c) if c else -math.inf
+        lo = -np.logaddexp(math.log(2.0 * L * L), ln_c2) - 15.0
+        spans.append((math.ceil(lo / _H), math.floor((4.0 - (ln_c2 if c else 0.0)) / _H)))
+    first = min(lo for lo, _ in spans)
+    s = np.arange(first, max(hi for _, hi in spans) + 1) * _H
+    t = np.exp(s)
+    own = [slice(lo - first, hi + 1 - first) for lo, hi in spans]
+    w = [_H / math.gamma(2.5) * np.exp(2.5 * s[o] - t[o] * (c * c)) for o, c in zip(own, cs)]
+    return t, own, w
+
+
+def _gaussians(t, l2):
+    """exp(-t l^2) for ascending nodes t (rows) and ascending squares l2
+    (columns), exactly 0 past t l^2 = _FAR, which only the rows from the
+    first one to pass it within l2 reach."""
+    E = -t[:, None] * l2
+    part = E[np.count_nonzero(t * l2[-1] <= _FAR) :]
+    far = part < -_FAR
+    np.exp(np.maximum(E, -_FAR, out=E), out=E)
+    part[far] = 0.0
+    return E
 
 
 def window_sums(kxy, L, offsets):
@@ -69,56 +97,33 @@ def window_sums(kxy, L, offsets):
     with imaginary part 0, xz and yz with real part 0.
     """
     cs = np.reshape(offsets, -1).tolist()
-    l = np.arange(L + 1, dtype=float)
-    l2 = l * l
-    m = np.full(L + 1, 2.0)
-    m[0] = 1.0
-
-    stripes = _stripes(L)
-    size = max(n * (L + 1 - s) for s, n in stripes)
-    r2_buf, R_buf = np.empty(size), np.empty(size)
-    # weights of a stripe's leading block: 0 below the diagonal, 1/2 on it
-    n_max = max(n for _, n in stripes)
-    diag = np.triu(np.ones((n_max, n_max)))
-    np.fill_diagonal(diag, 0.5)
-
     out = np.zeros((6, len(cs), len(kxy)), dtype=complex)
-    for k0 in range(0, len(kxy), _BLOCK):
-        block = kxy[k0 : k0 + _BLOCK]
-        ks = slice(k0, k0 + len(block))
-        T = np.empty((len(block), L + 1, 6))
-        for axis in (0, 1):
-            ql = block[:, axis, None] * l
-            cos = m * np.cos(ql)
-            T[:, :, 3 * axis] = cos
-            T[:, :, 3 * axis + 1] = cos * l2
-            T[:, :, 3 * axis + 2] = m * np.sin(ql) * l
-        W = np.empty_like(T)
-        for j, c in enumerate(cs):
-            ly2c2 = l2 + c * c
-            for s, n in stripes:
-                width = L + 1 - s
-                r2s = r2_buf[: n * width].reshape(n, width)
-                Rs = R_buf[: n * width].reshape(n, width)
-                np.add(l2[s : s + n, None], ly2c2[s:], out=r2s)
-                if c == 0.0 and s == 0:
-                    r2s[0, 0] = np.inf  # 1/r^5 becomes 0: no self-interaction
-                np.sqrt(r2s, out=Rs)
-                Rs *= r2s
-                Rs *= r2s
-                np.divide(1.0, Rs, out=Rs)
-                Rs[:, :n] *= diag[:n, :n]
-                # OpenBLAS touches work buffers on first use: a direct-window
-                # CLI run (L = 1000) peaks 0.3 MB higher in VmHWM, and 0.1 to
-                # 0.3 MB more for the product stacked over a block of k
-                np.matmul(Rs, T[:, s:], out=W[:, s : s + n])
-            M = np.matmul(T.transpose(0, 2, 1), W)
-            G = M[:, :3, 3:] + M[:, 3:, :3].transpose(0, 2, 1)
-            # P = sum lx^2 C/r^5, Q = sum ly^2 C/r^5, S = sum c^2 C/r^5 over
-            # the cos/cos products C
-            P, Q, S = G[:, 1, 0], G[:, 0, 1], c * c * G[:, 0, 0]
-            out.real[:4, j, ks] = (
-                Q + S - 2 * P, P + S - 2 * Q, P + Q - 2 * S, 3 * G[:, 2, 2]
-            )
-            out.imag[4:, j, ks] = -3.0 * c * G[:, 2, 0], -3.0 * c * G[:, 0, 2]
+    for c0 in range(0, len(cs), _BLOCK):
+        chunk = cs[c0 : c0 + _BLOCK]
+        t, own, weights = _nodes(L, chunk)
+        for k0 in range(0, len(kxy), _BLOCK):
+            block = kxy[k0 : k0 + _BLOCK]
+            ks = slice(k0, k0 + len(block))
+            Us = [np.zeros((len(block), 6, o.stop - o.start)) for o in own]
+            for l0 in range(0, L + 1, _L_BLOCK):
+                l = np.arange(l0, min(l0 + _L_BLOCK, L + 1), dtype=float)
+                l2 = l * l
+                ql = block[:, :, None] * l
+                cos = np.cos(ql)
+                T = np.stack([cos, cos * l2, np.sin(ql) * l], 2).reshape(len(block), 6, -1)
+                # t ascends: the nodes with a Gaussian left in the block come first
+                E = _gaussians(t[: np.count_nonzero(t * l0 * l0 <= _FAR)], l2)
+                E[:, l == 0] = 0.5  # the multiplicity m(0) = 1, halved
+                for U, o in zip(Us, own):
+                    U[:, :, : len(E[o])] += np.matmul(T, E[o].T)
+            for j, (c, U, w) in enumerate(zip(chunk, Us, weights), c0):
+                # E carries m(l) / 2 on each axis, so G = 4 U_x diag(w) U_y^T
+                G = 4.0 * np.matmul(U[:, :3] * w, U[:, 3:].transpose(0, 2, 1))
+                # P = sum lx^2 C/r^5, Q = sum ly^2 C/r^5, S = sum c^2 C/r^5
+                # over the cos/cos products C
+                P, Q, S = G[:, 1, 0], G[:, 0, 1], c * c * G[:, 0, 0]
+                out.real[:4, j, ks] = (
+                    Q + S - 2 * P, P + S - 2 * Q, P + Q - 2 * S, 3 * G[:, 2, 2]
+                )
+                out.imag[4:, j, ks] = -3.0 * c * G[:, 2, 0], -3.0 * c * G[:, 0, 2]
     return out.reshape((6,) + np.shape(offsets) + (len(kxy),))

@@ -62,9 +62,9 @@ _DEFAULT_THETAS = (
 # bound peaks below 1.5 GB. Kept until CSV text is written in blocks.
 MAX_SIZE = 2 * 10**6
 
-# The most window terms a "direct" run may ask for: (L + 1)(L + 2)/2, the
-# kernel's triangle, per k and plane offset, of which it sums one k per orbit.
-# At the measured 1.5 ns (k in blocks of 16) to 13 ns per term: 15 s to 2 min.
+# The most window terms a "direct" run may ask for: (L + 1)(L + 2)/2 per k and
+# plane offset, of which the kernel sums one k per orbit. With MAX_SIZE's 2e6
+# windows, measured at most 40 s of window work (L = 100), 2.3 s at L = 1000.
 MAX_WINDOW_TERMS = 10**10
 
 _DIRECT_CONVERGENCE_CUTOFFS = (10, 30, 100, 300, 1000)

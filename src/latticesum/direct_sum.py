@@ -1,18 +1,13 @@
-"""Brute-force window sums of the Fourier-weighted dipole dyadic.
+"""Window sums of the Fourier-weighted dipole dyadic: the oracle the Ewald
+kernel is tested against.
 
-This is the slow oracle the Ewald kernel is tested against. The sum
-runs over a square window lx, ly in [-L, L] (square, not circular: window
-shape effects are folded into :func:`tail_bound`), with only the origin
-excluded in the in-plane case; terms whose numerator happens to vanish are
-kept, they cost nothing and simplify the exclusion rule to "no
-self-interaction".
-
-:func:`window_tensors` sums every k and every plane offset of a call in
-one kernel pass, ``_core_py.window_sums``, whose docstring gives the
-algorithm. Components that parity makes real or imaginary come out
-exactly so, with the other lane 0. The tests hold the six sums to 1e-12
-of a ``math.fsum`` loop over :func:`dyadic_term` at L = 1, 2, 3 and 40,
-on and off the lattice axes.
+The sum runs over a square window lx, ly in [-L, L] (square, not circular:
+window shape effects are folded into :func:`tail_bound`), with only the
+origin excluded in the in-plane case. :func:`window_tensors` sums every k
+and every plane offset of a call in one kernel pass,
+``_core_py.window_sums``, whose docstring gives the algorithm and its
+accuracy. Components that parity makes real or imaginary come out exactly
+so, with the other lane 0.
 """
 
 from __future__ import annotations

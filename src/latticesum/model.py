@@ -201,15 +201,15 @@ def j0_scale(mu: float, a: float) -> float:
 def make_k_grid(n_sites: int) -> np.ndarray:
     """Allowed wave vectors of a sqrt(N) x sqrt(N) plane of N = ``n_sites``
     sites with periodic BCs, as a (K, 2) array of (kxa, kya), kxa varying
-    slowest. N must be a perfect square of at least 1.
+    slowest. N must be an integer perfect square of at least 1.
 
     k_{x,y} a = 2 pi p / sqrt(N) with p = 0, +-1, ..., +-floor(sqrt(N)/2).
     Both signed edge values are kept, so for even sqrt(N) the grid has
     (sqrt(N)+1)^2 points and the zone-edge rows appear twice; nothing
     downstream needs uniqueness.
     """
-    root = math.isqrt(max(n_sites, 0))
-    if n_sites < 1 or root * root != n_sites:
+    root = math.isqrt(_check_count(n_sites, "n_sites"))
+    if root * root != n_sites:
         raise ValueError(f"n_sites must be a perfect square >= 1, got {n_sites}")
     half = root // 2
     axis = (2.0 * math.pi / root) * np.arange(-half, half + 1)

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from latticesum.direct_sum import (
 )
 from latticesum.dispersion import Direct
 from latticesum.ewald import f_constant
+from latticesum.model import MIN_OFFSET
 
 ORIGIN = (0.0, 0.0)
 
@@ -105,28 +107,61 @@ def test_backends_agree(layer_offset, b_over_a):
 
 
 @pytest.mark.parametrize("lz_scaled", [0.0, 1.5])
-def test_stripe_seams(monkeypatch, lz_scaled):
-    # L = 37 has 38 triangle rows. Stripes of 3 * 38 elements are 3, 3, 3,
-    # 3, 4, 5, 6, 10 and 1 rows high; stripes of 20 elements are 28 single
-    # rows (the first 18 wider than 20), then 2, 2, 3 and 3 rows. Every
-    # stripe's leading block straddles the diagonal
+def test_l_block_seams(monkeypatch, lz_scaled):
+    # L = 37 has 38 values of l. Blocks of 5 are seven of 5 and one of 3,
+    # blocks of 16 are 16, 16 and 6; past the first block the nodes whose
+    # Gaussians vanish over the whole block are left out
     args = (np.array([[0.83, -1.37]]), 37, lz_scaled)
     whole = _core_py.window_sums(*args)
-    for stripe in (3 * 38, 20):
-        monkeypatch.setattr(_core_py, "_STRIPE", stripe)
-        striped = _core_py.window_sums(*args)
-        assert np.max(np.abs(striped - whole)) <= 1e-13
+    for width in (5, 16):
+        monkeypatch.setattr(_core_py, "_L_BLOCK", width)
+        blocked = _core_py.window_sums(*args)
+        assert np.max(np.abs(blocked - whole)) <= 1e-13
+
+
+@pytest.mark.parametrize("offset", [0.0, MIN_OFFSET, 1.5])
+@pytest.mark.parametrize("cutoff", [1, 1000, 10**5])
+def test_node_sum_matches_mpmath(cutoff, offset):
+    # the kernel's Gaussians in rho^2 = lx^2 + ly^2, weighted with the
+    # offset's exp(-t c^2), sum to r^-5 at every r^2 = rho^2 + c^2 of the
+    # window: from the nearest site (c^2, or 1 at c = 0) to the far corner
+    # 2 L^2 + c^2, at 400 r^2 spaced evenly in ln r^2 with both ends, and 64
+    # more across one period h of the node lattice
+    t, (own,), (w,) = _core_py._nodes(cutoff, [offset])
+    c2 = offset * offset
+    lo, hi = math.log(c2 or 1.0), math.log(2.0 * cutoff * cutoff + c2)
+    period = lo + 1.0 + np.linspace(0.0, _core_py._H, 64)
+    r2 = np.exp(np.concatenate([np.linspace(lo, hi, 400), period]))
+    rho2 = np.sort(r2 - c2)
+    rho2[[0, -1]] = 0.0 if offset else 1.0, 2.0 * cutoff * cutoff
+    sums = w @ _core_py._gaussians(t[own], rho2)
+    with mpmath.workdps(30):
+        for x, got in zip(rho2.tolist(), sums.tolist()):
+            want = (mpmath.mpf(x) + mpmath.mpf(offset) ** 2) ** -2.5
+            assert abs(got - want) <= 4e-15 * want, x
 
 
 @pytest.mark.parametrize("lz_scaled", [0.0, 1.5])
 @pytest.mark.parametrize("cutoff", [1, 2, 3])
 def test_small_windows_match_fsum_loop(cutoff, lz_scaled):
-    # the whole triangle is one stripe, its diagonal block the whole window
+    # the whole window is one block of l
     ks = [(0.83, -1.37), (0.9, 0.0), (0.0, -1.2), (math.pi, math.pi), (0.0, 0.0)]
     sums = _core_py.window_sums(np.array(ks), cutoff, lz_scaled)
     for (qx, qy), col in zip(ks, sums.T):
         loop = _window_sums_by_loop(qx, qy, cutoff, lz_scaled)
         assert np.max(np.abs(col - loop)) <= 1e-12
+
+
+@pytest.mark.parametrize("lz_scaled", [1e-3, 10.0])
+def test_extreme_offsets_match_fsum_loop(lz_scaled):
+    # the entries are smallest against roundoff here: at c = 1e-3 the
+    # origin column's -2/c^3 = -2e9 swamps every other term, and at c = 10
+    # the oscillating sums fall to 5e-6, below the nearest term's 2/c^3
+    ks = [(0.83, -1.37), (0.9, 0.0), (0.0, -1.2), (math.pi, math.pi), (0.0, 0.0)]
+    sums = _core_py.window_sums(np.array(ks), 40, lz_scaled)
+    for (qx, qy), col in zip(ks, sums.T):
+        loop = _window_sums_by_loop(qx, qy, 40, lz_scaled)
+        assert np.max(np.abs(col - loop)) <= 1e-15 * max(1.0, np.max(np.abs(loop)))
 
 
 @pytest.mark.parametrize("offset", [0.0, 1.5])
@@ -153,9 +188,9 @@ def test_direct_batch_equals_single_k():
     ):
         for k, got in zip(ks, tensors):
             assert np.array_equal(got, alone(k))
-    # several stripes of the triangle, and more than one block of k
+    # more than one block of l, and more than one block of k
     many = np.random.default_rng(5).uniform(-math.pi, math.pi, (20, 2))
-    assert len(_core_py._stripes(300)) > 1 and len(many) > _core_py._BLOCK
+    assert 300 + 1 > _core_py._L_BLOCK and len(many) > _core_py._BLOCK
     method = Direct(cutoff=300)
     stacked = method.tensors(many, [0.0, 1.5])
     for i, k in enumerate(many):

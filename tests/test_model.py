@@ -53,8 +53,12 @@ def test_j0_refuses_a_scale_that_is_not_positive_finite(mu):
 def test_geometry_validation():
     # a plane of N sites is sqrt(N) x sqrt(N), N >= 1
     assert make_k_grid(49).shape == (49, 2)
-    for n_sites in (0, -4, 50):
-        with pytest.raises(ValueError, match="perfect square >= 1"):
+    assert np.array_equal(make_k_grid(np.int64(9)), make_k_grid(9))
+    with pytest.raises(ValueError, match="perfect square >= 1"):
+        make_k_grid(50)
+    # a count like a plane count or a cutoff: no floats, bools or n < 1
+    for n_sites in (0, -4, 2.5, 4.0, True):
+        with pytest.raises(ValueError, match="n_sites must be an integer >= 1"):
             make_k_grid(n_sites)
 
 

@@ -8,7 +8,9 @@ at seeds 1-3 and on the fixed configs in ``EXTRA``, and compares the CSV
 bytes, less ``convergence``'s ``wall_time_ns`` column, which differs from
 run to run. HEAD_TREE defaults to the current directory, and the workload
 configs are drawn from its ``perfbench/workloads.py``. Prints one line per
-config and exits 1 if any run fails or any pair of CSVs differs.
+config, with the largest absolute difference over numeric cells and its
+column where a pair differs, and exits 1 if any run fails or any pair of
+CSVs differs.
 """
 
 from __future__ import annotations
@@ -96,6 +98,24 @@ def _csv(tree: Path, command: str, cfg: dict, work: Path):
     return b"\n".join(lines), None
 
 
+def _largest_difference(old: bytes, new: bytes) -> str:
+    """The largest |difference| over the cells that parse as numbers in both
+    CSVs, row by row, and the column it is in."""
+    (header, *old_rows), (_, *new_rows) = (csv.split(b"\n") for csv in (old, new))
+    largest, column = 0.0, None
+    for old_row, new_row in zip(old_rows, new_rows):
+        for name, a, b in zip(header.split(b","), old_row.split(b","), new_row.split(b",")):
+            try:
+                diff = abs(float(a) - float(b))
+            except ValueError:
+                continue
+            if diff > largest:
+                largest, column = diff, name.decode()
+    if column is None:
+        return "no numeric cell differs"
+    return f"largest |difference| {largest:.3g} in {column}"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if not 1 <= len(args) <= 2:
@@ -111,7 +131,8 @@ def main(argv=None) -> int:
             if old is None or new is None:
                 verdict = f"FAILED base {old_err} head {new_err}"
             elif old != new:
-                verdict = f"DIFFERENT ({len(old)} against {len(new)} bytes)"
+                verdict = (f"DIFFERENT ({len(old)} against {len(new)} bytes; "
+                           f"{_largest_difference(old, new)})")
             else:
                 verdict = f"identical ({len(new)} bytes)"
             bad += not verdict.startswith("identical")
