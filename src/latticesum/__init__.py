@@ -9,15 +9,11 @@ CSV-producing command line.
 
 from .model import (
     COULOMB_EV_ANGSTROM,
-    CouplingTensor,
     dipole_from_theta,
     j0_scale,
     make_k_grid,
 )
-from .specfun import bessel_k
 from .direct_sum import (
-    BACKEND,
-    dyadic_term,
     k0_tail_correction,
     tail_bound,
     window_tensors,

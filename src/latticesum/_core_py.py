@@ -40,7 +40,7 @@ whose Gaussians are 0 over the whole block. ``np.matmul`` runs each block's
 product as one per k and offset, of the same shape whatever the neighbours,
 so each k's and offset's sums are bitwise those of a call with it alone,
 and memory is bounded whatever L and the number of k and offsets. The sums
-agree with a ``math.fsum`` loop over ``dyadic_term`` to 1e-12 (tests).
+agree with a ``math.fsum`` loop over single dyadic terms to 1e-12 (tests).
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.linalg import eigvalsh
 
-from .direct_sum import window_tensors
+from .direct_sum import _in_window_range, window_tensors
 from .dispersion import (
     Direct,
     Ewald,
@@ -58,14 +58,17 @@ _DEFAULT_THETAS = (
 
 # The most CSV rows a command may write, a stack's matrix entries counting
 # 1/32 of a row each. By peak RSS a row costs at most 0.73 kB (sweep-phi,
-# one tilt) and a matrix entry 16 B, 32 of them 0.52 kB, so a run at the
-# bound peaks below 1.5 GB. Kept until CSV text is written in blocks.
+# one tilt). The n^2/32 term dates from 16 B per matrix entry; only the matrix
+# LAPACK solves is now held whole, at 8 B an entry, so it over-counts (ROADMAP
+# item 9 re-derives it).
 MAX_SIZE = 2 * 10**6
 
-# The most window terms a "direct" run may ask for: (L + 1)(L + 2)/2 per k and
-# plane offset, of which the kernel sums one k per orbit. With MAX_SIZE's 2e6
-# windows, measured at most 40 s of window work (L = 100), 2.3 s at L = 1000.
-MAX_WINDOW_TERMS = 10**10
+# The most window rows a "direct" run may ask for: L + 1 per k and plane offset,
+# the Gaussian kernel's l loop. The old 10^10 terms of (L + 1)(L + 2)/2 per
+# window, with at most 2 x 10^6 windows (MAX_SIZE), allowed at most 198 019 800
+# rows (L = 99), so it refuses nothing that bound accepted. At the bound, one
+# thread on a 2-vCPU Xeon, distinct k: at most 46 s of window work (L = 100).
+MAX_WINDOW_ROWS = 2 * 10**8
 
 _DIRECT_CONVERGENCE_CUTOFFS = (10, 30, 100, 300, 1000)
 _EWALD_CONVERGENCE_SHELLS = range(1, 7)
@@ -235,23 +238,22 @@ def _write_csv(path, header, *columns):
 
 def _far_offset(c, window=True):
     """``c``, the farthest plane offset of a run, or a ConfigError naming
-    b_over_a unless c is finite, and for the direct window c^5 too: from
-    about 4.5e61 the window's r^5 = c r^2 r^2 makes its terms inf or NaN."""
-    return _want(math.isfinite(c * (c * c) * (c * c) if window else c), "b_over_a",
+    b_over_a unless c is finite, and for the direct window in its range,
+    c^5 finite (:func:`~latticesum.direct_sum._in_window_range`)."""
+    return _want(_in_window_range(c) if window else math.isfinite(c), "b_over_a",
                  f"needs {'c^5' if window else 'c'} finite at the farthest plane offset c", c)
 
 
 def _engine(cfg: RunConfig, windows: int = 1, offset: float = 0.0) -> Method:
     """The config's engine for ``windows`` (k, plane offset) pairs, the farthest
-    ``offset`` away; a direct one is refused past MAX_WINDOW_TERMS terms in all."""
+    ``offset`` away; a direct one is refused past MAX_WINDOW_ROWS rows in all."""
     _far_offset(offset, window=cfg.method == "direct")
     if cfg.method == "ewald":
         return Ewald()
-    cutoff = cfg.direct_cutoff
-    terms = windows * (cutoff + 1) * (cutoff + 2) // 2
-    _want(terms <= MAX_WINDOW_TERMS, "direct_cutoff",
-          f"asks for more than {MAX_WINDOW_TERMS} window terms", terms)
-    return Direct(cutoff)
+    rows = windows * (cfg.direct_cutoff + 1)
+    _want(rows <= MAX_WINDOW_ROWS, "direct_cutoff",
+          f"asks for more than {MAX_WINDOW_ROWS} window rows", rows)
+    return Direct(cfg.direct_cutoff)
 
 
 def _modes(cfg: RunConfig):

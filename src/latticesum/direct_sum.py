@@ -19,43 +19,35 @@ import numpy as np
 from . import _core_py
 from .model import _check_count, check_offset, check_offsets, k_array, tensors_from_components
 
-# the window kernel's name, as benchmark records report it
+# the window kernel's name, kept only for perfbench/child.py (ROADMAP item 6)
 BACKEND = "numpy"
 
 __all__ = [
-    "BACKEND",
-    "dyadic_term",
     "window_tensors",
     "tail_bound",
     "k0_tail_correction",
 ]
 
-_AXES = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
-
-
-def dyadic_term(lx: int, ly: int, lz_scaled: float, i, j) -> float:
-    """One dipole-dyadic entry delta_ij/r^3 - 3 r_i r_j / r^5, r in units of a."""
-    ii = _AXES[i]
-    jj = _AXES[j]
-    r = (float(lx), float(ly), float(lz_scaled))
-    r2 = r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
-    if r2 == 0.0:
-        raise ValueError("zero separation: the self-interaction term is excluded")
-    ir5 = 1.0 / (r2 * r2 * math.sqrt(r2))
-    diag = r2 * ir5 if ii == jj else 0.0
-    return diag - 3.0 * r[ii] * r[jj] * ir5
+def _in_window_range(c: float) -> bool:
+    """c^5 finite (c below about 4.47e61): past it the window's Gaussian
+    weights, which scale as c^-5, underflow (2e-4 off at 1e64, 0 from 1e65)."""
+    return math.isfinite(c * (c * c) * (c * c))
 
 
 def window_tensors(ks, offsets, cutoff: int) -> np.ndarray:
-    """Window sums of dyadic_term * exp(i k.l) at every k, each on its own,
+    """Window sums of the dipole dyadic delta_ij/r^3 - 3 r_i r_j / r^5 times
+    exp(i k.l), r = l + c z in units of a, at every k, each on its own,
     as a checked stack of the shape :func:`~latticesum.model.tensors_by_orbit`
     states; the s-th stack is bitwise that of ``offsets[s]`` alone, and at
     c = 0 the origin is left out. ``cutoff`` is the half-width L. Inter-plane
     xz and yz come out purely imaginary for real k (the coefficient is odd
     under l -> -l); the lower triangle is the conjugate of the upper one.
+    An offset whose c^5 overflows is refused (:func:`_in_window_range`).
     """
     L = _check_count(cutoff, "cutoff")
     cs = check_offsets(offsets)
+    if not _in_window_range(far := max(cs, default=0.0)):
+        raise ValueError(f"window offset must have c^5 finite (below about 4.47e61), got {far!r}")
     out = tensors_from_components(*_core_py.window_sums(k_array(ks), L, cs))
     return out.reshape(np.shape(offsets) + out.shape[1:])
 

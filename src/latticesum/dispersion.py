@@ -7,8 +7,8 @@ per orbit of k (:func:`~latticesum.model.tensors_by_orbit`). Contracting
 them with the transition dipole gives J(k) at c = 0 and J'(k) at c = b,
 in units of J0. A stack's (K, S) coupling table holds one column per plane
 separation s b, s = 0 included, all from one engine call; its N-plane
-matrices are one gather from that table, exactly symmetric, and their
-modes are ``np.linalg.eigvalsh(stack_matrices(table, n_planes))``.
+matrices are a read-only Toeplitz view of that table, exactly symmetric,
+and their modes are ``np.linalg.eigvalsh(stack_matrices(table, n_planes))``.
 
 Sign conventions: the symmetric two-plane mode carries +J', so a
 two-plane stack's eigenvalues are Jt +- Jt' (energies E_A + J0 (Jt +- Jt'))
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .direct_sum import k0_tail_correction, window_tensors
 from .ewald import _plane_waves, f_constant, lattice_tensors
@@ -144,15 +145,17 @@ def coupling_table(ks, dipole, b_over_a: float, n_planes: int, method: Method) -
 
 def stack_matrices(table, n_planes: int) -> np.ndarray:
     """(K, N, N) stack matrices relative to E_A from a (K, S)
-    :func:`coupling_table`, in one gather: entry (alpha, beta) is column
-    |alpha - beta|, or 0 past S. A finite real table gives exactly
-    symmetric finite matrices, ready for ``np.linalg.eigvalsh``; any other
-    table is refused."""
+    :func:`coupling_table`: entry (alpha, beta) is column |alpha - beta|,
+    or 0 past S, as a read-only view of K rows of 2N - 1 floats, since
+    ``np.linalg.eigvalsh`` copies each matrix into its own buffer. A finite
+    real table gives exactly symmetric finite matrices; any other is refused."""
     table = np.asarray(table)
     if table.ndim != 2 or table.dtype.kind not in "iuf" or not np.isfinite(table).all():
         raise ValueError(f"expected a (K, S) real array of finite couplings, "
                          f"got {table.dtype} {table.shape}")
-    padded = np.concatenate([table, np.zeros((len(table), 1))], axis=1)
-    planes = np.arange(_check_count(n_planes, "n_planes"))
-    sep = np.abs(np.subtract.outer(planes, planes))
-    return padded[:, np.minimum(sep, table.shape[1], out=sep)]
+    n = _check_count(n_planes, "n_planes")
+    rows = np.zeros((len(table), 2 * n - 1))  # r_{N-1} .. r_1 r_0 r_1 .. r_{N-1}
+    rows[:, n - 1 : n - 1 + table.shape[1]] = table[:, :n]
+    rows[:, : n - 1] = rows[:, : n - 1 : -1]
+    # window alpha is r_|alpha + beta - (N - 1)|; reversed, row alpha is r_|beta - alpha|
+    return sliding_window_view(rows, n, axis=1)[:, ::-1]

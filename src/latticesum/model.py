@@ -19,7 +19,6 @@ __all__ = [
     "COULOMB_EV_ANGSTROM",
     "MIN_OFFSET",
     "MAX_FOLD",
-    "CouplingTensor",
     "check_offset",
     "check_offsets",
     "check_tensors",
@@ -125,11 +124,11 @@ def tensors_from_components(xx, yy, zz, xy, xz, yz) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CouplingTensor:
-    """Complex Hermitian 3x3 dynamical matrix, convention Dt_ij = a^3 D_ij.
+    """One read-only 3x3 coupling tensor, checked by :func:`check_tensors`.
 
-    The validated single-k view of one matrix of a tensor stack: Hermiticity
-    and the vanishing trace are enforced on construction by
-    :func:`check_tensors`.
+    No code of the package builds one: it is kept only because
+    ``perfbench/tracing.py`` patches its ``__init__``, until ROADMAP item 6
+    deletes it. Use the (..., 3, 3) stacks of :func:`tensors_from_components`.
     """
 
     entries: np.ndarray
@@ -141,38 +140,6 @@ class CouplingTensor:
         check_tensors(m)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-
-    @classmethod
-    def from_components(cls, xx, yy, zz, xy, xz, yz) -> "CouplingTensor":
-        """Build the Hermitian matrix from the six independent sums."""
-        return cls(tensors_from_components(xx, yy, zz, xy, xz, yz))
-
-    def __add__(self, other: "CouplingTensor") -> "CouplingTensor":
-        return CouplingTensor(self.entries + other.entries)
-
-    @property
-    def xx(self):
-        return self.entries[0, 0]
-
-    @property
-    def yy(self):
-        return self.entries[1, 1]
-
-    @property
-    def zz(self):
-        return self.entries[2, 2]
-
-    @property
-    def xy(self):
-        return self.entries[0, 1]
-
-    @property
-    def xz(self):
-        return self.entries[0, 2]
-
-    @property
-    def yz(self):
-        return self.entries[1, 2]
 
 
 def dipole_from_theta(theta: float) -> tuple[float, float, float]:

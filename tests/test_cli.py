@@ -292,14 +292,30 @@ def test_oversized_configs_are_refused_before_allocation(tmp_path, capsys, comma
 def test_direct_window_bound_counts_k_times_offsets(
     tmp_path, capsys, monkeypatch, command, cfg, windows
 ):
-    # L = 3 sums 10 triangle terms per window, L = 4 sums 15
-    monkeypatch.setattr(cli, "MAX_WINDOW_TERMS", 10 * windows)
+    # the kernel's l loop runs L + 1 rows per window: 4 at L = 3, 5 at L = 4
+    monkeypatch.setattr(cli, "MAX_WINDOW_ROWS", 4 * windows)
     cfg = {**cfg, "method": "direct"}
     assert run_cli(tmp_path, command, {**cfg, "direct_cutoff": 3})[0] == 0
     code, op = run_cli(tmp_path, command, {**cfg, "direct_cutoff": 4}, name="over")
     assert code == 2
     assert "config error: direct_cutoff: asks for more than" in capsys.readouterr().err
     assert not op.exists()
+
+
+def test_direct_window_bound_admits_a_large_cutoff_at_few_windows(tmp_path, monkeypatch):
+    # 2 windows at L = 10^5: 2 x 10^5 rows, where the triangle of the
+    # earlier bound counted 1.00003 x 10^10 > 10^10 terms and refused it.
+    # The kernel is patched to return zeros: this checks the bound, not the sums
+    cutoffs = []
+
+    def zeros(kxy, L, offsets):
+        cutoffs.append(L)
+        return np.zeros((6, len(offsets), len(kxy)), dtype=complex)
+
+    monkeypatch.setattr(_core_py, "window_sums", zeros)
+    cfg = {"method": "direct", "direct_cutoff": 10**5, "ka_values": [0.5]}
+    assert run_cli(tmp_path, "dispersion", cfg)[0] == 0
+    assert cutoffs == [10**5]
 
 
 @pytest.mark.parametrize(
@@ -343,7 +359,7 @@ def test_size_refusals_name_a_key_the_command_reads(
 
 
 def test_large_stack_within_the_size_bound_runs(tmp_path):
-    # 441 k x 65 planes: 1.86 M matrix entries, a peak of about 92 MB
+    # 441 k x 65 planes: 1.86 M matrix entries, a peak of about 40 MB
     cfg = {"n_planes": 65, "k_direction": "grid", "n_sites": 400, "b_over_a": 0.5}
     code, op = run_cli(tmp_path, "stack", cfg)
     assert code == 0

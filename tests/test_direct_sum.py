@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from latticesum import _core_py
 from latticesum.direct_sum import (
-    dyadic_term,
     k0_tail_correction,
     tail_bound,
     window_tensors,
@@ -20,6 +20,21 @@ from latticesum.ewald import f_constant
 from latticesum.model import MIN_OFFSET
 
 ORIGIN = (0.0, 0.0)
+_AXES = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
+
+
+def dyadic_term(lx: int, ly: int, lz_scaled: float, i, j) -> float:
+    """One dipole-dyadic entry delta_ij/r^3 - 3 r_i r_j / r^5, r in units of a:
+    the term the window kernel is checked against, one at a time."""
+    ii = _AXES[i]
+    jj = _AXES[j]
+    r = (float(lx), float(ly), float(lz_scaled))
+    r2 = r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
+    if r2 == 0.0:
+        raise ValueError("zero separation: the self-interaction term is excluded")
+    ir5 = 1.0 / (r2 * r2 * math.sqrt(r2))
+    diag = r2 * ir5 if ii == jj else 0.0
+    return diag - 3.0 * r[ii] * r[jj] * ir5
 
 
 def test_dyadic_term_nearest_neighbors():
@@ -162,6 +177,26 @@ def test_extreme_offsets_match_fsum_loop(lz_scaled):
     for (qx, qy), col in zip(ks, sums.T):
         loop = _window_sums_by_loop(qx, qy, 40, lz_scaled)
         assert np.max(np.abs(col - loop)) <= 1e-15 * max(1.0, np.max(np.abs(loop)))
+
+
+@pytest.mark.parametrize("offset", [1e63, 1e64, 1e100, 1e300])
+def test_window_refuses_an_offset_whose_fifth_power_overflows(offset):
+    # the Gaussian weights scale as c^-5 and underflow past c^5 = inf: at
+    # c = 1e64 the sums came back 2e-4 off, from 1e65 as zeros
+    with pytest.raises(ValueError, match=r"c\^5 finite .*got " + re.escape(repr(offset))):
+        window_tensors([(0.7, 0.3)], offset, 2)
+    with pytest.raises(ValueError, match=r"c\^5 finite"):
+        window_tensors([(0.7, 0.3)], [1.5, offset], 2)
+
+
+def test_window_matches_fsum_loop_below_the_largest_offset():
+    # c^5 = 1.65e308 at c = 4.4e61: the largest weights are subnormal, and
+    # every upper-triangle entry is still within 1.4e-14 of the loop
+    c = 4.4e61
+    # xx, yy, zz, xy, xz, yz, the loop's order
+    got = window_tensors([(0.7, 0.3)], c, 2)[0][[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
+    loop = _window_sums_by_loop(0.7, 0.3, 2, c)
+    assert np.all(np.abs(got - loop) <= 1e-13 * np.abs(loop))
 
 
 @pytest.mark.parametrize("offset", [0.0, 1.5])

@@ -1,6 +1,7 @@
 """Couplings, N-plane stacks and their two-plane limit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,14 +19,14 @@ from latticesum.direct_sum import k0_tail_correction, window_tensors
 from latticesum.ewald import f_constant
 from latticesum.model import (
     MIN_OFFSET,
-    CouplingTensor,
     dipole_from_theta,
     make_k_grid,
+    tensors_from_components,
 )
 
 
 def test_coupling_contraction():
-    t = [CouplingTensor.from_components(1.0, 1.0, -2.0, 0.5, 0.0, 0.0).entries]
+    t = tensors_from_components(1.0, 1.0, -2.0, 0.5, 0.0, 0.0)[None]
     assert couplings(t, (1.0, 0.0, 0.0))[0] == 1.0
     s = math.sqrt(0.5)
     diag = (s, s, 0.0)
@@ -214,7 +215,7 @@ def test_stack_matrix_structure():
 @pytest.mark.parametrize("nearest_only", [False, True])
 @pytest.mark.parametrize("n_planes", [1, 2, 8])
 def test_stack_matrices_equal_a_loop_over_separations(n_planes, nearest_only):
-    # the one gather from the coupling table puts Jt' at separation s in
+    # the Toeplitz view of the coupling table puts Jt' at separation s in
     # every entry |alpha - beta| = s, and +0.0 past the table, bit for bit
     ks = make_k_grid(16)
     dip = dipole_from_theta(0.6)
@@ -230,6 +231,37 @@ def test_stack_matrices_equal_a_loop_over_separations(n_planes, nearest_only):
             if abs(a - b) <= seps:
                 want[:, a, b] = table[:, abs(a - b)]
     assert mats.tobytes() == want.tobytes()
+
+
+def _dense_stack(table, n_planes):
+    # the (K, N, N) gather of column |alpha - beta|, 0 past the table
+    padded = np.concatenate([table, np.zeros((len(table), 1))], axis=1)
+    sep = np.abs(np.subtract.outer(np.arange(n_planes), np.arange(n_planes)))
+    return padded[:, np.minimum(sep, table.shape[1])]
+
+
+@pytest.mark.parametrize("n_planes", [1, 2, 8, 65])
+@pytest.mark.parametrize("k_points", [0, 1, 121])
+def test_stack_view_equals_the_dense_gather(n_planes, k_points):
+    rng = np.random.default_rng(n_planes + k_points)
+    for columns in (1, 2, n_planes, n_planes + 3):
+        table = rng.standard_normal((k_points, columns))
+        view, dense = stack_matrices(table, n_planes), _dense_stack(table, n_planes)
+        assert np.array_equal(view, dense)
+        assert not view.flags.writeable
+        # eigvalsh copies each matrix into its own buffer: the same bits
+        assert np.array_equal(np.linalg.eigvalsh(view), np.linalg.eigvalsh(dense))
+
+
+def test_stack_view_holds_one_row_per_k():
+    # 2 k x 2000 planes: the dense stack would take 64 MB, the rows 64 kB
+    tracemalloc.start()
+    try:
+        stack_matrices(np.ones((2, 3)), 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_two_plane_stack_matches_pair_formula():
