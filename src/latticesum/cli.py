@@ -64,10 +64,8 @@ _DEFAULT_THETAS = (
 MAX_SIZE = 2 * 10**6
 
 # The most window rows a "direct" run may ask for: L + 1 per k and plane offset,
-# the Gaussian kernel's l loop. The old 10^10 terms of (L + 1)(L + 2)/2 per
-# window, with at most 2 x 10^6 windows (MAX_SIZE), allowed at most 198 019 800
-# rows (L = 99), so it refuses nothing that bound accepted. At the bound, one
-# thread on a 2-vCPU Xeon, distinct k: at most 46 s of window work (L = 100).
+# the Gaussian kernel's l loop. At the bound, one thread on a 2-vCPU Xeon,
+# distinct k: at most 46 s of window work (L = 100).
 MAX_WINDOW_ROWS = 2 * 10**8
 
 _DIRECT_CONVERGENCE_CUTOFFS = (10, 30, 100, 300, 1000)
@@ -295,8 +293,7 @@ def cmd_sweep_phi(cfg: RunConfig) -> str:
     _want(rows <= MAX_SIZE, "phi_points", f"asks for more than {MAX_SIZE} rows "
           "(phi_points x len(ka_values) x len(theta))", rows)
     phi = 2.0 * math.pi * np.arange(cfg.phi_points) / cfg.phi_points
-    # libm's cos and sin, as NumPy's may differ from them in the last bit
-    unit = np.array([(math.cos(p), math.sin(p)) for p in phi.tolist()])
+    unit = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     kxy = (np.array(cfg.ka_values)[:, None, None] * unit).reshape(-1, 2)
     tensors = _engine(cfg, len(kxy), cfg.b_over_a).tensors(kxy, cfg.b_over_a)
     jps = [couplings(tensors, dipole_from_theta(theta)) for theta in cfg.theta]

@@ -1,24 +1,28 @@
 """End-to-end CLI: config validation, CSV schemas, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latticesum import _core_py, cli, dispersion, ewald
 from latticesum.cli import ConfigError, RunConfig, main, parse_config
 from latticesum.direct_sum import window_tensors
 from latticesum.dispersion import couplings
 from latticesum.ewald import f_constant, lattice_tensors
-from latticesum.model import MAX_FOLD, dipole_from_theta, j0_scale, make_k_grid
+from latticesum.model import MAX_FOLD, MIN_OFFSET, dipole_from_theta, j0_scale, make_k_grid
 
 
 TWO_PI = 2.0 * math.pi
@@ -244,6 +248,69 @@ def test_numerical_failures_exit_2_with_one_line(tmp_path, capsys, command, cfg,
 )
 def test_window_offsets_within_the_float_range_run(tmp_path, command, cfg):
     assert run_cli(tmp_path, command, {**cfg, "direct_cutoff": 10})[0] == 0
+
+
+# the header each command's CSV starts with
+HEADERS = {
+    "sweep-phi": "theta,phi,ka,b_over_a,jprime_over_j0",
+    "dispersion": "kxa,kya,j_over_j0,jprime_over_j0,mode_index,energy_ev",
+    "stack": "kxa,kya,mode_index,energy_over_j0",
+    "convergence": "engine,terms,value_dzz,abs_err_vs_reference,wall_time_ns",
+}
+
+
+def _reals(lo, hi, *edges):
+    """Floats in [lo, hi], and the edges of a key's range and past them."""
+    return st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+
+
+_THETAS = _reals(0.0, math.pi, 0.0, math.pi, -1e-300, math.nextafter(math.pi, 4.0), 7.0)
+
+# each key a command reads, over its documented range with its edges; sizes
+# stay small
+_DRAWN = {
+    "ka_values": st.lists(_reals(1e-320, 3e9, 3e9, 3.37e9, 3.4e9), min_size=1, max_size=3),
+    "b_over_a": _reals(1e-4, 1e300, 1e-4, MIN_OFFSET, 4.4e61, 4.5e61, 1e300, 1e308),
+    "theta": st.one_of(_THETAS, st.lists(_THETAS, min_size=1, max_size=3)),
+    "a_angstrom": _reals(1e-300, 1e300, 1e-300, 3e-103, 1e-102, 1e300),
+    "mu_e_angstrom": _reals(1e-300, 1e300, 1e-300, 1e-200, 1e152, 1e300),
+    "ea_ev": _reals(1e-300, 1.79e308, 1.79e308),
+    "k_direction": st.one_of(st.just("grid"), _reals(-10.0, 10.0, 0.0, math.pi / 4.0)),
+    "n_sites": st.integers(1, 40),
+    "n_planes": st.integers(1, 6),
+    "phi_points": st.integers(1, 8),
+    "direct_cutoff": st.integers(1, 20),
+    "method": st.sampled_from(["ewald", "direct"]),
+    "nearest_only": st.booleans(),
+}
+_ILL_TYPED = st.sampled_from(["0.5", "grid", [], [0.5, "x"], True, False, None, {"a": 1}])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_drawn_configs_exit_0_or_2_with_one_line(data):
+    # exit 0 writes the command's CSV; exit 2 prints one line, and a config
+    # error names a key the command reads, indexed as in ka_values[1]
+    command = data.draw(st.sampled_from(sorted(READS)))
+    reads = sorted(READS[command])
+    cfg = data.draw(st.fixed_dictionaries(
+        {}, optional={key: _DRAWN[key] for key in reads if key in _DRAWN}))
+    if data.draw(st.booleans()):
+        cfg[data.draw(st.sampled_from(reads))] = data.draw(_ILL_TYPED)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code, op = run_cli(Path(tmp), command, cfg)
+        header = op.read_text().split("\n", 1)[0] if code == 0 else None
+    line = err.getvalue()
+    assert code in (0, 2), line
+    if code == 0:
+        assert header == HEADERS[command]
+        return
+    assert line.count("\n") == 1 and line.endswith("\n") and "Traceback" not in line
+    if line.startswith("config error: "):
+        key = re.match(r"config error: (\w+)(\[\d+\])?: ", line)
+        assert key and key[1] in READS[command], line
 
 
 def test_config_that_is_not_utf8_is_malformed_json(tmp_path, capsys):

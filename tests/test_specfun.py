@@ -74,3 +74,12 @@ def test_domain_rejected(n, x):
         bessel_k(n, np.array([1.0, x]))
     with pytest.raises(ValueError):
         bessel_k_oracle(n, x)
+
+
+@pytest.mark.parametrize("x", [1e-160, 1e-200])
+def test_k2_past_its_overflow_is_inf_without_warning(x):
+    # K2(x) ~ 2 / x^2 passes the float range below about 1.06e-154; the
+    # warning filter is "error", so any overflow warning fails the test
+    assert bessel_k(2, x) == math.inf
+    got = bessel_k(2, np.array([x, 1.0]))
+    assert got[0] == math.inf and np.isfinite(got[1])
