@@ -108,21 +108,21 @@ Method = Union[Direct, Ewald, LongWave]
 
 
 def couplings(tensors, dipole) -> np.ndarray:
-    """sum_ij m_i m_j Dt_ij for every tensor of a (..., 3, 3) stack, as (...).
-
-    ``dipole`` is the real unit direction (m_x, m_y, m_z), |m|^2 within
-    1e-12 of 1; the magnitude enters through J0. Real for Hermitian tensors
-    and real m: the imaginary residual is asserted below 1e-12 and then
-    discarded. Between planes the xz and yz entries are purely imaginary,
-    so the m_x m_z and m_y m_z cross terms drop out; the long-wave forms
-    give Jt' = 2 pi (ka) e^{-kb} [(m_par . khat)^2 - m_z^2].
+    """sum_ij m_i m_j Dt_ij for every tensor of a (..., 3, 3) stack, as (...),
+    its nine terms added elementwise in one fixed order, unlike a batched
+    matmul, so its bits do not depend on the rest of the stack. ``dipole`` is
+    the real unit direction m, |m|^2 within 1e-12 of 1; an imaginary residual
+    past 1e-12 is refused. Between planes the xz and yz entries are purely
+    imaginary, so the m_x m_z and m_y m_z cross terms drop out; the long-wave
+    forms give Jt' = 2 pi (ka) e^{-kb} [(m_par . khat)^2 - m_z^2].
     """
     m = np.asarray(dipole)
     # |m|^2 in Python floats overflows to inf silently; NaN and inf fail the test
     if (m.shape != (3,) or m.dtype.kind not in "iuf"
             or not abs(sum(x * x for x in m.tolist()) - 1.0) <= 1e-12):
         raise ValueError(f"expected a real unit dipole direction of shape (3,), got {m!r}")
-    vals = (m @ np.asarray(tensors)) @ m
+    t = np.asarray(tensors)
+    vals = sum(m[i] * m[j] * t[..., i, j] for i in range(3) for j in range(3))
     resid = float(np.max(np.abs(vals.imag), initial=0.0))
     if resid > _IMAG_TOL:
         raise ArithmeticError(f"contraction has imaginary residual {resid:.3e}")

@@ -11,7 +11,6 @@ when some expressions carry 1/a^2 and others 1/a^3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,24 +121,9 @@ def tensors_from_components(xx, yy, zz, xy, xz, yz) -> np.ndarray:
     return check_tensors(m)
 
 
-@dataclass(frozen=True)
 class CouplingTensor:
-    """One read-only 3x3 coupling tensor, checked by :func:`check_tensors`.
-
-    No code of the package builds one: it is kept only because
-    ``perfbench/tracing.py`` patches its ``__init__``, until ROADMAP item 6
-    deletes it. Use the (..., 3, 3) stacks of :func:`tensors_from_components`.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (3, 3):
-            raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
-        check_tensors(m)
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+    """Empty: kept only for its name, since ``perfbench/tracing.py`` patches
+    its ``__init__`` (ROADMAP item 6). Tensors are :func:`check_tensors` stacks."""
 
 
 def dipole_from_theta(theta: float) -> tuple[float, float, float]:

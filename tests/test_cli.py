@@ -20,9 +20,10 @@ from hypothesis import given, settings, strategies as st
 from latticesum import _core_py, cli, dispersion, ewald
 from latticesum.cli import ConfigError, RunConfig, main, parse_config
 from latticesum.direct_sum import window_tensors
-from latticesum.dispersion import couplings
+from latticesum.dispersion import Direct, Ewald, coupling_table, couplings, stack_matrices
 from latticesum.ewald import f_constant, lattice_tensors
 from latticesum.model import MAX_FOLD, MIN_OFFSET, dipole_from_theta, j0_scale, make_k_grid
+from mpmath_oracle import ewald_components
 
 
 TWO_PI = 2.0 * math.pi
@@ -286,11 +287,34 @@ _DRAWN = {
 _ILL_TYPED = st.sampled_from(["0.5", "grid", [], [0.5, "x"], True, False, None, {"a": 1}])
 
 
+def _library_row(command, run, row):
+    """The CSV ``row`` of ``command`` recomputed through the library at the
+    row's k alone, with the engine, offsets and nearest-only rule of the
+    resolved config ``run``."""
+    engine = Ewald() if run.method == "ewald" else Direct(run.direct_cutoff)
+    if command == "sweep-phi":
+        theta, phi, ka, b = map(float, row[:4])
+        k = ka * np.stack([np.cos([phi]), np.sin([phi])], axis=-1)
+        jp = couplings(engine.tensors(k, b), dipole_from_theta(theta))[0]
+        return row[:4] + [repr(float(jp))]
+    kxa, kya, mode = float(row[0]), float(row[1]), int(row[-2])
+    offsets = min(run.n_planes, 2) if run.nearest_only else run.n_planes
+    table = coupling_table([(kxa, kya)], dipole_from_theta(run.theta[0]), run.b_over_a,
+                           offsets, engine)
+    energy = np.linalg.eigvalsh(stack_matrices(table, run.n_planes))[0, mode]
+    if command == "stack":
+        return row[:3] + [repr(float(energy))]
+    energy = j0_scale(run.mu_e_angstrom, run.a_angstrom) * energy + run.ea_ev
+    jp = table[0, 1] if offsets > 1 else 0.0
+    return row[:2] + [repr(float(v)) for v in (table[0, 0], jp)] + [row[4], repr(float(energy))]
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.data())
 def test_drawn_configs_exit_0_or_2_with_one_line(data):
-    # exit 0 writes the command's CSV; exit 2 prints one line, and a config
-    # error names a key the command reads, indexed as in ka_values[1]
+    # exit 0 writes the command's CSV, whose first and last rows are those of
+    # the library route; exit 2 prints one line, and a config error names a
+    # key the command reads, indexed as in ka_values[1]
     command = data.draw(st.sampled_from(sorted(READS)))
     reads = sorted(READS[command])
     cfg = data.draw(st.fixed_dictionaries(
@@ -301,11 +325,17 @@ def test_drawn_configs_exit_0_or_2_with_one_line(data):
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         code, op = run_cli(Path(tmp), command, cfg)
-        header = op.read_text().split("\n", 1)[0] if code == 0 else None
+        text = op.read_text() if code == 0 else None
     line = err.getvalue()
     assert code in (0, 2), line
     if code == 0:
+        header, *rows = text.splitlines()
         assert header == HEADERS[command]
+        if command != "convergence":
+            # the first and last rows, bit for bit, from the library at their k alone
+            run = parse_config(json.dumps(cfg))
+            for row in (rows[0], rows[-1]):
+                assert row.split(",") == _library_row(command, run, row.split(",")), row
         return
     assert line.count("\n") == 1 and line.endswith("\n") and "Traceback" not in line
     if line.startswith("config error: "):
@@ -685,6 +715,31 @@ def test_sweep_phi_schema_and_closed_form(tmp_path):
             * (math.sin(theta) ** 2 * math.cos(phi) ** 2 - math.cos(theta) ** 2)
         )
         assert jp == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("b,ka_values,phi_points", [
+    (1e-3, [0.05, 3.1], 2),
+    (1.0, [1.2], 3),
+    (10.0, [0.05, 3.1], 2),
+])
+def test_sweep_phi_rows_match_mpmath(tmp_path, b, ka_values, phi_points):
+    # every row within 1e-14 of max(1, |J'|) of the 34-digit Ewald split, at
+    # tilts 0, 0.3 and pi/2; measured within 2.2e-16
+    thetas = [0.0, 0.3, math.pi / 2.0]
+    cfg = {"theta": thetas, "b_over_a": b, "ka_values": ka_values, "phi_points": phi_points}
+    code, op = run_cli(tmp_path, "sweep-phi", cfg)
+    assert code == 0
+    _, rows = read_rows(op)
+    assert len(rows) == len(thetas) * len(ka_values) * phi_points
+    oracle = {}
+    for row in rows:
+        theta, phi, ka, _, jp = map(float, row)
+        if (phi, ka) not in oracle:
+            oracle[phi, ka] = ewald_components(ka * math.cos(phi), ka * math.sin(phi), b)
+        xx, _, zz, _, xz, _ = oracle[phi, ka]
+        mx, _, mz = dipole_from_theta(theta)
+        want = mx * mx * xx.real + mz * mz * zz.real + 2.0 * mx * mz * xz.real
+        assert abs(jp - want) <= 1e-14 * max(1.0, abs(want)), row
 
 
 def test_csv_floats_roundtrip(tmp_path):

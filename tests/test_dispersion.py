@@ -33,6 +33,23 @@ def test_coupling_contraction():
     assert couplings(t, diag)[0] == pytest.approx(1.5)
 
 
+def test_each_coupling_of_a_stack_equals_its_tensor_alone():
+    # bit for bit, in any stack shape, order or memory layout, so no CSV value
+    # depends on which other k share the run; a batched matmul would differ in
+    # the last bit for about a third of these k
+    ks = np.random.default_rng(0).uniform(-math.pi, math.pi, size=(200, 2))
+    stack = Ewald().tensors(ks, [0.0, 1.3, 3.0])
+    for theta in (0.0, 0.4, 1.1, math.pi / 2.0):
+        dip = dipole_from_theta(theta)
+        got = couplings(stack, dip)
+        alone = [[couplings(t[None], dip)[0] for t in row] for row in stack]
+        assert got.tobytes() == np.array(alone).tobytes()
+        assert couplings(stack[0, 7], dip) == got[0, 7]
+        assert couplings(stack[:, ::-1], dip)[:, ::-1].tobytes() == got.tobytes()
+        swapped = np.asfortranarray(stack.transpose(1, 0, 2, 3))
+        assert couplings(swapped, dip).T.tobytes() == got.tobytes()
+
+
 def test_couplings_refuse_a_dipole_that_is_not_a_real_unit_3_vector():
     # NaN and inf |m|^2 are refused as well as a plain non-unit one
     tensors = Ewald().tensors([(0.8, 0.3)], [0.0, 1.5])
