@@ -1,7 +1,7 @@
 """Dipolar lattice sums and exciton dispersion for stacked square monolayers.
 
 Three interchangeable engines compute the dimensionless coupling tensors:
-a brute-force window sum (the oracle), the 2D Ewald kernel (the fast
+a window sum closed by Poisson summation, the 2D Ewald kernel (the fast
 path) and closed long-wavelength forms. On top of those sit the dipole
 contractions J(k), J'(k) and N-plane stack spectra, and a
 CSV-producing command line.
@@ -13,11 +13,7 @@ from .model import (
     j0_scale,
     make_k_grid,
 )
-from .direct_sum import (
-    k0_tail_correction,
-    tail_bound,
-    window_tensors,
-)
+from .direct_sum import window_tensors
 from .ewald import f_constant, lattice_tensors
 from .dispersion import (
     Direct,

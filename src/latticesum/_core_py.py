@@ -41,6 +41,12 @@ product as one per k and offset, of the same shape whatever the neighbours,
 so each k's and offset's sums are bitwise those of a call with it alone,
 and memory is bounded whatever L and the number of k and offsets. The sums
 agree with a ``math.fsum`` loop over single dyadic terms to 1e-12 (tests).
+
+The closed sums take each node over the whole lattice, the lattice sum
+itself at every k: a node with Gaussians left past the window takes its
+tables from Poisson summation (:func:`_poisson`), and each k's nodes start
+at its own floor (:func:`_floors`), so away from k = 0 the l loop ends by
+l = 2.2 sqrt(8000) / |k| whatever L.
 """
 
 from __future__ import annotations
@@ -58,20 +64,31 @@ _BLOCK = 16
 _L_BLOCK = 256
 
 
-def _nodes(L, cs):
-    """Ascending nodes t on the lattice s_j = j h spanning every offset in ``cs``
-    at half-width L, and per offset the slice of its own nodes and their weights."""
+def _nodes(L, cs, floor=None):
+    """Ascending nodes t on the lattice s_j = j h spanning every offset in ``cs``,
+    from index ``floor`` or, without one, from the half-width L window's own
+    lower end, and per offset the slice of its own nodes and their weights."""
     spans = []
     for c in cs:
         ln_c2 = 2.0 * math.log(c) if c else -math.inf
-        lo = -np.logaddexp(math.log(2.0 * L * L), ln_c2) - 15.0
-        spans.append((math.ceil(lo / _H), math.floor((4.0 - (ln_c2 if c else 0.0)) / _H)))
+        lo = floor if floor is not None else math.ceil(
+            (-np.logaddexp(math.log(2.0 * L * L), ln_c2) - 15.0) / _H)
+        spans.append((lo, math.floor((4.0 - (ln_c2 if c else 0.0)) / _H)))
     first = min(lo for lo, _ in spans)
     s = np.arange(first, max(hi for _, hi in spans) + 1) * _H
     t = np.exp(s)
-    own = [slice(lo - first, hi + 1 - first) for lo, hi in spans]
+    own = [slice(lo - first, max(lo, hi + 1) - first) for lo, hi in spans]
     w = [_H / math.gamma(2.5) * np.exp(2.5 * s[o] - t[o] * (c * c)) for o, c in zip(own, cs)]
     return t, own, w
+
+
+def _floors(kxy):
+    """Per k in the zone, the index of its lowest node in a closed sum:
+    s = max(-80, ln(|k|^2 / 160)), below which each node's sum, led by
+    t^(1/2) e^(-|k|^2/4t), is under e^-40, rounded down to a multiple of 8
+    nodes so that k of nearby |k| share blocks."""
+    k2 = np.maximum(np.sum(kxy * kxy, axis=1) / 160.0, math.exp(-80.0))
+    return (np.ceil(np.log(k2) / _H) // 8 * 8).astype(int)
 
 
 def _gaussians(t, l2):
@@ -86,7 +103,32 @@ def _gaussians(t, l2):
     return E
 
 
-def window_sums(kxy, L, offsets):
+def _poisson(q, t):
+    """The window's U at nodes t over the whole lattice, (B, 6, len(t)): half
+    of sum_l e^(-t l^2) (cos q l, l^2 cos q l, l sin q l) per k and axis, by
+    Poisson summation, sqrt(pi/t) sum_n e^(-w^2/4t) (1, 1/2t - w^2/4t^2, w/2t)
+    over w = q + 2 pi n, |n| <= n(t), the least n with ((2n + 1) pi)^2 >= 160 t:
+    for q in [-pi, pi] every term left out is below e^-40. The terms are added
+    in the fixed order n = 0, -1, 1, -2, ..., each exactly 0 past w^2/4t =
+    _FAR, so each node's sums do not depend on its neighbours."""
+    if not len(t):
+        return np.zeros((len(q), 6, 0))
+    n_t = np.maximum(np.ceil((np.sqrt(160.0 * t) / math.pi - 1.0) / 2.0), 0.0)
+    sums = np.zeros((3,) + q.shape + t.shape)
+    for n in sorted(range(-int(n_t[-1]), int(n_t[-1]) + 1), key=abs):
+        # n(t) ascends with t: the nodes that take this n are the last ones
+        j = np.searchsorted(n_t, abs(n))
+        tj = t[j:]
+        w = (q + 2.0 * math.pi * n)[..., None]
+        x = w * w / (4.0 * tj)
+        e = np.exp(-np.minimum(x, _FAR))
+        e[x > _FAR] = 0.0
+        sums[..., j:] += (e, (0.5 - x) / tj * e, w / (2.0 * tj) * e)
+    sums *= 0.5 * np.sqrt(math.pi / t)
+    return sums.transpose(1, 2, 0, 3).reshape(len(q), 6, len(t))
+
+
+def window_sums(kxy, L, offsets, closed=False):
     """Six independent dyadic sums over the window at every k and offset.
 
     ``kxy`` is a (K, 2) float array of (kx a, ky a), ``L`` the half-width
@@ -94,36 +136,52 @@ def window_sums(kxy, L, offsets):
     or a 1-D sequence of S of them, giving (6, S, K); c = 0 excludes the
     origin term. Rows are (xx, yy, zz, xy, xz, yz) with the phase factor
     exp(i (qx lx + qy ly)) applied termwise; xx, yy, zz and xy come back
-    with imaginary part 0, xz and yz with real part 0.
+    with imaginary part 0, xz and yz with real part 0. ``closed`` sums the
+    whole lattice instead, for k in the zone (|kx|, |ky| <= pi): nodes from
+    each k's floor, those with t (L + 1)^2 < _FAR by :func:`_poisson`.
     """
     cs = np.reshape(offsets, -1).tolist()
     out = np.zeros((6, len(cs), len(kxy)), dtype=complex)
+    # a closed sum's nodes start at each k's floor: k of one floor share blocks
+    floors, group = np.unique(_floors(kxy), return_inverse=True) if closed else (
+        [None], np.zeros(len(kxy), dtype=int))
     for c0 in range(0, len(cs), _BLOCK):
         chunk = cs[c0 : c0 + _BLOCK]
-        t, own, weights = _nodes(L, chunk)
-        for k0 in range(0, len(kxy), _BLOCK):
-            block = kxy[k0 : k0 + _BLOCK]
-            ks = slice(k0, k0 + len(block))
-            Us = [np.zeros((len(block), 6, o.stop - o.start)) for o in own]
-            for l0 in range(0, L + 1, _L_BLOCK):
-                l = np.arange(l0, min(l0 + _L_BLOCK, L + 1), dtype=float)
-                l2 = l * l
-                ql = block[:, :, None] * l
-                cos = np.cos(ql)
-                T = np.stack([cos, cos * l2, np.sin(ql) * l], 2).reshape(len(block), 6, -1)
-                # t ascends: the nodes with a Gaussian left in the block come first
-                E = _gaussians(t[: np.count_nonzero(t * l0 * l0 <= _FAR)], l2)
-                E[:, l == 0] = 0.5  # the multiplicity m(0) = 1, halved
+        for g, floor in enumerate(floors):
+            t, own, weights = _nodes(L, chunk, floor)
+            wide = np.count_nonzero(t * (L + 1) ** 2 < _FAR) if closed else 0
+            # l runs to the last l where the widest real-space node has a Gaussian left
+            stop = min(L + 1, int(math.sqrt(_FAR / t[wide])) + 1) if wide < len(t) else 0
+            members = np.flatnonzero(group == g)
+            for k0 in range(0, len(members), _BLOCK):
+                ks = members[k0 : k0 + _BLOCK]
+                block = kxy[ks]
+                # only a closed sum has wide nodes, and its offsets share one
+                # floor (o.start = 0): each U holds them first
+                poisson = _poisson(block, t[:wide])
+                Us = [np.zeros((len(block), 6, o.stop - o.start)) for o in own]
                 for U, o in zip(Us, own):
-                    U[:, :, : len(E[o])] += np.matmul(T, E[o].T)
-            for j, (c, U, w) in enumerate(zip(chunk, Us, weights), c0):
-                # E carries m(l) / 2 on each axis, so G = 4 U_x diag(w) U_y^T
-                G = 4.0 * np.matmul(U[:, :3] * w, U[:, 3:].transpose(0, 2, 1))
-                # P = sum lx^2 C/r^5, Q = sum ly^2 C/r^5, S = sum c^2 C/r^5
-                # over the cos/cos products C
-                P, Q, S = G[:, 1, 0], G[:, 0, 1], c * c * G[:, 0, 0]
-                out.real[:4, j, ks] = (
-                    Q + S - 2 * P, P + S - 2 * Q, P + Q - 2 * S, 3 * G[:, 2, 2]
-                )
-                out.imag[4:, j, ks] = -3.0 * c * G[:, 2, 0], -3.0 * c * G[:, 0, 2]
+                    U[:, :, :wide] = poisson[:, :, o]
+                for l0 in range(0, stop, _L_BLOCK):
+                    l = np.arange(l0, min(l0 + _L_BLOCK, stop), dtype=float)
+                    l2 = l * l
+                    ql = block[:, :, None] * l
+                    cos = np.cos(ql)
+                    T = np.stack([cos, cos * l2, np.sin(ql) * l], 2).reshape(len(block), 6, -1)
+                    # t ascends: the nodes with a Gaussian left in the block come first
+                    E = _gaussians(t[wide : np.count_nonzero(t * l0 * l0 <= _FAR)], l2)
+                    E[:, l == 0] = 0.5  # the multiplicity m(0) = 1, halved
+                    for U, o in zip(Us, own):
+                        e = E[o.start : max(o.stop - wide, 0)]
+                        U[:, :, wide : wide + len(e)] += np.matmul(T, e.T)
+                for j, (c, U, w) in enumerate(zip(chunk, Us, weights), c0):
+                    # E carries m(l) / 2 on each axis, so G = 4 U_x diag(w) U_y^T
+                    G = 4.0 * np.matmul(U[:, :3] * w, U[:, 3:].transpose(0, 2, 1))
+                    # P = sum lx^2 C/r^5, Q = sum ly^2 C/r^5, S = sum c^2 C/r^5
+                    # over the cos/cos products C
+                    P, Q, S = G[:, 1, 0], G[:, 0, 1], c * c * G[:, 0, 0]
+                    out.real[:4, j, ks] = (
+                        Q + S - 2 * P, P + S - 2 * Q, P + Q - 2 * S, 3 * G[:, 2, 2]
+                    )
+                    out.imag[4:, j, ks] = -3.0 * c * G[:, 2, 0], -3.0 * c * G[:, 0, 2]
     return out.reshape((6,) + np.shape(offsets) + (len(kxy),))

@@ -64,8 +64,8 @@ _DEFAULT_THETAS = (
 MAX_SIZE = 2 * 10**6
 
 # The most window rows a "direct" run may ask for: L + 1 per k and plane offset,
-# the Gaussian kernel's l loop. At the bound, one thread on a 2-vCPU Xeon,
-# distinct k: at most 46 s of window work (L = 100).
+# the most the closed kernel's l loop runs. At the bound, one thread on a 2-vCPU
+# Xeon, distinct k: at most 31 s of window work (L = 3 near k = 0; README).
 MAX_WINDOW_ROWS = 2 * 10**8
 
 _DIRECT_CONVERGENCE_CUTOFFS = (10, 30, 100, 300, 1000)

@@ -23,10 +23,9 @@ from typing import Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .direct_sum import k0_tail_correction, window_tensors
+from .direct_sum import window_tensors
 from .ewald import _plane_waves, f_constant, lattice_tensors
-from .model import (_check_count, check_offset, check_tensors, tensors_by_orbit,
-                    tensors_from_components)
+from .model import _check_count, check_offset, tensors_by_orbit, tensors_from_components
 
 __all__ = [
     "Direct",
@@ -43,12 +42,12 @@ _IMAG_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Direct:
-    """Brute-force window engine: one window sum of half-width ``cutoff``
-    per offset and orbit of k (:func:`~latticesum.model.tensors_by_orbit`),
-    all in one kernel pass; the window gives every other member of an orbit
-    bit for bit. On the reciprocal lattice, the k = 0 orbit, no phase
-    oscillates and the bare window misses an O(1/L) tail, so there it adds
-    :func:`~latticesum.direct_sum.k0_tail_correction`."""
+    """Closed window engine: one closed window sum of half-width ``cutoff``
+    (:func:`~latticesum.direct_sum.window_tensors`) per offset and orbit of
+    k (:func:`~latticesum.model.tensors_by_orbit`), all in one kernel pass;
+    it gives every other member of an orbit bit for bit. The kernel's
+    Gaussians wide past the window are summed over the whole lattice by
+    Poisson summation, so the tensors hold at every k, k = 0 included."""
 
     cutoff: int = 500
 
@@ -57,11 +56,7 @@ class Direct:
         return tensors_by_orbit(ks, offsets, self._orbit_tensors)
 
     def _orbit_tensors(self, kxy, cs):
-        out = window_tensors(kxy, cs, self.cutoff)
-        if len(kxy) and not kxy[0].any():  # the k = 0 orbit sorts first
-            tails = np.reshape([k0_tail_correction(self.cutoff, c) for c in cs], (-1, 3, 3))
-            out[:, 0] = check_tensors(out[:, 0] + tails)
-        return out
+        return window_tensors(kxy, cs, self.cutoff, closed=True)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from latticesum.cli import main
-from latticesum.direct_sum import k0_tail_correction, window_tensors
+from latticesum.direct_sum import window_tensors
 from latticesum.dispersion import (
     Ewald,
     LongWave,
@@ -33,6 +33,7 @@ from latticesum.model import (
 from latticesum.specfun import bessel_k
 
 from bessel_oracle import bessel_k_oracle
+from k0_tail_oracle import k0_tail_correction
 from plane_wave_oracle import plane_wave_tensor
 
 # every tensor computed in criteria 3-6 lands here, as a 3 x 3 array, for

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -313,8 +313,9 @@ def _library_row(command, run, row):
 @given(st.data())
 def test_drawn_configs_exit_0_or_2_with_one_line(data):
     # exit 0 writes the command's CSV, whose first and last rows are those of
-    # the library route; exit 2 prints one line, and a config error names a
-    # key the command reads, indexed as in ka_values[1]
+    # the library route, and with "direct" within 1e-14 of max(1, |value|) of
+    # the Ewald route; exit 2 prints one line, and a config error names a key
+    # the command reads, indexed as in ka_values[1]
     command = data.draw(st.sampled_from(sorted(READS)))
     reads = sorted(READS[command])
     cfg = data.draw(st.fixed_dictionaries(
@@ -335,7 +336,12 @@ def test_drawn_configs_exit_0_or_2_with_one_line(data):
             # the first and last rows, bit for bit, from the library at their k alone
             run = parse_config(json.dumps(cfg))
             for row in (rows[0], rows[-1]):
-                assert row.split(",") == _library_row(command, run, row.split(",")), row
+                cells = row.split(",")
+                assert cells == _library_row(command, run, cells), row
+                if run.method == "direct":
+                    kernel = _library_row(command, replace(run, method="ewald"), cells)
+                    for got, want in zip(map(float, cells), map(float, kernel)):
+                        assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (row, kernel)
         return
     assert line.count("\n") == 1 and line.endswith("\n") and "Traceback" not in line
     if line.startswith("config error: "):
@@ -405,7 +411,7 @@ def test_direct_window_bound_admits_a_large_cutoff_at_few_windows(tmp_path, monk
     # The kernel is patched to return zeros: this checks the bound, not the sums
     cutoffs = []
 
-    def zeros(kxy, L, offsets):
+    def zeros(kxy, L, offsets, closed):
         cutoffs.append(L)
         return np.zeros((6, len(offsets), len(kxy)), dtype=complex)
 
@@ -690,9 +696,9 @@ def test_direct_window_kernel_once_per_separation(tmp_path, monkeypatch, ks, wan
     calls = []
     kernel = _core_py.window_sums
 
-    def counting(kxy, cutoff, offset):
+    def counting(kxy, cutoff, offset, closed):
         calls.append((len(kxy), offset))
-        return kernel(kxy, cutoff, offset)
+        return kernel(kxy, cutoff, offset, closed)
 
     monkeypatch.setattr(_core_py, "window_sums", counting)
     cfg = {"method": "direct", "direct_cutoff": 5, "n_planes": 2, "b_over_a": 1.5}

@@ -1,4 +1,4 @@
-"""Window-sum oracle: dyadic terms, the kernel, tail estimates, k = 0."""
+"""Window sums: dyadic terms, the kernel, the closed window, k = 0."""
 
 import cmath
 import math
@@ -10,14 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticesum import _core_py
-from latticesum.direct_sum import (
-    k0_tail_correction,
-    tail_bound,
-    window_tensors,
-)
-from latticesum.dispersion import Direct
+from latticesum.direct_sum import window_tensors
+from latticesum.dispersion import Direct, Ewald
 from latticesum.ewald import f_constant
 from latticesum.model import MIN_OFFSET
+
+from k0_tail_oracle import k0_tail_correction
 
 ORIGIN = (0.0, 0.0)
 _AXES = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
@@ -64,19 +62,14 @@ def test_config_validation():
         with pytest.raises(ValueError):
             window_tensors([ORIGIN], bad, 5)
         with pytest.raises(ValueError):
-            k0_tail_correction(5, bad)
-        with pytest.raises(ValueError):
-            tail_bound(5, bad)
+            Direct(5).tensors([ORIGIN], bad)
 
 
 @pytest.mark.parametrize("bad", [2.5, 500.0, True, 0])
 def test_cutoff_is_an_integer_from_1(bad):
-    # the window ends at L and the k = 0 tail starts at L + 1/2, so every
-    # function must read the same integer L
+    # the bare and the closed window read the same integer L
     calls = [
         lambda L: window_tensors([ORIGIN], 1.5, L),
-        lambda L: tail_bound(L, 1.5),
-        lambda L: k0_tail_correction(L, 1.5),
         lambda L: Direct(L).tensors([ORIGIN], 0.0),
     ]
     for call in calls:
@@ -211,7 +204,8 @@ def test_k_block_seams(monkeypatch, offset):
 
 def test_direct_batch_equals_single_k():
     # a generic k, both axes, near the zone centre, the zone corner, k = 0
-    # and a reciprocal-lattice point, which takes the corrected k = 0 window
+    # and a reciprocal-lattice point, which folds onto k = 0; each has its
+    # own node floor
     ks = [
         (0.83, -1.37), (0.9, 0.0), (0.0, -1.2), (1e-3, 0.0),
         (math.pi, math.pi), (0.0, 0.0), (2.0 * math.pi, 0.0),
@@ -233,7 +227,7 @@ def test_direct_batch_equals_single_k():
 
 
 def test_direct_offsets_in_one_call_equal_one_at_a_time():
-    # a generic k, an axis and k = 0, which takes the corrected k = 0 window
+    # a generic k, an axis and k = 0, whose nodes reach down to the floor
     ks = [(0.83, -1.37), (0.9, 0.0), (0.0, 0.0)]
     offsets = [0.0, 1.5, 3.0]
     method = Direct()
@@ -241,6 +235,38 @@ def test_direct_offsets_in_one_call_equal_one_at_a_time():
     assert stacked.shape == (3, len(ks), 3, 3)
     for c, got in zip(offsets, stacked):
         assert got.tobytes() == method.tensors(ks, c).tobytes()
+
+
+@pytest.mark.parametrize("cutoff", [1, 3, 10, 100, 1000])
+def test_direct_matches_ewald_at_every_k(cutoff):
+    # the closed window is the lattice sum: k = 0 and a hair off it, near
+    # the zone centre, the zone edge and corner, the diagonal and generic k,
+    # in the plane and from MIN_OFFSET to 10 planes away; the bare window
+    # is 1.1e-2 off at (1e-12, 0) and L = 500
+    generic = np.random.default_rng(31).uniform(-math.pi, math.pi, (6, 2)).tolist()
+    ks = [ORIGIN, (1e-12, 0.0), (1e-3, 0.0), (0.05, 0.0), (math.pi, 0.0),
+          (math.pi, math.pi), (0.7, 0.7)] + generic
+    offsets = [0.0, MIN_OFFSET, 0.5, 1.5, 10.0]
+    want = Ewald().tensors(ks, offsets)
+    err = np.max(np.abs(Direct(cutoff).tensors(ks, offsets) - want), axis=(2, 3))
+    assert np.all(err <= 1e-14 * np.maximum(1.0, np.max(np.abs(want), axis=(2, 3))))
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3, -2.0, math.pi])
+def test_poisson_tables_match_the_lattice_sums(q):
+    # half of sum_l e^(-t l^2) (cos ql, l^2 cos ql, l sin ql) out to where
+    # the Gaussian is past e^-60, at nodes from n(t) = 0 up to 7
+    t = np.exp(np.arange(-24, 12) * _core_py._H)
+    got = _core_py._poisson(np.array([[q, q]]), t)[0, :3]
+    for tj, col in zip(t.tolist(), got.T):
+        edge = math.ceil(math.sqrt(60.0 / tj))
+        for got_sum, f in zip(col.tolist(), (lambda l: math.cos(q * l),
+                                             lambda l: l * l * math.cos(q * l),
+                                             lambda l: l * math.sin(q * l))):
+            terms = [0.5 * math.exp(-tj * l * l) * f(l) for l in range(-edge, edge + 1)]
+            # the terms cancel to roundoff away from q = 0: scale by their size
+            size = math.fsum(map(abs, terms))
+            assert abs(got_sum - math.fsum(terms)) <= 1e-14 * max(1.0, size), tj
 
 
 def test_minus_k_conjugates_exactly():
@@ -257,34 +283,6 @@ def test_intra_diagonal_real_inter_xz_imaginary():
     inter = window_tensors([k], 1.0, 50)[0]
     assert abs(inter[0, 2].real) <= 1e-12 * abs(inter[0, 2])
     assert abs(inter[1, 2].real) <= 1e-12 * abs(inter[1, 2])
-
-
-def test_tail_bound_values():
-    assert tail_bound(100, 0.0) == pytest.approx(2.0 * math.pi / 100.0)
-    assert tail_bound(100, 1.0) == pytest.approx(4.0 * math.pi / 1e6)
-    assert tail_bound(1, 1.0) > 0.0
-
-
-def test_window_error_within_tail_bound():
-    # generic interior k (off-axis); L = 800 stands in for the full sum
-    k = (0.8 * math.cos(0.45), 0.8 * math.sin(0.45))
-    for c in (0.0, 1.5):
-        ref = window_tensors([k], c, 800)[0]
-        errs = []
-        for L in (100, 200, 400):
-            err = float(np.max(np.abs(window_tensors([k], c, L)[0] - ref)))
-            assert err <= tail_bound(L, c)
-            errs.append(err)
-        assert errs[0] > errs[-1]
-
-
-def test_doubling_difference_within_tail_bound():
-    k = (1.3 * math.cos(0.6), 1.3 * math.sin(0.6))
-    for c in (0.0, 1.0):
-        for L in (100, 200):
-            a = window_tensors([k], c, L)[0]
-            b = window_tensors([k], c, 2 * L)[0]
-            assert np.max(np.abs(a - b)) <= tail_bound(L, c)
 
 
 def _corrected_k0(cutoff, c):
@@ -326,11 +324,12 @@ def test_window_tensors_hermitian_traceless(kx, ky, off):
     m = window_tensors([(kx, ky)], off * 1.25, 15)[0]
     scale = max(1.0, float(np.max(np.abs(m))))
     assert np.max(np.abs(m - m.conj().T)) <= 1e-12 * scale
-    assert abs(np.trace(m)) <= tail_bound(15, off * 1.25)
+    # the dyadic is traceless term by term
+    assert abs(np.trace(m)) <= 1e-12 * scale
 
 
 def test_rejects_nonpositive_spacing():
     with pytest.raises(ValueError):
         window_tensors([ORIGIN], -1.0, 5)
     with pytest.raises(ValueError):
-        k0_tail_correction(5, -1.0)
+        Direct(5).tensors([ORIGIN], -1.0)

@@ -14,8 +14,7 @@ from latticesum.dispersion import (
     couplings,
     stack_matrices,
 )
-from latticesum import dispersion, ewald
-from latticesum.direct_sum import k0_tail_correction, window_tensors
+from latticesum import _core_py, ewald
 from latticesum.ewald import f_constant
 from latticesum.model import (
     MIN_OFFSET,
@@ -116,19 +115,24 @@ def test_batched_engines_match_single_k(method):
 
 
 def test_direct_takes_corrected_window_on_reciprocal_lattice():
-    # the bare window misses its O(1/L) tail wherever no phase oscillates
+    # the bare window misses its O(1/L) tail wherever no phase oscillates;
+    # every reciprocal-lattice point folds onto k = 0, where the closed
+    # window is the lattice sum
     method = Direct(cutoff=6)
     ks = [(0.0, 0.0), (2.0 * math.pi, 0.0), (-2.0 * math.pi, 4.0 * math.pi)]
-    for c, got in [(0.0, method.tensors(ks, 0.0)), (1.5, method.tensors(ks, 1.5))]:
-        want = window_tensors([ks[0]], c, 6)[0] + k0_tail_correction(6, c)
-        assert np.array_equal(method.tensors(ks[:1], c)[0], want)
+    for c in (0.0, 1.5):
+        got = method.tensors(ks, c)
+        want = ewald.lattice_tensors(ks[:1], c)[0]
+        assert np.max(np.abs(got[0] - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
         for tensor in got:
-            assert np.array_equal(tensor, want)
+            assert np.array_equal(tensor, got[0])
 
 
 def test_direct_checks_the_corrected_window(monkeypatch):
-    # the tail is added after the window's own check; the sum is checked too
-    monkeypatch.setattr(dispersion, "k0_tail_correction", lambda *_: np.eye(3))
+    # the closed sums are checked as every window is: a trace of 1 is refused
+    sums = _core_py.window_sums
+    monkeypatch.setattr(_core_py, "window_sums",
+                        lambda *args: sums(*args) + np.eye(6, 1)[:, :, None])
     with pytest.raises(ValueError, match="traceless"):
         Direct(cutoff=6).tensors([(2.0 * math.pi, 0.0)], 0.0)
     with pytest.raises(ValueError, match="traceless"):
