@@ -33,7 +33,7 @@ term is finite and reaches only G[0, 0], which is multiplied by c^2 = 0.
 With each k's tables (cos, cos l^2 and sin l, along x and then y) as the
 rows of a (6, L + 1) array T and E = exp(-t l^2), U = T E^T gives
 G = U_x diag(w) U_y^T: O(M L) per k for M nodes (about 150 at L = 1000),
-where R has O(L^2) terms. Offsets go in blocks of ``_BLOCK`` on one lattice
+where R has O(L^2) terms. Offsets go in blocks of ``_C_BLOCK`` on one lattice
 of nodes, k in blocks of ``_BLOCK`` and l in blocks of ``_L_BLOCK``, whose
 tables and Gaussians serve all the offsets of a block, leaving out the nodes
 whose Gaussians are 0 over the whole block. ``np.matmul`` runs each block's
@@ -42,11 +42,12 @@ so each k's and offset's sums are bitwise those of a call with it alone,
 and memory is bounded whatever L and the number of k and offsets. The sums
 agree with a ``math.fsum`` loop over single dyadic terms to 1e-12 (tests).
 
-The closed sums take each node over the whole lattice, the lattice sum
-itself at every k: a node with Gaussians left past the window takes its
-tables from Poisson summation (:func:`_poisson`), and each k's nodes start
-at its own floor (:func:`_floors`), so away from k = 0 the l loop ends by
-l = 2.2 sqrt(8000) / |k| whatever L.
+The closed sums, which ``Direct`` and the Ewald kernel's near planes
+take, sum each node over the whole lattice, the lattice sum itself at every
+k: a node with Gaussians left past the window takes its tables from Poisson
+summation (:func:`_poisson`), so L only chooses which nodes run in real
+space, and each k's nodes start at its own floor (:func:`_floors`), so away
+from k = 0 the l loop ends by l = 2.2 sqrt(8000) / |k| whatever L.
 """
 
 from __future__ import annotations
@@ -55,12 +56,15 @@ import math
 
 import numpy as np
 
-# trapezoid step in s = ln t, and the t l^2 past which Gaussians are 0
+# trapezoid step in s = ln t, the t l^2 past which Gaussians are 0, and
+# the e^-_TAIL below which a closed sum's floor and Poisson shells leave terms out
 _H = 7 / 32
 _FAR = 50.0
+_TAIL = 40.0
 
-# offsets and k per block, and l per block: they bound the memory (README)
-_BLOCK = 16
+# k, offsets and l per block: they bound the memory (README)
+_BLOCK = 64
+_C_BLOCK = 16
 _L_BLOCK = 256
 
 
@@ -82,13 +86,18 @@ def _nodes(L, cs, floor=None):
     return t, own, w
 
 
-def _floors(kxy):
-    """Per k in the zone, the index of its lowest node in a closed sum:
-    s = max(-80, ln(|k|^2 / 160)), below which each node's sum, led by
-    t^(1/2) e^(-|k|^2/4t), is under e^-40, rounded down to a multiple of 8
-    nodes so that k of nearby |k| share blocks."""
-    k2 = np.maximum(np.sum(kxy * kxy, axis=1) / 160.0, math.exp(-80.0))
-    return (np.ceil(np.log(k2) / _H) // 8 * 8).astype(int)
+def _floors(kxy, L):
+    """Per k in the zone, the index of its lowest node in a closed sum of
+    half-width L: s = max(-80, ln(|k|^2 / 4 _TAIL)), below which each node's
+    sum, led by t^(1/2) e^(-|k|^2/4t), is under e^-_TAIL, rounded down so
+    that k of nearby |k| share blocks. Each block costs about as much as 32
+    more nodes, so a floor node that Poisson summation takes (t (L + 1)^2 <
+    _FAR) is rounded to a multiple of 32, which adds no l rows; any other to
+    a multiple of 8, which lengthens the l loop by at most e^(7 h / 2) = 2.2."""
+    k2 = np.maximum(np.sum(kxy * kxy, axis=1) / (4.0 * _TAIL), math.exp(-80.0))
+    j = np.ceil(np.log(k2) / _H)
+    step = np.where(np.exp(j * _H) * (L + 1) ** 2 < _FAR, 32, 8)
+    return (j // step * step).astype(int)
 
 
 def _gaussians(t, l2):
@@ -103,17 +112,20 @@ def _gaussians(t, l2):
     return E
 
 
-def _poisson(q, t):
+def _poisson(q, t, cap=None):
     """The window's U at nodes t over the whole lattice, (B, 6, len(t)): half
     of sum_l e^(-t l^2) (cos q l, l^2 cos q l, l sin q l) per k and axis, by
     Poisson summation, sqrt(pi/t) sum_n e^(-w^2/4t) (1, 1/2t - w^2/4t^2, w/2t)
-    over w = q + 2 pi n, |n| <= n(t), the least n with ((2n + 1) pi)^2 >= 160 t:
-    for q in [-pi, pi] every term left out is below e^-40. The terms are added
-    in the fixed order n = 0, -1, 1, -2, ..., each exactly 0 past w^2/4t =
-    _FAR, so each node's sums do not depend on its neighbours."""
+    over w = q + 2 pi n, |n| <= n(t), the least n with ((2n + 1) pi)^2 >=
+    4 _TAIL t: for q in [-pi, pi] every term left out is below e^-_TAIL. A
+    ``cap`` cuts n(t) to at most ``cap``. The terms are added in the fixed
+    order n = 0, -1, 1, -2, ..., each exactly 0 past w^2/4t = _FAR, so each
+    node's sums do not depend on its neighbours."""
     if not len(t):
         return np.zeros((len(q), 6, 0))
-    n_t = np.maximum(np.ceil((np.sqrt(160.0 * t) / math.pi - 1.0) / 2.0), 0.0)
+    n_t = np.maximum(np.ceil((np.sqrt(4.0 * _TAIL * t) / math.pi - 1.0) / 2.0), 0.0)
+    if cap is not None:
+        n_t = np.minimum(n_t, cap)
     sums = np.zeros((3,) + q.shape + t.shape)
     for n in sorted(range(-int(n_t[-1]), int(n_t[-1]) + 1), key=abs):
         # n(t) ascends with t: the nodes that take this n are the last ones
@@ -128,7 +140,7 @@ def _poisson(q, t):
     return sums.transpose(1, 2, 0, 3).reshape(len(q), 6, len(t))
 
 
-def window_sums(kxy, L, offsets, closed=False):
+def window_sums(kxy, L, offsets, closed=False, cap=None):
     """Six independent dyadic sums over the window at every k and offset.
 
     ``kxy`` is a (K, 2) float array of (kx a, ky a), ``L`` the half-width
@@ -138,15 +150,16 @@ def window_sums(kxy, L, offsets, closed=False):
     exp(i (qx lx + qy ly)) applied termwise; xx, yy, zz and xy come back
     with imaginary part 0, xz and yz with real part 0. ``closed`` sums the
     whole lattice instead, for k in the zone (|kx|, |ky| <= pi): nodes from
-    each k's floor, those with t (L + 1)^2 < _FAR by :func:`_poisson`.
+    each k's floor, those with t (L + 1)^2 < _FAR by :func:`_poisson`, whose
+    shells a ``cap`` cuts.
     """
     cs = np.reshape(offsets, -1).tolist()
     out = np.zeros((6, len(cs), len(kxy)), dtype=complex)
     # a closed sum's nodes start at each k's floor: k of one floor share blocks
-    floors, group = np.unique(_floors(kxy), return_inverse=True) if closed else (
+    floors, group = np.unique(_floors(kxy, L), return_inverse=True) if closed else (
         [None], np.zeros(len(kxy), dtype=int))
-    for c0 in range(0, len(cs), _BLOCK):
-        chunk = cs[c0 : c0 + _BLOCK]
+    for c0 in range(0, len(cs), _C_BLOCK):
+        chunk = cs[c0 : c0 + _C_BLOCK]
         for g, floor in enumerate(floors):
             t, own, weights = _nodes(L, chunk, floor)
             wide = np.count_nonzero(t * (L + 1) ** 2 < _FAR) if closed else 0
@@ -158,7 +171,7 @@ def window_sums(kxy, L, offsets, closed=False):
                 block = kxy[ks]
                 # only a closed sum has wide nodes, and its offsets share one
                 # floor (o.start = 0): each U holds them first
-                poisson = _poisson(block, t[:wide])
+                poisson = _poisson(block, t[:wide], cap)
                 Us = [np.zeros((len(block), 6, o.stop - o.start)) for o in own]
                 for U, o in zip(Us, own):
                     U[:, :, :wide] = poisson[:, :, o]

@@ -353,11 +353,11 @@ def cmd_convergence(cfg: RunConfig) -> str:
     """Error/cost table: direct windows vs Ewald shells at one k.
 
     Compares the inter-plane zz entry of direct windows of half-width L,
-    (2L + 1)^2 terms, with the Ewald kernel summed over R shells,
-    2 (2R + 1)^2 terms, or (2R + 1)^2 at b >= 2a, where it sums the
-    reciprocal terms only; the reference is the kernel at R = 10. The rows
-    are unchecked sums, since a truncated tensor is only traceless once
-    converged.
+    (2L + 1)^2 terms, with the Ewald kernel truncated at R shells. Below
+    b = 2a that is its closed Gaussian sum with real space at half-width R
+    and each Gaussian's Poisson sum at |n| <= R, 2 (2R + 1)^2 terms; from
+    2a up the plane waves at |n_x|, |n_y| <= R, (2R + 1)^2 terms. The
+    reference is the kernel at R = 10. The rows are unchecked sums.
     """
     _want(cfg.k_direction != "grid", "k_direction", "convergence needs one direction", "grid")
     d = float(cfg.k_direction)

@@ -4,10 +4,11 @@ the tests and ``convergence`` read, and the closed one of ``Direct``.
 The bare sum runs over a square window lx, ly in [-L, L], with only the
 origin excluded in the in-plane case, and misses the tail past it: O(1/L)
 at k = 0. The closed sum, which ``dispersion.Direct`` takes, adds that tail
-exactly. :func:`window_tensors` sums every k and every plane offset of a
-call in one kernel pass, ``_core_py.window_sums``, whose docstring gives
-the algorithm and its accuracy. Components that parity makes real or
-imaginary come out exactly so, with the other lane 0.
+exactly; the Ewald kernel takes the same closed sums at its near planes,
+from ``_core_py`` directly. :func:`window_tensors` sums every k and every
+plane offset of a call in one kernel pass, ``_core_py.window_sums``, whose
+docstring gives the algorithm and its accuracy. Components that parity
+makes real or imaginary come out exactly so, with the other lane 0.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import _core_py
 from .model import (_check_count, _fold_into_zone, check_offsets, k_array,
                     tensors_from_components)
 
-# the window kernel's name, kept only for perfbench/child.py (ROADMAP item 6)
+# the window kernel's name, kept only for perfbench/child.py (ROADMAP item 7)
 BACKEND = "numpy"
 
 __all__ = ["window_tensors"]

@@ -61,7 +61,9 @@ class Direct:
 
 @dataclass(frozen=True)
 class Ewald:
-    """2D Ewald engine: every k goes to :func:`~latticesum.ewald.lattice_tensors`."""
+    """2D Ewald engine: every k goes to :func:`~latticesum.ewald.lattice_tensors`,
+    which takes the closed Gaussian sum of ``Direct``'s kernel at a fixed
+    half-width of 8 below c = 2 and the plane-wave series from there up."""
 
     def tensors(self, ks, offsets) -> np.ndarray:
         """(K, 3, 3) or (S, K, 3, 3) tensors to the planes ``offsets`` away."""

@@ -123,7 +123,7 @@ def tensors_from_components(xx, yy, zz, xy, xz, yz) -> np.ndarray:
 
 class CouplingTensor:
     """Empty: kept only for its name, since ``perfbench/tracing.py`` patches
-    its ``__init__`` (ROADMAP item 6). Tensors are :func:`check_tensors` stacks."""
+    its ``__init__`` (ROADMAP item 7). Tensors are :func:`check_tensors` stacks."""
 
 
 def dipole_from_theta(theta: float) -> tuple[float, float, float]:

@@ -1,13 +1,29 @@
 """Ewald's split of the dyadic lattice sum at 34 digits: a reference that
-shares no code with the kernel and splits at another eta.
+shares no code and no method with the kernel, which splits its Gaussian sum
+node by node and calls no erfc.
 
-It evaluates the split written out in ``latticesum.ewald``'s docstring with
-mpmath at ``mp.dps = 34`` and eta = 2, where the kernel uses sqrt(pi), so a
-wrong factor in either half shows as a dependence on eta. Real-space sites
-l and reciprocal vectors q = k + 2 pi n are summed together over square
-shells max(|x|, |y|) = s, and shells are added until one changes no entry
-by 1e-30 or more. Every phase e^{i k.l} is summed whole and k is not
-folded, so none of the kernel's symmetry reductions is assumed.
+It evaluates Ewald's split 1/r = erfc(eta r)/r + erf(eta r)/r (P. P. Ewald,
+Ann. Phys. 369, 253 (1921); for 2D periodicity, A. Grzybowski, E. Gwozdz
+and A. Brodka, Phys. Rev. B 61, 6706 (2000)) with mpmath at ``mp.dps = 34``
+and eta = 2:
+
+- real space, over sites at distance s = |l + c z| with R = l + c z:
+  A(s) delta_ij - B(s) R_i R_j, where
+  A = [erfc(eta s) + (2 eta s/sqrt(pi)) e^{-eta^2 s^2}] / s^3 and
+  B = [3 erfc(eta s) + (2 eta s/sqrt(pi)) (3 + 2 eta^2 s^2) e^{-eta^2 s^2}] / s^5;
+- reciprocal space, over q = k + 2 pi n: q_a q_b psi for the in-plane
+  entries, i q_a psi_z for xz and yz and -psi_zz for zz, where
+  psi = (pi/q)(e+ + e-), psi_z = pi (e+ - e-),
+  psi_zz = pi q (e+ + e-) - 4 sqrt(pi) eta W,
+  e+- = e^{+-qc} erfc(q/2 eta +- eta c) and W = e^{-q^2/4 eta^2 - eta^2 c^2};
+  at q = 0 only zz survives, as 4 sqrt(pi) eta e^{-eta^2 c^2};
+- in the plane, the reciprocal sum also holds the site's own smooth part,
+  removed by subtracting (4 eta^3 / 3 sqrt(pi)) delta_ij.
+
+Real-space sites l and reciprocal vectors q = k + 2 pi n are summed together
+over square shells max(|x|, |y|) = s, and shells are added until one
+changes no entry by 1e-30 or more. Every phase e^{i k.l} is summed whole and
+k is not folded, so none of the kernel's symmetry reductions is assumed.
 """
 
 from mpmath import erfc, exp, mp, mpc, mpf, sqrt

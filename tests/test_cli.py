@@ -1,5 +1,6 @@
 """End-to-end CLI: config validation, CSV schemas, exit codes, determinism."""
 
+import ast
 import contextlib
 import io
 import json
@@ -22,7 +23,7 @@ from latticesum.cli import ConfigError, RunConfig, main, parse_config
 from latticesum.direct_sum import window_tensors
 from latticesum.dispersion import Direct, Ewald, coupling_table, couplings, stack_matrices
 from latticesum.ewald import f_constant, lattice_tensors
-from latticesum.model import MAX_FOLD, MIN_OFFSET, dipole_from_theta, j0_scale, make_k_grid
+from latticesum.model import MAX_FOLD, MIN_OFFSET, dipole_from_theta, j0_scale
 from mpmath_oracle import ewald_components
 
 
@@ -649,37 +650,30 @@ def test_stack_matches_toeplitz_spectrum_at_65_planes(tmp_path):
 
 def test_ewald_kernel_once_per_stack(tmp_path, monkeypatch):
     calls = []
-    kernel = ewald._sums
+    kernel = _core_py.window_sums
 
-    def counting(kxy, cs, shells):
-        calls.append(list(cs))
-        return kernel(kxy, cs, shells)
+    def counting(kxy, L, offsets, closed=False, cap=None):
+        calls.append(list(offsets))
+        return kernel(kxy, L, offsets, closed, cap)
 
-    monkeypatch.setattr(ewald, "_sums", counting)
+    monkeypatch.setattr(_core_py, "window_sums", counting)
     code, _ = run_cli(tmp_path, "stack", {"n_planes": 8, "n_sites": 4, "b_over_a": 1.5})
     assert code == 0
-    # one kernel call for every plane separation, in-plane included
-    assert calls == [[1.5 * s for s in range(8)]]
+    # one closed-kernel call for every plane separation below 2a, in-plane
+    # included; the six from 3a up take the plane-wave pass
+    assert calls == [[0.0, 1.5]]
 
 
-def test_far_planes_call_no_erfc(tmp_path, monkeypatch):
-    # at b = 2a every separation but the in-plane one takes the plane-wave
-    # pass, so erfc sees exactly the arguments of an in-plane call
-    args = []
-    erfc = ewald._erfc
-
-    def recording(x):
-        args.append(x.tobytes())
-        return erfc(x)
-
-    monkeypatch.setattr(ewald, "_erfc", recording)
-    cfg = {"n_planes": 8, "n_sites": 4, "k_direction": "grid", "b_over_a": 2.0}
-    code, _ = run_cli(tmp_path, "stack", cfg)
-    assert code == 0
-    stack_args = args.copy()
-    args.clear()
-    lattice_tensors(make_k_grid(4), 0.0)
-    assert args and stack_args == args
+def test_no_module_names_erfc():
+    # the near planes take the closed Gaussian sum, the far ones the plane
+    # waves: no module of the package names an erfc, by call, import or
+    # definition
+    package = Path(ewald.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = {getattr(node, field, None) for node in ast.walk(tree)
+                 for field in ("id", "attr", "name", "asname", "arg", "module")}
+        assert not [n for n in names if isinstance(n, str) and "erfc" in n.lower()], path
 
 
 @pytest.mark.parametrize(

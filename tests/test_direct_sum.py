@@ -218,7 +218,7 @@ def test_direct_batch_equals_single_k():
         for k, got in zip(ks, tensors):
             assert np.array_equal(got, alone(k))
     # more than one block of l, and more than one block of k
-    many = np.random.default_rng(5).uniform(-math.pi, math.pi, (20, 2))
+    many = np.random.default_rng(5).uniform(-math.pi, math.pi, (_core_py._BLOCK + 6, 2))
     assert 300 + 1 > _core_py._L_BLOCK and len(many) > _core_py._BLOCK
     method = Direct(cutoff=300)
     stacked = method.tensors(many, [0.0, 1.5])

@@ -1,5 +1,5 @@
-"""Ewald kernel and closed forms: plane-wave, eta-independence and window
-references, frozen values and symmetries."""
+"""Ewald kernel and closed forms: plane-wave, real-space/Poisson switch and
+window references, frozen values and symmetries."""
 
 import itertools
 import math
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from latticesum import ewald
+from latticesum import _core_py, ewald
 from latticesum.direct_sum import window_tensors
 from latticesum.dispersion import Direct, LongWave
 from latticesum.ewald import f_constant, lattice_tensors
@@ -54,29 +54,15 @@ def test_offset_sequence_shapes():
     assert lattice_tensors([], (0.0, 1.5)).shape == (2, 0, 3, 3)
 
 
-def test_erfc_saturation_is_exact():
-    # math.erfc is exactly 0 from 27.3 up and exactly 2 from -5.9 down; the
-    # kernel's e+ guard relies on the 0, and _erfc is math.erfc bit for bit
-    above = np.linspace(27.3, 40.0, 20001)
-    below = np.linspace(-40.0, -5.9, 20001)
-    assert all(math.erfc(x) == 0.0 for x in above.tolist())
-    assert all(math.erfc(x) == 2.0 for x in below.tolist())
-    edges = [27.3, -5.9, 0.0, -0.0]
-    near = [np.nextafter(e, to) for e in edges for to in (-np.inf, e, np.inf)]
-    x = np.concatenate([np.linspace(-40.0, 40.0, 80001), near, [math.inf, -math.inf]])
-    want = np.array(list(map(math.erfc, x.tolist())))
-    assert ewald._erfc(x).tobytes() == want.tobytes()
-    assert np.isnan(ewald._erfc(np.array([math.nan]))[0])
-    assert ewald._erfc(x[:30].reshape(10, 3)).shape == (10, 3)
-
-
 # (kx, ky, c): generic k at offsets down to MIN_OFFSET and up to 300, with
 # |k| c near 1 on the far planes so that their entries are not far below
-# the bound's floor of 1; in the plane, an axis, |k| = 1e-8, the zone
-# corner and a reciprocal-lattice point; and far outside the zone, in the
-# plane and one spacing up
+# the bound's floor of 1; the near planes up to the float below _FAR, where
+# the closed Gaussian sum serves them; in the plane, an axis, |k| = 1e-8,
+# the zone corner and a reciprocal-lattice point; and far outside the zone,
+# in the plane and one spacing up
 MPMATH_POINTS = [
     (0.8, 0.3, 1e-3), (0.8, 0.3, 0.01), (0.8, 0.3, 0.03),
+    *((0.8, 0.3, c) for c in (0.5, np.nextafter(1.0, 0.0), 1.0, 1.5, np.nextafter(2.0, 0.0))),
     *((ka * math.cos(0.36), ka * math.sin(0.36), c)
       for ka, c in ((0.1, 10.0), (0.02, 50.0), (0.005, 300.0))),
     (0.8, 0.0, 0.0), (1e-8 * math.cos(0.6), 1e-8 * math.sin(0.6), 0.0),
@@ -95,8 +81,7 @@ def _reduced(k):
 
 @pytest.mark.parametrize("kx,ky,c", MPMATH_POINTS)
 def test_kernel_matches_mpmath_split(kx, ky, c):
-    # measured within 6.7e-16 of max(1, largest entry); at 3 shells within
-    # 6.7e-16 too, at 2 shells off by 1.3e-8
+    # measured within 8.2e-16 of max(1, largest entry)
     want = np.array(ewald_components(_reduced(kx), _reduced(ky), c))
     t = lattice_tensors([(kx, ky)], c)[0]
     got = t[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
@@ -120,11 +105,15 @@ def test_scalar_series_frozen_values():
 
 
 def test_series_truncation_settled(monkeypatch):
-    # doubling the shells of both sums moves nothing: the first omitted
-    # terms at the default are below 1e-21
+    # doubling the closed sum's window and its Poisson shells, with its
+    # Gaussians taken to e^-100 so that the added terms are not 0, and the
+    # plane waves' shells, moves nothing
     ks = [(0.7, -0.3), (math.pi, 0.0), (1e-3, 0.0), ORIGIN]
     offsets = (0.0, 0.05, 1.0, 10.0)
     default = [lattice_tensors(ks, c) for c in offsets]
+    monkeypatch.setattr(ewald, "_HALF_WIDTH", 2 * ewald._HALF_WIDTH)
+    monkeypatch.setattr(_core_py, "_TAIL", 4.0 * _core_py._TAIL)  # n(t) ~ sqrt(_TAIL)
+    monkeypatch.setattr(_core_py, "_FAR", 2.0 * _core_py._FAR)
     monkeypatch.setattr(ewald, "_SHELLS", 8)
     for c, lo in zip(offsets, default):
         hi = lattice_tensors(ks, c)
@@ -161,15 +150,17 @@ def test_reciprocal_lattice_points_equal_zone_centre():
             assert np.max(np.abs(t - origin)) <= 1e-15 * scale
 
 
-def test_kernel_is_eta_independent_in_plane(monkeypatch):
-    # any error in the split makes the sum depend on the splitting parameter
-    want = lattice_tensors(IN_PLANE_POINTS, 0.0)
-    monkeypatch.setattr(ewald, "_SHELLS", 10)
-    for eta in (1.0, 3.0):
-        monkeypatch.setattr(ewald, "_ETA", eta)
-        got = lattice_tensors(IN_PLANE_POINTS, 0.0)
-        for g, w in zip(got, want):
-            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+@pytest.mark.parametrize("half_width", [1, 3, 8, 30])
+def test_kernel_is_independent_of_the_poisson_switch(monkeypatch, half_width):
+    # the real-space half-width L moves each Gaussian node between real space
+    # (t (L + 1)^2 >= 50) and Poisson summation: any error in either half
+    # makes the sum depend on L
+    offsets = [0.0, 1e-3, 0.5, 1.5]
+    want = lattice_tensors(IN_PLANE_POINTS, offsets)
+    monkeypatch.setattr(ewald, "_HALF_WIDTH", half_width)
+    got = lattice_tensors(IN_PLANE_POINTS, offsets)
+    scale = np.max(np.abs(want), axis=(2, 3))
+    assert np.all(np.max(np.abs(got - want), axis=(2, 3)) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("b", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 2.5, 6.0, 14.0, 50.0, 300.0])
@@ -187,19 +178,18 @@ FAR_POINTS = [(0.8, 0.3), (0.8, 0.0), (0.0, -1.7), (1e-3, 0.0), (1e-8, 0.0), (0.
 
 
 def test_far_planes_match_full_split(monkeypatch):
-    # the plane-wave pass at c >= _FAR is the split's eta -> infinity
-    # limit: the full split, with doubled shells, gives the same tensors
+    # the plane-wave pass at c >= _FAR and the closed Gaussian sum that
+    # serves the near planes give the same tensors there
     offsets = (2.0, 3.0, 6.0, 14.0)
     default = lattice_tensors(FAR_POINTS, offsets)
     monkeypatch.setattr(ewald, "_FAR", math.inf)
-    monkeypatch.setattr(ewald, "_SHELLS", 8)
-    split = lattice_tensors(FAR_POINTS, offsets)
-    scale = np.maximum(1.0, np.max(np.abs(split), axis=(2, 3), keepdims=True))
-    assert np.max(np.abs(default - split) / scale) <= 1e-14
+    closed = lattice_tensors(FAR_POINTS, offsets)
+    scale = np.maximum(1.0, np.max(np.abs(closed), axis=(2, 3), keepdims=True))
+    assert np.max(np.abs(default - closed) / scale) <= 1e-14
 
 
 def test_no_jump_at_far_threshold():
-    # just below _FAR the full split, at _FAR the plane-wave pass
+    # just below _FAR the closed Gaussian sum, at _FAR the plane-wave pass
     below, at = lattice_tensors(FAR_POINTS, [np.nextafter(ewald._FAR, 0.0), ewald._FAR])
     scale = np.maximum(1.0, np.max(np.abs(at), axis=(1, 2), keepdims=True))
     assert np.max(np.abs(below - at) / scale) <= 1e-15
@@ -272,7 +262,7 @@ def test_intra_axis_swap_symmetry():
         images = _images(kx, ky)
         ks = [k for k, _, _ in images]
         got = lattice_tensors(ks, c)
-        unreduced = tensors_from_components(*ewald._lattice_sums(ks, c, ewald._SHELLS))
+        unreduced = tensors_from_components(*ewald._lattice_sums(ks, c))
         scale = np.max(np.abs(unreduced), axis=(1, 2))
         assert np.all(np.max(np.abs(got - unreduced), axis=(1, 2)) <= 1e-14 * scale)
         for t, (_, s, p) in zip(got, images):

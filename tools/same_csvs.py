@@ -29,7 +29,9 @@ SEEDS = (1, 2, 3)
 # without nearest_only, a 33-plane grid, a 2513-plane stack at one k, the
 # direct window on a grid, a spacing whose q c overflows, an odd-sided grid
 # of one plane, a MIN_OFFSET spacing with nearest_only, nearest_only direct
-# stacks on a k list and on a grid, and a one-plane nearest_only dispersion
+# stacks on a k list and on a grid, a one-plane nearest_only dispersion, and
+# the near planes below 2a: sweep-phi at b = 0.5a, the grid at b = 1.999a
+# and convergence at b = a
 _GRID = {"k_direction": "grid", "n_sites": 400, "n_planes": 8, "b_over_a": 0.5}
 EXTRA = [
     ("sweep-phi", {}),
@@ -53,6 +55,9 @@ EXTRA = [
     ("stack", {"k_direction": "grid", "n_sites": 16, "n_planes": 5, "b_over_a": 1.5,
                "nearest_only": True, "method": "direct", "direct_cutoff": 30}),
     ("dispersion", {"n_planes": 1, "nearest_only": True}),
+    ("sweep-phi", {"b_over_a": 0.5}),
+    ("stack", {**_GRID, "b_over_a": 1.999}),
+    ("convergence", {"b_over_a": 1.0}),
 ]
 
 
