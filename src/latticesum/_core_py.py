@@ -43,11 +43,11 @@ and memory is bounded whatever L and the number of k and offsets. The sums
 agree with a ``math.fsum`` loop over single dyadic terms to 1e-12 (tests).
 
 The closed sums, which ``Direct`` and the Ewald kernel's near planes
-take, sum each node over the whole lattice, the lattice sum itself at every
-k: a node with Gaussians left past the window takes its tables from Poisson
-summation (:func:`_poisson`), so L only chooses which nodes run in real
-space, and each k's nodes start at its own floor (:func:`_floors`), so away
-from k = 0 the l loop ends by l = 2.2 sqrt(8000) / |k| whatever L.
+take at half-width 8, sum each node over the whole lattice, the lattice sum
+itself at every k: a node with Gaussians left past the window takes its
+tables from Poisson summation (:func:`_poisson`), so L only chooses which
+nodes run in real space, and each k's nodes start at its own floor
+(:func:`_floors`).
 """
 
 from __future__ import annotations
@@ -86,18 +86,16 @@ def _nodes(L, cs, floor=None):
     return t, own, w
 
 
-def _floors(kxy, L):
-    """Per k in the zone, the index of its lowest node in a closed sum of
-    half-width L: s = max(-80, ln(|k|^2 / 4 _TAIL)), below which each node's
-    sum, led by t^(1/2) e^(-|k|^2/4t), is under e^-_TAIL, rounded down so
-    that k of nearby |k| share blocks. Each block costs about as much as 32
-    more nodes, so a floor node that Poisson summation takes (t (L + 1)^2 <
-    _FAR) is rounded to a multiple of 32, which adds no l rows; any other to
-    a multiple of 8, which lengthens the l loop by at most e^(7 h / 2) = 2.2."""
+def _floors(kxy):
+    """Per k in the zone, the index of its lowest node in a closed sum:
+    s = max(-80, ln(|k|^2 / 4 _TAIL)), below which each node's sum, led by
+    t^(1/2) e^(-|k|^2/4t), is under e^-_TAIL, rounded down to a multiple of
+    32 nodes, about what one more block costs, so that k of nearby |k| share
+    blocks. Unrounded the highest floor in the zone is t = 0.14, so at every
+    half-width L <= 17 Poisson summation takes the floor nodes and the
+    rounding adds no l rows."""
     k2 = np.maximum(np.sum(kxy * kxy, axis=1) / (4.0 * _TAIL), math.exp(-80.0))
-    j = np.ceil(np.log(k2) / _H)
-    step = np.where(np.exp(j * _H) * (L + 1) ** 2 < _FAR, 32, 8)
-    return (j // step * step).astype(int)
+    return (np.ceil(np.log(k2) / _H) // 32 * 32).astype(int)
 
 
 def _gaussians(t, l2):
@@ -156,7 +154,7 @@ def window_sums(kxy, L, offsets, closed=False, cap=None):
     cs = np.reshape(offsets, -1).tolist()
     out = np.zeros((6, len(cs), len(kxy)), dtype=complex)
     # a closed sum's nodes start at each k's floor: k of one floor share blocks
-    floors, group = np.unique(_floors(kxy, L), return_inverse=True) if closed else (
+    floors, group = np.unique(_floors(kxy), return_inverse=True) if closed else (
         [None], np.zeros(len(kxy), dtype=int))
     for c0 in range(0, len(cs), _C_BLOCK):
         chunk = cs[c0 : c0 + _C_BLOCK]

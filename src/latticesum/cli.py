@@ -63,11 +63,6 @@ _DEFAULT_THETAS = (
 # item 9 re-derives it).
 MAX_SIZE = 2 * 10**6
 
-# The most window rows a "direct" run may ask for: L + 1 per k and plane offset,
-# the most the closed kernel's l loop runs. At the bound, one thread on a 2-vCPU
-# Xeon, distinct k: at most 31 s of window work (L = 3 near k = 0; README).
-MAX_WINDOW_ROWS = 2 * 10**8
-
 _DIRECT_CONVERGENCE_CUTOFFS = (10, 30, 100, 300, 1000)
 _EWALD_CONVERGENCE_SHELLS = range(1, 7)
 
@@ -89,7 +84,7 @@ class RunConfig:
     n_sites: int = 100  # grid size when k_direction == "grid"
     n_planes: int = 2
     method: str = "ewald"
-    direct_cutoff: int = 500
+    direct_cutoff: int = 500  # validated for old configs; selects nothing
     nearest_only: bool = False
     output_path: str = "out.csv"
 
@@ -169,7 +164,7 @@ _VALIDATORS = {
     ),
     "n_planes": _want_int,
     "method": lambda k, v: _want(
-        v in ("ewald", "direct"), k, 'expected "ewald" (exact at every k) or "direct"', v
+        v in ("ewald", "direct"), k, 'expected "ewald" or "direct"', v
     ),
     "direct_cutoff": _want_int,
     "nearest_only": lambda k, v: _want(isinstance(v, bool), k, "expected true or false", v),
@@ -242,16 +237,10 @@ def _far_offset(c, window=True):
                  f"needs {'c^5' if window else 'c'} finite at the farthest plane offset c", c)
 
 
-def _engine(cfg: RunConfig, windows: int = 1, offset: float = 0.0) -> Method:
-    """The config's engine for ``windows`` (k, plane offset) pairs, the farthest
-    ``offset`` away; a direct one is refused past MAX_WINDOW_ROWS rows in all."""
+def _engine(cfg: RunConfig, offset: float = 0.0) -> Method:
+    """The config's engine for planes up to ``offset`` away (:func:`_far_offset`)."""
     _far_offset(offset, window=cfg.method == "direct")
-    if cfg.method == "ewald":
-        return Ewald()
-    rows = windows * (cfg.direct_cutoff + 1)
-    _want(rows <= MAX_WINDOW_ROWS, "direct_cutoff",
-          f"asks for more than {MAX_WINDOW_ROWS} window rows", rows)
-    return Direct(cfg.direct_cutoff)
+    return Ewald() if cfg.method == "ewald" else Direct()
 
 
 def _modes(cfg: RunConfig):
@@ -277,7 +266,7 @@ def _modes(cfg: RunConfig):
         kxy = np.array(cfg.ka_values)[:, None] * [math.cos(d), math.sin(d)]
     dip = dipole_from_theta(cfg.theta[0])
     offsets = min(cfg.n_planes, 2) if cfg.nearest_only else cfg.n_planes
-    method = _engine(cfg, len(kxy) * offsets, (offsets - 1) * cfg.b_over_a)
+    method = _engine(cfg, (offsets - 1) * cfg.b_over_a)
     table = coupling_table(kxy, dip, cfg.b_over_a, offsets, method)
     # equal table rows (by bits) give equal matrices: build and solve each once
     rows = table.view(f"V{table.itemsize * table.shape[1]}").ravel()
@@ -295,7 +284,7 @@ def cmd_sweep_phi(cfg: RunConfig) -> str:
     phi = 2.0 * math.pi * np.arange(cfg.phi_points) / cfg.phi_points
     unit = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     kxy = (np.array(cfg.ka_values)[:, None, None] * unit).reshape(-1, 2)
-    tensors = _engine(cfg, len(kxy), cfg.b_over_a).tensors(kxy, cfg.b_over_a)
+    tensors = _engine(cfg, cfg.b_over_a).tensors(kxy, cfg.b_over_a)
     jps = [couplings(tensors, dipole_from_theta(theta)) for theta in cfg.theta]
     # rows run over theta, then ka, then phi: one array axis each
     return _write_csv(

@@ -23,8 +23,9 @@ from typing import Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .direct_sum import window_tensors
-from .ewald import _plane_waves, f_constant, lattice_tensors
+from . import _core_py
+from .direct_sum import _window_offsets
+from .ewald import _HALF_WIDTH, _plane_waves, f_constant, lattice_tensors
 from .model import _check_count, check_offset, tensors_by_orbit, tensors_from_components
 
 __all__ = [
@@ -42,28 +43,29 @@ _IMAG_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Direct:
-    """Closed window engine: one closed window sum of half-width ``cutoff``
-    (:func:`~latticesum.direct_sum.window_tensors`) per offset and orbit of
-    k (:func:`~latticesum.model.tensors_by_orbit`), all in one kernel pass;
-    it gives every other member of an orbit bit for bit. The kernel's
-    Gaussians wide past the window are summed over the whole lattice by
-    Poisson summation, so the tensors hold at every k, k = 0 included."""
-
-    cutoff: int = 500
+    """Closed window engine: the window kernel's closed Gaussian sum at the
+    Ewald kernel's real-space half-width 8 at every offset, once per orbit
+    of k (:func:`~latticesum.model.tensors_by_orbit`), in one kernel pass.
+    It is the lattice sum at every k, k = 0 included: below c = 2 the Ewald
+    kernel's tensors bit for bit, from there up, where that kernel takes
+    plane waves, the same to roundoff. An offset whose c^5 overflows is
+    refused."""
 
     def tensors(self, ks, offsets) -> np.ndarray:
         """(K, 3, 3) or (S, K, 3, 3) tensors to the planes ``offsets`` away."""
         return tensors_by_orbit(ks, offsets, self._orbit_tensors)
 
-    def _orbit_tensors(self, kxy, cs):
-        return window_tensors(kxy, cs, self.cutoff, closed=True)
+    @staticmethod
+    def _orbit_tensors(kxy, cs):
+        sums = _core_py.window_sums(kxy, _HALF_WIDTH, _window_offsets(cs), True)
+        return tensors_from_components(*sums)
 
 
 @dataclass(frozen=True)
 class Ewald:
     """2D Ewald engine: every k goes to :func:`~latticesum.ewald.lattice_tensors`,
-    which takes the closed Gaussian sum of ``Direct``'s kernel at a fixed
-    half-width of 8 below c = 2 and the plane-wave series from there up."""
+    which takes ``Direct``'s closed Gaussian sum below c = 2 and the
+    plane-wave series from there up."""
 
     def tensors(self, ks, offsets) -> np.ndarray:
         """(K, 3, 3) or (S, K, 3, 3) tensors to the planes ``offsets`` away."""

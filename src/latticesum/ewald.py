@@ -60,7 +60,8 @@ from .specfun import bessel_k  # noqa: F401
 
 __all__ = ["lattice_tensors", "f_constant"]
 
-# The closed Gaussian sum's real-space half-width below _FAR
+# The closed Gaussian sum's real-space half-width, below _FAR here and at
+# every offset in dispersion.Direct
 _HALF_WIDTH = 8
 
 # The plane-wave series runs over |n_x|, |n_y| <= _SHELLS, read at call time.
@@ -92,9 +93,10 @@ def _lattice_sums(ks, offset: float, cap: int | None = None):
 
 
 def _terms(offset: float, shells: int) -> int:
-    """Number of terms ``convergence`` states for ``shells`` = R: the
-    (2R + 1)^2 real-space sites and as many reciprocal vectors below
-    ``_FAR``, the (2R + 1)^2 plane waves alone from there up."""
+    """Number of terms ``convergence`` states for ``shells`` = R: below
+    ``_FAR`` the nominal (2R + 1)^2 real-space sites plus as many reciprocal
+    vectors, not the closed kernel's work over its Gaussian nodes (README);
+    from there up the (2R + 1)^2 plane waves alone."""
     return (1 if offset >= _FAR else 2) * (2 * shells + 1) ** 2
 
 

@@ -292,7 +292,7 @@ def _library_row(command, run, row):
     """The CSV ``row`` of ``command`` recomputed through the library at the
     row's k alone, with the engine, offsets and nearest-only rule of the
     resolved config ``run``."""
-    engine = Ewald() if run.method == "ewald" else Direct(run.direct_cutoff)
+    engine = Ewald() if run.method == "ewald" else Direct()
     if command == "sweep-phi":
         theta, phi, ka, b = map(float, row[:4])
         k = ka * np.stack([np.cos([phi]), np.sin([phi])], axis=-1)
@@ -369,10 +369,8 @@ def test_config_that_is_not_utf8_is_malformed_json(tmp_path, capsys):
         ("stack", {"n_planes": 10**10}),
         # 10^6 k points, but ten tilts write 10^7 rows
         ("sweep-phi", {"phi_points": 10**6, "theta": [0.1] * 10}),
-        # 10^30 window terms at one k and two offsets
-        ("dispersion", {"direct_cutoff": 10**15, "method": "direct", "ka_values": [0.5]}),
     ],
-    ids=["phi_points", "n_sites", "n_planes", "theta", "direct_cutoff"],
+    ids=["phi_points", "n_sites", "n_planes", "theta"],
 )
 def test_oversized_configs_are_refused_before_allocation(tmp_path, capsys, command, cfg):
     start = time.perf_counter()
@@ -384,42 +382,17 @@ def test_oversized_configs_are_refused_before_allocation(tmp_path, capsys, comma
     assert not op.exists()
 
 
-@pytest.mark.parametrize(
-    "command,cfg,windows",
-    [
-        ("dispersion", {"n_planes": 8, "ka_values": [0.5, 1.0]}, 16),
-        ("stack", {"n_planes": 8, "nearest_only": True, "ka_values": [0.5, 1.0]}, 4),
-        ("sweep-phi", {"phi_points": 3, "ka_values": [0.5, 1.0], "theta": [0.1, 0.2]}, 6),
-    ],
-    ids=["planes", "nearest_only", "sweep-phi"],
-)
-def test_direct_window_bound_counts_k_times_offsets(
-    tmp_path, capsys, monkeypatch, command, cfg, windows
-):
-    # the kernel's l loop runs L + 1 rows per window: 4 at L = 3, 5 at L = 4
-    monkeypatch.setattr(cli, "MAX_WINDOW_ROWS", 4 * windows)
-    cfg = {**cfg, "method": "direct"}
-    assert run_cli(tmp_path, command, {**cfg, "direct_cutoff": 3})[0] == 0
-    code, op = run_cli(tmp_path, command, {**cfg, "direct_cutoff": 4}, name="over")
-    assert code == 2
-    assert "config error: direct_cutoff: asks for more than" in capsys.readouterr().err
-    assert not op.exists()
-
-
-def test_direct_window_bound_admits_a_large_cutoff_at_few_windows(tmp_path, monkeypatch):
-    # 2 windows at L = 10^5: 2 x 10^5 rows, where the triangle of the
-    # earlier bound counted 1.00003 x 10^10 > 10^10 terms and refused it.
-    # The kernel is patched to return zeros: this checks the bound, not the sums
-    cutoffs = []
-
-    def zeros(kxy, L, offsets, closed):
-        cutoffs.append(L)
-        return np.zeros((6, len(offsets), len(kxy)), dtype=complex)
-
-    monkeypatch.setattr(_core_py, "window_sums", zeros)
-    cfg = {"method": "direct", "direct_cutoff": 10**5, "ka_values": [0.5]}
-    assert run_cli(tmp_path, "dispersion", cfg)[0] == 0
-    assert cutoffs == [10**5]
+def test_direct_cutoff_is_accepted_and_selects_nothing(tmp_path):
+    # Direct runs the closed sum at the Ewald kernel's half-width whatever
+    # the config says; old configs that pass direct_cutoff still run
+    cfg = {"method": "direct", "n_planes": 3, "b_over_a": 1.5, "ka_values": [1e-3, 0.5, TWO_PI]}
+    texts = []
+    for cutoff in (1, 500, 10**15):
+        code, op = run_cli(tmp_path, "dispersion", {**cfg, "direct_cutoff": cutoff},
+                           name=str(cutoff))
+        assert code == 0
+        texts.append(op.read_bytes())
+    assert texts[0] == texts[1] == texts[2]
 
 
 @pytest.mark.parametrize(
@@ -581,7 +554,7 @@ def test_reciprocal_lattice_point_runs_as_zone_centre(tmp_path, method):
     assert float(rows[0][1]) == 0.0
     origin = [(0.0, 0.0)]
     if method == "direct":
-        tensors = dispersion.Direct(20).tensors(origin, 0.5)
+        tensors = dispersion.Direct().tensors(origin, 0.5)
     else:
         tensors = lattice_tensors(origin, 0.5)
     want = couplings(tensors, dipole_from_theta(0.3))[0]

@@ -62,20 +62,15 @@ def test_config_validation():
         with pytest.raises(ValueError):
             window_tensors([ORIGIN], bad, 5)
         with pytest.raises(ValueError):
-            Direct(5).tensors([ORIGIN], bad)
+            Direct().tensors([ORIGIN], bad)
 
 
 @pytest.mark.parametrize("bad", [2.5, 500.0, True, 0])
 def test_cutoff_is_an_integer_from_1(bad):
-    # the bare and the closed window read the same integer L
-    calls = [
-        lambda L: window_tensors([ORIGIN], 1.5, L),
-        lambda L: Direct(L).tensors([ORIGIN], 0.0),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="cutoff must be an integer >= 1"):
-            call(bad)
-        assert np.array_equal(call(np.int64(3)), call(3))
+    with pytest.raises(ValueError, match="cutoff must be an integer >= 1"):
+        window_tensors([ORIGIN], 1.5, bad)
+    assert np.array_equal(window_tensors([ORIGIN], 1.5, np.int64(3)),
+                          window_tensors([ORIGIN], 1.5, 3))
 
 
 def _window_sums_by_loop(qx, qy, cutoff, lz_scaled):
@@ -176,10 +171,12 @@ def test_extreme_offsets_match_fsum_loop(lz_scaled):
 def test_window_refuses_an_offset_whose_fifth_power_overflows(offset):
     # the Gaussian weights scale as c^-5 and underflow past c^5 = inf: at
     # c = 1e64 the sums came back 2e-4 off, from 1e65 as zeros
-    with pytest.raises(ValueError, match=r"c\^5 finite .*got " + re.escape(repr(offset))):
-        window_tensors([(0.7, 0.3)], offset, 2)
-    with pytest.raises(ValueError, match=r"c\^5 finite"):
-        window_tensors([(0.7, 0.3)], [1.5, offset], 2)
+    for call in (lambda cs: window_tensors([(0.7, 0.3)], cs, 2),
+                 lambda cs: Direct().tensors([(0.7, 0.3)], cs)):
+        with pytest.raises(ValueError, match=r"c\^5 finite .*got " + re.escape(repr(offset))):
+            call(offset)
+        with pytest.raises(ValueError, match=r"c\^5 finite"):
+            call([1.5, offset])
 
 
 def test_window_matches_fsum_loop_below_the_largest_offset():
@@ -194,12 +191,16 @@ def test_window_matches_fsum_loop_below_the_largest_offset():
 
 @pytest.mark.parametrize("offset", [0.0, 1.5])
 def test_k_block_seams(monkeypatch, offset):
-    # 7 k in blocks of 3: two full blocks and a last one of 1; each k's sums
-    # are independent of its neighbours, so the split changes no bit
+    # 7 k in blocks of 3: two full blocks and a last one of 1, in one block
+    # of l (L = 23) and in two (L = 300); each k's sums are independent of
+    # its neighbours, so the split changes no bit
+    assert 23 + 1 <= _core_py._L_BLOCK < 300 + 1
     ks = np.random.default_rng(3).uniform(-math.pi, math.pi, size=(7, 2))
-    whole = _core_py.window_sums(ks, 23, offset)
-    monkeypatch.setattr(_core_py, "_BLOCK", 3)
-    assert np.array_equal(_core_py.window_sums(ks, 23, offset), whole)
+    for cutoff in (23, 300):
+        whole = _core_py.window_sums(ks, cutoff, offset)
+        with monkeypatch.context() as patch:
+            patch.setattr(_core_py, "_BLOCK", 3)
+            assert np.array_equal(_core_py.window_sums(ks, cutoff, offset), whole)
 
 
 def test_direct_batch_equals_single_k():
@@ -210,17 +211,16 @@ def test_direct_batch_equals_single_k():
         (0.83, -1.37), (0.9, 0.0), (0.0, -1.2), (1e-3, 0.0),
         (math.pi, math.pi), (0.0, 0.0), (2.0 * math.pi, 0.0),
     ]
-    method = Direct(cutoff=40)
+    method = Direct()
     for tensors, alone in (
         (method.tensors(ks, 0.0), lambda k: method.tensors([k], 0.0)[0]),
         (method.tensors(ks, 1.5), lambda k: method.tensors([k], 1.5)[0]),
     ):
         for k, got in zip(ks, tensors):
             assert np.array_equal(got, alone(k))
-    # more than one block of l, and more than one block of k
+    # more than one block of k
     many = np.random.default_rng(5).uniform(-math.pi, math.pi, (_core_py._BLOCK + 6, 2))
-    assert 300 + 1 > _core_py._L_BLOCK and len(many) > _core_py._BLOCK
-    method = Direct(cutoff=300)
+    assert len(many) > _core_py._BLOCK
     stacked = method.tensors(many, [0.0, 1.5])
     for i, k in enumerate(many):
         assert np.array_equal(stacked[:, i], method.tensors(k[None], [0.0, 1.5])[:, 0])
@@ -237,18 +237,21 @@ def test_direct_offsets_in_one_call_equal_one_at_a_time():
         assert got.tobytes() == method.tensors(ks, c).tobytes()
 
 
-@pytest.mark.parametrize("cutoff", [1, 3, 10, 100, 1000])
-def test_direct_matches_ewald_at_every_k(cutoff):
+def test_direct_matches_ewald_at_every_k():
     # the closed window is the lattice sum: k = 0 and a hair off it, near
     # the zone centre, the zone edge and corner, the diagonal and generic k,
     # in the plane and from MIN_OFFSET to 10 planes away; the bare window
-    # is 1.1e-2 off at (1e-12, 0) and L = 500
+    # is 1.1e-2 off at (1e-12, 0) and L = 500. Below c = 2 Direct and the
+    # Ewald kernel take the same closed sums, from there up the kernel takes
+    # plane waves
     generic = np.random.default_rng(31).uniform(-math.pi, math.pi, (6, 2)).tolist()
     ks = [ORIGIN, (1e-12, 0.0), (1e-3, 0.0), (0.05, 0.0), (math.pi, 0.0),
           (math.pi, math.pi), (0.7, 0.7)] + generic
-    offsets = [0.0, MIN_OFFSET, 0.5, 1.5, 10.0]
-    want = Ewald().tensors(ks, offsets)
-    err = np.max(np.abs(Direct(cutoff).tensors(ks, offsets) - want), axis=(2, 3))
+    near = [0.0, MIN_OFFSET, 0.5, 1.5, math.nextafter(2.0, 0.0)]
+    far = [2.0, 3.5, 10.0]
+    got, want = Direct().tensors(ks, near + far), Ewald().tensors(ks, near + far)
+    assert np.array_equal(got[: len(near)], want[: len(near)])
+    err = np.max(np.abs(got - want), axis=(2, 3))
     assert np.all(err <= 1e-14 * np.maximum(1.0, np.max(np.abs(want), axis=(2, 3))))
 
 
@@ -332,4 +335,4 @@ def test_rejects_nonpositive_spacing():
     with pytest.raises(ValueError):
         window_tensors([ORIGIN], -1.0, 5)
     with pytest.raises(ValueError):
-        Direct(5).tensors([ORIGIN], -1.0)
+        Direct().tensors([ORIGIN], -1.0)

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from latticesum import _core_py, ewald
 from latticesum.direct_sum import window_tensors
-from latticesum.dispersion import Direct, LongWave
+from latticesum.dispersion import LongWave
 from latticesum.ewald import f_constant, lattice_tensors
 from latticesum.model import (
     make_k_grid,
@@ -19,6 +19,7 @@ from latticesum.model import (
 from latticesum.specfun import bessel_k
 
 from mpmath import mp, mpf, nint
+from k0_tail_oracle import k0_tail_correction
 from mpmath_oracle import ewald_components
 from plane_wave_oracle import plane_wave_tensor
 
@@ -197,11 +198,9 @@ def test_no_jump_at_far_threshold():
 
 def test_kernel_matches_corrected_window_at_k0():
     # 1e-10 is the L = 2000 window's own residual after its tail correction
-    window = Direct(cutoff=2000)
-    intra = lattice_tensors([ORIGIN], 0.0)[0]
-    assert np.max(np.abs(intra - window.tensors([ORIGIN], 0.0)[0])) <= 1e-10
-    inter = lattice_tensors([ORIGIN], 1.0)[0]
-    assert np.max(np.abs(inter - window.tensors([ORIGIN], 1.0)[0])) <= 1e-10
+    for c in (0.0, 1.0):
+        window = window_tensors([ORIGIN], c, 2000)[0] + k0_tail_correction(2000, c)
+        assert np.max(np.abs(lattice_tensors([ORIGIN], c)[0] - window)) <= 1e-10
 
 
 def test_longwave_closed_form_components():
