@@ -13,7 +13,7 @@ from latticesum import _core_py
 from latticesum.direct_sum import window_tensors
 from latticesum.dispersion import Direct, Ewald
 from latticesum.ewald import f_constant
-from latticesum.model import MIN_OFFSET
+from latticesum.model import MIN_OFFSET, tensors_from_components
 
 from k0_tail_oracle import k0_tail_correction
 
@@ -237,22 +237,28 @@ def test_direct_offsets_in_one_call_equal_one_at_a_time():
         assert got.tobytes() == method.tensors(ks, c).tobytes()
 
 
-def test_direct_matches_ewald_at_every_k():
+@pytest.mark.parametrize("cutoff", [1, 3, 10, 100, 1000])
+def test_direct_matches_ewald_at_every_k(cutoff):
     # the closed window is the lattice sum: k = 0 and a hair off it, near
     # the zone centre, the zone edge and corner, the diagonal and generic k,
     # in the plane and from MIN_OFFSET to 10 planes away; the bare window
-    # is 1.1e-2 off at (1e-12, 0) and L = 500. Below c = 2 Direct and the
-    # Ewald kernel take the same closed sums, from there up the kernel takes
-    # plane waves
+    # is 1.1e-2 off at (1e-12, 0) and L = 500. The half-width L only picks
+    # which Gaussian nodes run in real space, so the closed sum at every L
+    # is the lattice sum; Direct takes it at the Ewald kernel's half-width,
+    # so below c = 2 it is that kernel bit for bit, and from there up, where
+    # the kernel takes plane waves, the same to roundoff
     generic = np.random.default_rng(31).uniform(-math.pi, math.pi, (6, 2)).tolist()
     ks = [ORIGIN, (1e-12, 0.0), (1e-3, 0.0), (0.05, 0.0), (math.pi, 0.0),
           (math.pi, math.pi), (0.7, 0.7)] + generic
     near = [0.0, MIN_OFFSET, 0.5, 1.5, math.nextafter(2.0, 0.0)]
     far = [2.0, 3.5, 10.0]
-    got, want = Direct().tensors(ks, near + far), Ewald().tensors(ks, near + far)
+    want = Ewald().tensors(ks, near + far)
+    closed = _core_py.window_sums(np.array(ks), cutoff, near + far, True)
+    got = Direct().tensors(ks, near + far)
     assert np.array_equal(got[: len(near)], want[: len(near)])
-    err = np.max(np.abs(got - want), axis=(2, 3))
-    assert np.all(err <= 1e-14 * np.maximum(1.0, np.max(np.abs(want), axis=(2, 3))))
+    scale = 1e-14 * np.maximum(1.0, np.max(np.abs(want), axis=(2, 3)))
+    for tensors in (tensors_from_components(*closed), got):
+        assert np.all(np.max(np.abs(tensors - want), axis=(2, 3)) <= scale)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.3, -2.0, math.pi])
