@@ -1,10 +1,9 @@
 """Dipolar lattice sums and exciton dispersion for stacked square monolayers.
 
-Three interchangeable engines compute the dimensionless coupling tensors:
-a window sum closed by Poisson summation, the 2D Ewald kernel (the fast
-path) and closed long-wavelength forms. On top of those sit the dipole
-contractions J(k), J'(k) and N-plane stack spectra, and a
-CSV-producing command line.
+Two interchangeable engines compute the dimensionless coupling tensors:
+the 2D Ewald kernel and closed long-wavelength forms; the bare window sum
+is the direct-sum reference. On top of those sit the dipole contractions
+J(k), J'(k) and N-plane stack spectra, and a CSV-producing command line.
 """
 
 from .model import (
@@ -16,7 +15,6 @@ from .model import (
 from .direct_sum import window_tensors
 from .ewald import f_constant, lattice_tensors
 from .dispersion import (
-    Direct,
     Ewald,
     LongWave,
     Method,

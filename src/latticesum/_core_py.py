@@ -42,12 +42,11 @@ so each k's and offset's sums are bitwise those of a call with it alone,
 and memory is bounded whatever L and the number of k and offsets. The sums
 agree with a ``math.fsum`` loop over single dyadic terms to 1e-12 (tests).
 
-The closed sums, which ``Direct`` and the Ewald kernel's near planes
-take at half-width 8, sum each node over the whole lattice, the lattice sum
-itself at every k: a node with Gaussians left past the window takes its
-tables from Poisson summation (:func:`_poisson`), so L only chooses which
-nodes run in real space, and each k's nodes start at its own floor
-(:func:`_floors`).
+The closed sums, which the Ewald kernel's near planes take at half-width 8,
+sum each node over the whole lattice, the lattice sum itself at every k: a
+node with Gaussians left past the window takes its tables from Poisson
+summation (:func:`_poisson`), so L only chooses which nodes run in real
+space, and each k's nodes start at its own floor (:func:`_floors`).
 """
 
 from __future__ import annotations

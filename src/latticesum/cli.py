@@ -23,14 +23,7 @@ import numpy as np
 from numpy.linalg import eigvalsh
 
 from .direct_sum import _in_window_range, window_tensors
-from .dispersion import (
-    Direct,
-    Ewald,
-    Method,
-    coupling_table,
-    couplings,
-    stack_matrices,
-)
+from .dispersion import Ewald, coupling_table, couplings, stack_matrices
 from .ewald import _lattice_sums, _terms
 from .model import (
     COULOMB_EV_ANGSTROM, MAX_FOLD, MIN_OFFSET, dipole_from_theta, j0_scale, make_k_grid,
@@ -83,7 +76,7 @@ class RunConfig:
     k_direction: float | str = 0.0  # angle in rad, or "grid"
     n_sites: int = 100  # grid size when k_direction == "grid"
     n_planes: int = 2
-    method: str = "ewald"
+    method: str = "ewald"  # validated for old configs; selects nothing
     direct_cutoff: int = 500  # validated for old configs; selects nothing
     nearest_only: bool = False
     output_path: str = "out.csv"
@@ -229,18 +222,13 @@ def _write_csv(path, header, *columns):
     return path
 
 
-def _far_offset(c, window=True):
-    """``c``, the farthest plane offset of a run, or a ConfigError naming
-    b_over_a unless c is finite, and for the direct window in its range,
-    c^5 finite (:func:`~latticesum.direct_sum._in_window_range`)."""
-    return _want(_in_window_range(c) if window else math.isfinite(c), "b_over_a",
-                 f"needs {'c^5' if window else 'c'} finite at the farthest plane offset c", c)
-
-
-def _engine(cfg: RunConfig, offset: float = 0.0) -> Method:
-    """The config's engine for planes up to ``offset`` away (:func:`_far_offset`)."""
-    _far_offset(offset, window=cfg.method == "direct")
-    return Ewald() if cfg.method == "ewald" else Direct()
+def _engine(offset: float) -> Ewald:
+    """The engine for planes up to ``offset`` away, whichever ``method`` a
+    config names, or a ConfigError naming b_over_a unless that farthest
+    plane offset is finite."""
+    _want(math.isfinite(offset), "b_over_a", "needs c finite at the farthest plane offset c",
+          offset)
+    return Ewald()
 
 
 def _modes(cfg: RunConfig):
@@ -266,8 +254,8 @@ def _modes(cfg: RunConfig):
         kxy = np.array(cfg.ka_values)[:, None] * [math.cos(d), math.sin(d)]
     dip = dipole_from_theta(cfg.theta[0])
     offsets = min(cfg.n_planes, 2) if cfg.nearest_only else cfg.n_planes
-    method = _engine(cfg, (offsets - 1) * cfg.b_over_a)
-    table = coupling_table(kxy, dip, cfg.b_over_a, offsets, method)
+    engine = _engine((offsets - 1) * cfg.b_over_a)
+    table = coupling_table(kxy, dip, cfg.b_over_a, offsets, engine)
     # equal table rows (by bits) give equal matrices: build and solve each once
     rows = table.view(f"V{table.itemsize * table.shape[1]}").ravel()
     _, first, at = np.unique(rows, return_index=True, return_inverse=True)
@@ -284,7 +272,7 @@ def cmd_sweep_phi(cfg: RunConfig) -> str:
     phi = 2.0 * math.pi * np.arange(cfg.phi_points) / cfg.phi_points
     unit = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     kxy = (np.array(cfg.ka_values)[:, None, None] * unit).reshape(-1, 2)
-    tensors = _engine(cfg, cfg.b_over_a).tensors(kxy, cfg.b_over_a)
+    tensors = _engine(cfg.b_over_a).tensors(kxy, cfg.b_over_a)
     jps = [couplings(tensors, dipole_from_theta(theta)) for theta in cfg.theta]
     # rows run over theta, then ka, then phi: one array axis each
     return _write_csv(
@@ -351,7 +339,8 @@ def cmd_convergence(cfg: RunConfig) -> str:
     _want(cfg.k_direction != "grid", "k_direction", "convergence needs one direction", "grid")
     d = float(cfg.k_direction)
     k = cfg.ka_values[0] * np.array([[math.cos(d), math.sin(d)]])
-    b = _far_offset(cfg.b_over_a)
+    b = _want(_in_window_range(cfg.b_over_a), "b_over_a",
+              "needs c^5 finite at the plane offset c", cfg.b_over_a)
     ref = _lattice_sums(k, b, 10)[2][0].real
 
     runs = [

@@ -1,12 +1,12 @@
 """Window sums of the Fourier-weighted dipole dyadic over a square window
 lx, ly in [-L, L], with only the origin excluded in the in-plane case: the
 bare window, which ``convergence`` and the tests read. It misses the tail
-past the window, O(1/L) at k = 0. ``dispersion.Direct`` and the Ewald
-kernel's near planes take the closed sums of the same kernel instead, from
-``_core_py`` directly. :func:`window_tensors` sums every k and every plane
-offset of a call in one kernel pass, ``_core_py.window_sums``, whose
-docstring gives the algorithm and its accuracy. Components that parity
-makes real or imaginary come out exactly so, with the other lane 0.
+past the window, O(1/L) at k = 0. The Ewald kernel's near planes take the
+closed sums of the same kernel instead, from ``_core_py`` directly.
+:func:`window_tensors` sums every k and every plane offset of a call in one
+kernel pass, ``_core_py.window_sums``, whose docstring gives the algorithm
+and its accuracy. Components that parity makes real or imaginary come out
+exactly so, with the other lane 0.
 """
 
 from __future__ import annotations
@@ -30,14 +30,6 @@ def _in_window_range(c: float) -> bool:
     return math.isfinite(c * (c * c) * (c * c))
 
 
-def _window_offsets(cs: list[float]) -> list[float]:
-    """The checked offsets ``cs``, or a ValueError unless the farthest is in
-    the window's range (:func:`_in_window_range`)."""
-    if not _in_window_range(far := max(cs, default=0.0)):
-        raise ValueError(f"window offset must have c^5 finite (below about 4.47e61), got {far!r}")
-    return cs
-
-
 def window_tensors(ks, offsets, cutoff: int) -> np.ndarray:
     """Window sums of the dipole dyadic delta_ij/r^3 - 3 r_i r_j / r^5 times
     exp(i k.l), r = l + c z in units of a, at every k, each on its own,
@@ -49,6 +41,8 @@ def window_tensors(ks, offsets, cutoff: int) -> np.ndarray:
     An offset whose c^5 overflows is refused (:func:`_in_window_range`).
     """
     L = _check_count(cutoff, "cutoff")
-    cs = _window_offsets(check_offsets(offsets))
+    cs = check_offsets(offsets)
+    if not _in_window_range(far := max(cs, default=0.0)):
+        raise ValueError(f"window offset must have c^5 finite (below about 4.47e61), got {far!r}")
     out = tensors_from_components(*_core_py.window_sums(k_array(ks), L, cs))
     return out.reshape(np.shape(offsets) + out.shape[1:])

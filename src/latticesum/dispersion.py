@@ -1,14 +1,14 @@
 """Exciton couplings and stack spectra built on the tensor engines.
 
-Each engine (:class:`Direct`, :class:`Ewald`, :class:`LongWave`) returns
-the tensors of a whole list of k to the planes at offsets c (c = 0 for the
-site's own plane) through its ``tensors(ks, offsets)`` method, summed once
-per orbit of k (:func:`~latticesum.model.tensors_by_orbit`). Contracting
-them with the transition dipole gives J(k) at c = 0 and J'(k) at c = b,
-in units of J0. A stack's (K, S) coupling table holds one column per plane
-separation s b, s = 0 included, all from one engine call; its N-plane
-matrices are a read-only Toeplitz view of that table, exactly symmetric,
-and their modes are ``np.linalg.eigvalsh(stack_matrices(table, n_planes))``.
+Each engine (:class:`Ewald`, :class:`LongWave`) returns the tensors of a
+whole list of k to the planes at offsets c (c = 0 for the site's own plane)
+through its ``tensors(ks, offsets)`` method, summed once per orbit of k
+(:func:`~latticesum.model.tensors_by_orbit`). Contracting them with the
+transition dipole gives J(k) at c = 0 and J'(k) at c = b, in units of J0.
+A stack's (K, S) coupling table holds one column per plane separation s b,
+s = 0 included, all from one engine call; its N-plane matrices are a
+read-only Toeplitz view of that table, exactly symmetric, and their modes
+are ``np.linalg.eigvalsh(stack_matrices(table, n_planes))``.
 
 Sign conventions: the symmetric two-plane mode carries +J', so a
 two-plane stack's eigenvalues are Jt +- Jt' (energies E_A + J0 (Jt +- Jt'))
@@ -23,13 +23,10 @@ from typing import Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _core_py
-from .direct_sum import _window_offsets
-from .ewald import _HALF_WIDTH, _plane_waves, f_constant, lattice_tensors
+from .ewald import _plane_waves, f_constant, lattice_tensors
 from .model import _check_count, check_offset, tensors_by_orbit, tensors_from_components
 
 __all__ = [
-    "Direct",
     "Ewald",
     "LongWave",
     "Method",
@@ -42,29 +39,9 @@ _IMAG_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class Direct:
-    """Closed window engine: the window kernel's closed Gaussian sum at the
-    Ewald kernel's real-space half-width 8 at every offset, once per orbit
-    of k (:func:`~latticesum.model.tensors_by_orbit`), in one kernel pass.
-    It is the lattice sum at every k, k = 0 included: below c = 2 the Ewald
-    kernel's tensors bit for bit, from there up, where that kernel takes
-    plane waves, the same to roundoff. An offset whose c^5 overflows is
-    refused."""
-
-    def tensors(self, ks, offsets) -> np.ndarray:
-        """(K, 3, 3) or (S, K, 3, 3) tensors to the planes ``offsets`` away."""
-        return tensors_by_orbit(ks, offsets, self._orbit_tensors)
-
-    @staticmethod
-    def _orbit_tensors(kxy, cs):
-        sums = _core_py.window_sums(kxy, _HALF_WIDTH, _window_offsets(cs), True)
-        return tensors_from_components(*sums)
-
-
-@dataclass(frozen=True)
 class Ewald:
     """2D Ewald engine: every k goes to :func:`~latticesum.ewald.lattice_tensors`,
-    which takes ``Direct``'s closed Gaussian sum below c = 2 and the
+    which takes the window kernel's closed Gaussian sum below c = 2 and the
     plane-wave series from there up."""
 
     def tensors(self, ks, offsets) -> np.ndarray:
@@ -103,7 +80,7 @@ class LongWave:
         return out
 
 
-Method = Union[Direct, Ewald, LongWave]
+Method = Union[Ewald, LongWave]
 
 
 def couplings(tensors, dipole) -> np.ndarray:

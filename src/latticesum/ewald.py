@@ -60,8 +60,7 @@ from .specfun import bessel_k  # noqa: F401
 
 __all__ = ["lattice_tensors", "f_constant"]
 
-# The closed Gaussian sum's real-space half-width, below _FAR here and at
-# every offset in dispersion.Direct
+# The closed Gaussian sum's real-space half-width below _FAR
 _HALF_WIDTH = 8
 
 # The plane-wave series runs over |n_x|, |n_y| <= _SHELLS, read at call time.

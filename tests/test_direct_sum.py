@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from latticesum import _core_py
 from latticesum.direct_sum import window_tensors
-from latticesum.dispersion import Direct, Ewald
+from latticesum.dispersion import Ewald
 from latticesum.ewald import f_constant
 from latticesum.model import MIN_OFFSET, tensors_from_components
 
@@ -62,7 +62,7 @@ def test_config_validation():
         with pytest.raises(ValueError):
             window_tensors([ORIGIN], bad, 5)
         with pytest.raises(ValueError):
-            Direct().tensors([ORIGIN], bad)
+            Ewald().tensors([ORIGIN], bad)
 
 
 @pytest.mark.parametrize("bad", [2.5, 500.0, True, 0])
@@ -171,12 +171,10 @@ def test_extreme_offsets_match_fsum_loop(lz_scaled):
 def test_window_refuses_an_offset_whose_fifth_power_overflows(offset):
     # the Gaussian weights scale as c^-5 and underflow past c^5 = inf: at
     # c = 1e64 the sums came back 2e-4 off, from 1e65 as zeros
-    for call in (lambda cs: window_tensors([(0.7, 0.3)], cs, 2),
-                 lambda cs: Direct().tensors([(0.7, 0.3)], cs)):
-        with pytest.raises(ValueError, match=r"c\^5 finite .*got " + re.escape(repr(offset))):
-            call(offset)
-        with pytest.raises(ValueError, match=r"c\^5 finite"):
-            call([1.5, offset])
+    with pytest.raises(ValueError, match=r"c\^5 finite .*got " + re.escape(repr(offset))):
+        window_tensors([(0.7, 0.3)], offset, 2)
+    with pytest.raises(ValueError, match=r"c\^5 finite"):
+        window_tensors([(0.7, 0.3)], [1.5, offset], 2)
 
 
 def test_window_matches_fsum_loop_below_the_largest_offset():
@@ -211,7 +209,7 @@ def test_direct_batch_equals_single_k():
         (0.83, -1.37), (0.9, 0.0), (0.0, -1.2), (1e-3, 0.0),
         (math.pi, math.pi), (0.0, 0.0), (2.0 * math.pi, 0.0),
     ]
-    method = Direct()
+    method = Ewald()
     for tensors, alone in (
         (method.tensors(ks, 0.0), lambda k: method.tensors([k], 0.0)[0]),
         (method.tensors(ks, 1.5), lambda k: method.tensors([k], 1.5)[0]),
@@ -230,7 +228,7 @@ def test_direct_offsets_in_one_call_equal_one_at_a_time():
     # a generic k, an axis and k = 0, whose nodes reach down to the floor
     ks = [(0.83, -1.37), (0.9, 0.0), (0.0, 0.0)]
     offsets = [0.0, 1.5, 3.0]
-    method = Direct()
+    method = Ewald()
     stacked = method.tensors(ks, offsets)
     assert stacked.shape == (3, len(ks), 3, 3)
     for c, got in zip(offsets, stacked):
@@ -244,21 +242,16 @@ def test_direct_matches_ewald_at_every_k(cutoff):
     # in the plane and from MIN_OFFSET to 10 planes away; the bare window
     # is 1.1e-2 off at (1e-12, 0) and L = 500. The half-width L only picks
     # which Gaussian nodes run in real space, so the closed sum at every L
-    # is the lattice sum; Direct takes it at the Ewald kernel's half-width,
-    # so below c = 2 it is that kernel bit for bit, and from there up, where
+    # is the lattice sum: below c = 2 the kernel's own, from there up, where
     # the kernel takes plane waves, the same to roundoff
     generic = np.random.default_rng(31).uniform(-math.pi, math.pi, (6, 2)).tolist()
     ks = [ORIGIN, (1e-12, 0.0), (1e-3, 0.0), (0.05, 0.0), (math.pi, 0.0),
           (math.pi, math.pi), (0.7, 0.7)] + generic
-    near = [0.0, MIN_OFFSET, 0.5, 1.5, math.nextafter(2.0, 0.0)]
-    far = [2.0, 3.5, 10.0]
-    want = Ewald().tensors(ks, near + far)
-    closed = _core_py.window_sums(np.array(ks), cutoff, near + far, True)
-    got = Direct().tensors(ks, near + far)
-    assert np.array_equal(got[: len(near)], want[: len(near)])
+    offsets = [0.0, MIN_OFFSET, 0.5, 1.5, math.nextafter(2.0, 0.0), 2.0, 3.5, 10.0]
+    want = Ewald().tensors(ks, offsets)
+    closed = tensors_from_components(*_core_py.window_sums(np.array(ks), cutoff, offsets, True))
     scale = 1e-14 * np.maximum(1.0, np.max(np.abs(want), axis=(2, 3)))
-    for tensors in (tensors_from_components(*closed), got):
-        assert np.all(np.max(np.abs(tensors - want), axis=(2, 3)) <= scale)
+    assert np.all(np.max(np.abs(closed - want), axis=(2, 3)) <= scale)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.3, -2.0, math.pi])
@@ -341,4 +334,4 @@ def test_rejects_nonpositive_spacing():
     with pytest.raises(ValueError):
         window_tensors([ORIGIN], -1.0, 5)
     with pytest.raises(ValueError):
-        Direct().tensors([ORIGIN], -1.0)
+        Ewald().tensors([ORIGIN], -1.0)

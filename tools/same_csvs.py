@@ -26,12 +26,13 @@ from pathlib import Path
 SEEDS = (1, 2, 3)
 
 # (command, config): every command's defaults, the b = 0.5a grid with and
-# without nearest_only, a 33-plane grid, a 2513-plane stack at one k, the
-# direct window on a grid, a spacing whose q c overflows, an odd-sided grid
-# of one plane, a MIN_OFFSET spacing with nearest_only, nearest_only direct
-# stacks on a k list and on a grid, a one-plane nearest_only dispersion, and
-# the near planes below 2a: sweep-phi at b = 0.5a, the grid at b = 1.999a
-# and convergence at b = a
+# without nearest_only, a 33-plane grid, a 2513-plane stack at one k, a
+# "direct" grid at b = 2a, a spacing whose q c overflows, an odd-sided grid
+# of one plane, a MIN_OFFSET spacing with nearest_only, nearest_only
+# "direct" stacks on a k list and on a grid, a one-plane nearest_only
+# dispersion, and the near planes below 2a: sweep-phi at b = 0.5a, the grid
+# at b = 1.999a and convergence at b = a. The three "method": "direct"
+# configs are old ones, which now run the Ewald engine and write its bytes
 _GRID = {"k_direction": "grid", "n_sites": 400, "n_planes": 8, "b_over_a": 0.5}
 EXTRA = [
     ("sweep-phi", {}),
