@@ -1,8 +1,8 @@
 """Dipolar lattice sums and exciton dispersion for stacked square monolayers.
 
-Two interchangeable engines compute the dimensionless coupling tensors:
-the 2D Ewald kernel and closed long-wavelength forms; the bare window sum
-is the direct-sum reference. On top of those sit the dipole contractions
+Two functions compute the dimensionless coupling tensors: the 2D Ewald
+kernel and closed long-wavelength forms; the bare window sum is the
+direct-sum reference. On top of those sit the dipole contractions
 J(k), J'(k) and N-plane stack spectra, and a CSV-producing command line.
 """
 
@@ -13,14 +13,7 @@ from .model import (
     make_k_grid,
 )
 from .direct_sum import window_tensors
-from .ewald import f_constant, lattice_tensors
-from .dispersion import (
-    Ewald,
-    LongWave,
-    Method,
-    coupling_table,
-    couplings,
-    stack_matrices,
-)
+from .ewald import f_constant, lattice_tensors, long_wave_tensors
+from .dispersion import coupling_table, couplings, stack_matrices
 
 __version__ = "0.1.0"

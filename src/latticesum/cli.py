@@ -23,8 +23,8 @@ import numpy as np
 from numpy.linalg import eigvalsh
 
 from .direct_sum import _in_window_range, window_tensors
-from .dispersion import Ewald, coupling_table, couplings, stack_matrices
-from .ewald import _lattice_sums, _terms
+from .dispersion import coupling_table, couplings, stack_matrices
+from .ewald import _lattice_sums, _terms, lattice_tensors
 from .model import (
     COULOMB_EV_ANGSTROM, MAX_FOLD, MIN_OFFSET, dipole_from_theta, j0_scale, make_k_grid,
 )
@@ -172,7 +172,7 @@ def parse_config(text: str | bytes) -> RunConfig:
     command bounds the sizes it writes.
 
     Defaults are the reference setup: a = 1000 A, b = 10 a, mu = 1 e A,
-    E_A = 1 eV, ka = [1e-3], Ewald engine.
+    E_A = 1 eV, ka = [1e-3].
     """
     try:
         raw = json.loads(text)
@@ -222,15 +222,6 @@ def _write_csv(path, header, *columns):
     return path
 
 
-def _engine(offset: float) -> Ewald:
-    """The engine for planes up to ``offset`` away, whichever ``method`` a
-    config names, or a ConfigError naming b_over_a unless that farthest
-    plane offset is finite."""
-    _want(math.isfinite(offset), "b_over_a", "needs c finite at the farthest plane offset c",
-          offset)
-    return Ewald()
-
-
 def _modes(cfg: RunConfig):
     """((K, 2) k points, Jt, Jt' at the nearest separation, stack eigenvalues).
 
@@ -254,8 +245,10 @@ def _modes(cfg: RunConfig):
         kxy = np.array(cfg.ka_values)[:, None] * [math.cos(d), math.sin(d)]
     dip = dipole_from_theta(cfg.theta[0])
     offsets = min(cfg.n_planes, 2) if cfg.nearest_only else cfg.n_planes
-    engine = _engine((offsets - 1) * cfg.b_over_a)
-    table = coupling_table(kxy, dip, cfg.b_over_a, offsets, engine)
+    farthest = (offsets - 1) * cfg.b_over_a
+    _want(math.isfinite(farthest), "b_over_a", "needs c finite at the farthest plane offset c",
+          farthest)
+    table = coupling_table(kxy, dip, cfg.b_over_a, offsets)
     # equal table rows (by bits) give equal matrices: build and solve each once
     rows = table.view(f"V{table.itemsize * table.shape[1]}").ravel()
     _, first, at = np.unique(rows, return_index=True, return_inverse=True)
@@ -272,7 +265,7 @@ def cmd_sweep_phi(cfg: RunConfig) -> str:
     phi = 2.0 * math.pi * np.arange(cfg.phi_points) / cfg.phi_points
     unit = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     kxy = (np.array(cfg.ka_values)[:, None, None] * unit).reshape(-1, 2)
-    tensors = _engine(cfg.b_over_a).tensors(kxy, cfg.b_over_a)
+    tensors = lattice_tensors(kxy, cfg.b_over_a)
     jps = [couplings(tensors, dipole_from_theta(theta)) for theta in cfg.theta]
     # rows run over theta, then ka, then phi: one array axis each
     return _write_csv(
@@ -406,8 +399,8 @@ def main(argv=None) -> int:
         return 3
     try:
         cfg = parse_config(text)
-        if args.out:
-            cfg = replace(cfg, output_path=args.out)
+        if args.out is not None:
+            cfg = replace(cfg, output_path=_VALIDATORS["output_path"]("--out", args.out))
         path = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,12 +1,13 @@
-"""Exciton couplings and stack spectra built on the tensor engines.
+"""Exciton couplings and stack spectra built on the tensor functions.
 
-Each engine (:class:`Ewald`, :class:`LongWave`) returns the tensors of a
-whole list of k to the planes at offsets c (c = 0 for the site's own plane)
-through its ``tensors(ks, offsets)`` method, summed once per orbit of k
+:func:`~latticesum.ewald.lattice_tensors` (the kernel) and
+:func:`~latticesum.ewald.long_wave_tensors` (the long-wave closed forms)
+return the tensors of a whole list of k to the planes at offsets c (c = 0
+for the site's own plane), summed once per orbit of k
 (:func:`~latticesum.model.tensors_by_orbit`). Contracting them with the
 transition dipole gives J(k) at c = 0 and J'(k) at c = b, in units of J0.
 A stack's (K, S) coupling table holds one column per plane separation s b,
-s = 0 included, all from one engine call; its N-plane matrices are a
+s = 0 included, all from one kernel call; its N-plane matrices are a
 read-only Toeplitz view of that table, exactly symmetric, and their modes
 are ``np.linalg.eigvalsh(stack_matrices(table, n_planes))``.
 
@@ -17,70 +18,15 @@ and the splitting is 2 |Jt'|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ewald import _plane_waves, f_constant, lattice_tensors
-from .model import _check_count, check_offset, tensors_by_orbit, tensors_from_components
+from .ewald import lattice_tensors
+from .model import _check_count, check_offset
 
-__all__ = [
-    "Ewald",
-    "LongWave",
-    "Method",
-    "coupling_table",
-    "couplings",
-    "stack_matrices",
-]
+__all__ = ["coupling_table", "couplings", "stack_matrices"]
 
 _IMAG_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Ewald:
-    """2D Ewald engine: every k goes to :func:`~latticesum.ewald.lattice_tensors`,
-    which takes the window kernel's closed Gaussian sum below c = 2 and the
-    plane-wave series from there up."""
-
-    def tensors(self, ks, offsets) -> np.ndarray:
-        """(K, 3, 3) or (S, K, 3, 3) tensors to the planes ``offsets`` away."""
-        return lattice_tensors(ks, offsets)
-
-
-@dataclass(frozen=True)
-class LongWave:
-    """Closed forms valid for ka << 1. In the plane: the constant tensor
-    diag(-F, -F, 2F), exact only at k = 0, where the Ewald kernel gives F.
-    Between planes, at k folded into the zone, only the (0, 0) term of the
-    kernel's plane-wave series survives:
-    Dt_xx = 2 pi (kxa)^2/(ka) e^{-kc},  Dt_zz = -2 pi (ka) e^{-kc},
-    Dt_xz = -2 pi i (kxa) e^{-kc}, and the obvious y-partners. At k = 0,
-    where the limit depends on the approach direction, it takes the Ewald
-    kernel's value. Between planes it is within 1e-10 relative of the
-    kernel for c >= 10 and ka <= 1. Outside, over directions 0 to pi/4,
-    the dropped terms reach 2.6e-10 at ka = 2, 2.7e-9 at c = 5 and ka = 1
-    and 1.6e-4 at c = 3 and ka = 1e-3."""
-
-    def tensors(self, ks, offsets) -> np.ndarray:
-        """(K, 3, 3) or (S, K, 3, 3) tensors to the planes ``offsets`` away."""
-        return tensors_by_orbit(ks, offsets, self._orbit_tensors)
-
-    @staticmethod
-    def _orbit_tensors(kxy, cs):
-        c = np.array(cs)[:, None, None]
-        out = tensors_from_components(*_plane_waves(kxy[:, :1], kxy[:, 1:], c))
-        # every entry carries a factor of k, and the limit at k = 0 has none
-        if len(kxy) and not kxy[0].any():  # the k = 0 orbit sorts first
-            out[:, :1] = lattice_tensors(kxy[:1], cs)
-        if 0.0 in cs:
-            f = f_constant()
-            out[c[:, 0, 0] == 0.0] = np.diag([-f, -f, 2.0 * f])
-        return out
-
-
-Method = Union[Ewald, LongWave]
 
 
 def couplings(tensors, dipole) -> np.ndarray:
@@ -105,18 +51,18 @@ def couplings(tensors, dipole) -> np.ndarray:
     return vals.real
 
 
-def coupling_table(ks, dipole, b_over_a: float, n_planes: int, method: Method) -> np.ndarray:
+def coupling_table(ks, dipole, b_over_a: float, n_planes: int) -> np.ndarray:
     """The (K, S) couplings between ``n_planes`` >= 1 planes at spacing
     ``b_over_a``, in J0: column s holds Jt'(k) at plane separation s b,
     s = 0 .. n_planes - 1, column 0 Jt(k) in the plane. All offsets s b go
-    to one engine call. A nearest-only stack of N planes is
-    ``stack_matrices(coupling_table(ks, dipole, b, 2, method), N)``. The
-    spacing must pass :func:`~latticesum.model.check_offset` as a spacing,
-    so b = 0 is refused.
+    to one :func:`~latticesum.ewald.lattice_tensors` call. A nearest-only
+    stack of N planes is ``stack_matrices(coupling_table(ks, dipole, b, 2),
+    N)``. The spacing must pass :func:`~latticesum.model.check_offset` as a
+    spacing, so b = 0 is refused.
     """
     b = check_offset(b_over_a, spacing=True)
     offsets = [sep * b for sep in range(_check_count(n_planes, "n_planes"))]
-    return np.ascontiguousarray(couplings(method.tensors(ks, offsets), dipole).T)
+    return np.ascontiguousarray(couplings(lattice_tensors(ks, offsets), dipole).T)
 
 
 def stack_matrices(table, n_planes: int) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Ewald evaluation of the dyadic lattice sums, and the in-plane constant F.
+"""Ewald evaluation of the dyadic lattice sums, their long-wave closed forms,
+and the in-plane constant F.
 
 The tensor between a site and the plane at height c (in units of a;
 c = 0 is the site's own plane, any other c is at least
@@ -34,7 +35,7 @@ every omitted term is below 2 pi 9 pi e^{-18 pi}, about 5e-23 (k is first
 folded into the zone exactly, below 2^29 periods of 2 pi, the most that
 :func:`~latticesum.model.k_array` accepts). All far offsets of a call are
 summed in one pass. The long-wave closed forms,
-:class:`latticesum.dispersion.LongWave`, keep its (0, 0) term alone.
+:func:`long_wave_tensors`, keep its (0, 0) term alone.
 
 One call of :func:`lattice_tensors` sums each orbit of k once
 (:func:`latticesum.model.tensors_by_orbit`) at any number of plane
@@ -58,7 +59,7 @@ from .model import (
 # Unused here, but perfbench/tracing.py wraps ewald.bessel_k by name.
 from .specfun import bessel_k  # noqa: F401
 
-__all__ = ["lattice_tensors", "f_constant"]
+__all__ = ["lattice_tensors", "long_wave_tensors", "f_constant"]
 
 # The closed Gaussian sum's real-space half-width below _FAR
 _HALF_WIDTH = 8
@@ -82,6 +83,33 @@ def lattice_tensors(ks, offsets) -> np.ndarray:
     return tensors_by_orbit(
         ks, offsets, lambda kxy, cs: tensors_from_components(*_sums(kxy, cs))
     )
+
+
+def long_wave_tensors(ks, offsets) -> np.ndarray:
+    """Closed forms valid for ka << 1, stacked like :func:`lattice_tensors`.
+    In the plane: the constant tensor diag(-F, -F, 2F), exact only at k = 0,
+    where the kernel gives F. Between planes, at k folded into the zone,
+    only the (0, 0) term of the plane-wave series survives:
+    Dt_xx = 2 pi (kxa)^2/(ka) e^{-kc},  Dt_zz = -2 pi (ka) e^{-kc},
+    Dt_xz = -2 pi i (kxa) e^{-kc}, and the obvious y-partners. At k = 0,
+    where the limit depends on the approach direction, it takes the
+    kernel's value. Between planes it is within 1e-10 relative of the
+    kernel for c >= 10 and ka <= 1. Outside, over directions 0 to pi/4,
+    the dropped terms reach 2.6e-10 at ka = 2, 2.7e-9 at c = 5 and ka = 1
+    and 1.6e-4 at c = 3 and ka = 1e-3."""
+    return tensors_by_orbit(ks, offsets, _long_wave_orbits)
+
+
+def _long_wave_orbits(kxy, cs):
+    c = np.array(cs)[:, None, None]
+    out = tensors_from_components(*_plane_waves(kxy[:, :1], kxy[:, 1:], c))
+    # every entry carries a factor of k, and the limit at k = 0 has none
+    if len(kxy) and not kxy[0].any():  # the k = 0 orbit sorts first
+        out[:, :1] = lattice_tensors(kxy[:1], cs)
+    if 0.0 in cs:
+        f = f_constant()
+        out[c[:, 0, 0] == 0.0] = np.diag([-f, -f, 2.0 * f])
+    return out
 
 
 def _lattice_sums(ks, offset: float, cap: int | None = None):

@@ -18,14 +18,8 @@ import numpy as np
 
 from latticesum.cli import main
 from latticesum.direct_sum import window_tensors
-from latticesum.dispersion import (
-    Ewald,
-    LongWave,
-    coupling_table,
-    couplings,
-    stack_matrices,
-)
-from latticesum.ewald import f_constant, lattice_tensors
+from latticesum.dispersion import coupling_table, couplings, stack_matrices
+from latticesum.ewald import f_constant, lattice_tensors, long_wave_tensors
 from latticesum.model import (
     dipole_from_theta,
     j0_scale,
@@ -146,7 +140,7 @@ def test_criterion_05():
         k = (1e-3 * math.cos(0.6), 1e-3 * math.sin(0.6))
 
         def closed_and_kernel(b_over_a):
-            got = LongWave().tensors([k], b_over_a)[0]
+            got = long_wave_tensors([k], b_over_a)[0]
             ref = lattice_tensors([k], b_over_a)[0]
             _TENSORS.extend([got, ref])
             return got, ref
@@ -207,10 +201,9 @@ def test_criterion_07():
         start = time.perf_counter()
         k = (0.9 * math.cos(0.7), 0.9 * math.sin(0.7))
         dipole = dipole_from_theta(math.pi / 5)
-        method = Ewald()
-        j = couplings(method.tensors([k], 0.0), dipole)[0]
-        jp = couplings(method.tensors([k], 2.0), dipole)[0]
-        table = coupling_table([k], dipole, 2.0, 2, method)
+        j = couplings(lattice_tensors([k], 0.0), dipole)[0]
+        jp = couplings(lattice_tensors([k], 2.0), dipole)[0]
+        table = coupling_table([k], dipole, 2.0, 2)
         evals = np.linalg.eigvalsh(stack_matrices(table, 2)[0])
         expect = np.sort([j - jp, j + jp])
         assert float(np.max(np.abs(evals - expect))) <= 1e-12
@@ -227,7 +220,7 @@ def test_criterion_08():
         dipole = dipole_from_theta(math.pi / 2)
         spacings = np.linspace(5.0, 15.0, 11)
         logs = [
-            math.log(abs(couplings(Ewald().tensors([k], b), dipole)[0]))
+            math.log(abs(couplings(lattice_tensors([k], b), dipole)[0]))
             for b in spacings
         ]
         slope = np.polyfit(spacings, logs, 1)[0]

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from latticesum import _core_py, cli, dispersion, ewald
 from latticesum.cli import ConfigError, RunConfig, main, parse_config
 from latticesum.direct_sum import window_tensors
-from latticesum.dispersion import Ewald, coupling_table, couplings, stack_matrices
+from latticesum.dispersion import coupling_table, couplings, stack_matrices
 from latticesum.ewald import f_constant, lattice_tensors
 from latticesum.model import MAX_FOLD, MIN_OFFSET, dipole_from_theta, j0_scale
 from mpmath_oracle import ewald_components
@@ -293,18 +293,17 @@ _ILL_TYPED = st.sampled_from(["0.5", "grid", [], [0.5, "x"], True, False, None, 
 
 def _library_row(command, run, row):
     """The CSV ``row`` of ``command`` recomputed through the library at the
-    row's k alone, with the Ewald engine, which every ``method`` runs, and
-    the offsets and nearest-only rule of the resolved config ``run``."""
-    engine = Ewald()
+    row's k alone, through the Ewald kernel, which every ``method`` runs,
+    and the offsets and nearest-only rule of the resolved config ``run``."""
     if command == "sweep-phi":
         theta, phi, ka, b = map(float, row[:4])
         k = ka * np.stack([np.cos([phi]), np.sin([phi])], axis=-1)
-        jp = couplings(engine.tensors(k, b), dipole_from_theta(theta))[0]
+        jp = couplings(lattice_tensors(k, b), dipole_from_theta(theta))[0]
         return row[:4] + [repr(float(jp))]
     kxa, kya, mode = float(row[0]), float(row[1]), int(row[-2])
     offsets = min(run.n_planes, 2) if run.nearest_only else run.n_planes
     table = coupling_table([(kxa, kya)], dipole_from_theta(run.theta[0]), run.b_over_a,
-                           offsets, engine)
+                           offsets)
     energy = np.linalg.eigvalsh(stack_matrices(table, run.n_planes))[0, mode]
     if command == "stack":
         return row[:3] + [repr(float(energy))]
@@ -317,7 +316,7 @@ def _library_row(command, run, row):
 @given(st.data())
 def test_drawn_configs_exit_0_or_2_with_one_line(data):
     # exit 0 writes the command's CSV, whose first and last rows are those of
-    # the library route through the Ewald engine, "direct" or not; exit 2
+    # the library route through the Ewald kernel, "direct" or not; exit 2
     # prints one line, and a config error names a key the command reads,
     # indexed as in ka_values[1]
     command = data.draw(st.sampled_from(sorted(READS)))
@@ -382,7 +381,7 @@ def test_oversized_configs_are_refused_before_allocation(tmp_path, capsys, comma
 
 
 def test_direct_cutoff_is_accepted_and_selects_nothing(tmp_path):
-    # every config runs the Ewald engine whatever its method and
+    # every config runs the Ewald kernel whatever its method and
     # direct_cutoff say; old configs that pass them still run. The stack
     # has planes from 2a up, where the closed window and the plane waves
     # differ in roundoff
@@ -522,7 +521,7 @@ def test_modes_solve_each_distinct_coupling_row_once(cfg, monkeypatch):
     monkeypatch.setattr(cli, "eigvalsh", solve)
     ks, j, jp, evals = cli._modes(run)
     dip = dipole_from_theta(run.theta[0])
-    table = dispersion.coupling_table(ks, dip, run.b_over_a, run.n_planes, Ewald())
+    table = dispersion.coupling_table(ks, dip, run.b_over_a, run.n_planes)
     mats = dispersion.stack_matrices(table, run.n_planes)
     assert np.array_equal(evals, np.linalg.eigvalsh(mats))
     distinct = len(np.unique(np.column_stack([j, jp]), axis=0))
@@ -652,15 +651,17 @@ def test_no_module_names_erfc():
 
 
 def test_no_module_names_a_direct_engine():
-    # "method": "direct" runs the Ewald engine, whose closed sum the former
-    # Direct engine ran: no module of the package names one, by call,
-    # import or definition
+    # "method": "direct" runs the Ewald kernel, whose closed sum the former
+    # Direct engine ran, and the tensors come from two functions, not engine
+    # objects: no module of the package names an engine class, their union
+    # or the CLI's engine picker, by call, import or definition
+    engines = {"Direct", "Ewald", "LongWave", "Method", "_engine"}
     package = Path(ewald.__file__).parent
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         names = {getattr(node, field, None) for node in ast.walk(tree)
                  for field in ("id", "attr", "name", "asname")}
-        assert "Direct" not in names, path
+        assert not engines & names, path
 
 
 @pytest.mark.parametrize(
@@ -876,6 +877,18 @@ def test_output_path_from_config(tmp_path, monkeypatch):
     cp.write_text(json.dumps({"phi_points": 3, "theta": [0.1], "output_path": "named.csv"}))
     assert main(["sweep-phi", "--config", str(cp)]) == 0
     assert (tmp_path / "named.csv").exists()
+
+
+def test_empty_out_is_refused_like_an_empty_output_path(tmp_path, monkeypatch, capsys):
+    # an empty --out overrides output_path and is refused as the config's
+    # "output_path": "" is, before any file is written
+    monkeypatch.chdir(tmp_path)
+    cp = tmp_path / "c.json"
+    cp.write_text(json.dumps({"phi_points": 3, "theta": [0.1], "output_path": "named.csv"}))
+    assert main(["sweep-phi", "--config", str(cp), "--out", ""]) == 2
+    assert capsys.readouterr().err == ("config error: --out: expected a non-empty string, "
+                                       "got ''\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 _NO_SCIPY_RUNS = [

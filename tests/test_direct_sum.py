@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from latticesum import _core_py
 from latticesum.direct_sum import window_tensors
-from latticesum.dispersion import Ewald
-from latticesum.ewald import f_constant
+from latticesum.ewald import f_constant, lattice_tensors
 from latticesum.model import MIN_OFFSET, tensors_from_components
 
 from k0_tail_oracle import k0_tail_correction
@@ -62,7 +61,7 @@ def test_config_validation():
         with pytest.raises(ValueError):
             window_tensors([ORIGIN], bad, 5)
         with pytest.raises(ValueError):
-            Ewald().tensors([ORIGIN], bad)
+            lattice_tensors([ORIGIN], bad)
 
 
 @pytest.mark.parametrize("bad", [2.5, 500.0, True, 0])
@@ -209,30 +208,28 @@ def test_direct_batch_equals_single_k():
         (0.83, -1.37), (0.9, 0.0), (0.0, -1.2), (1e-3, 0.0),
         (math.pi, math.pi), (0.0, 0.0), (2.0 * math.pi, 0.0),
     ]
-    method = Ewald()
     for tensors, alone in (
-        (method.tensors(ks, 0.0), lambda k: method.tensors([k], 0.0)[0]),
-        (method.tensors(ks, 1.5), lambda k: method.tensors([k], 1.5)[0]),
+        (lattice_tensors(ks, 0.0), lambda k: lattice_tensors([k], 0.0)[0]),
+        (lattice_tensors(ks, 1.5), lambda k: lattice_tensors([k], 1.5)[0]),
     ):
         for k, got in zip(ks, tensors):
             assert np.array_equal(got, alone(k))
     # more than one block of k
     many = np.random.default_rng(5).uniform(-math.pi, math.pi, (_core_py._BLOCK + 6, 2))
     assert len(many) > _core_py._BLOCK
-    stacked = method.tensors(many, [0.0, 1.5])
+    stacked = lattice_tensors(many, [0.0, 1.5])
     for i, k in enumerate(many):
-        assert np.array_equal(stacked[:, i], method.tensors(k[None], [0.0, 1.5])[:, 0])
+        assert np.array_equal(stacked[:, i], lattice_tensors(k[None], [0.0, 1.5])[:, 0])
 
 
 def test_direct_offsets_in_one_call_equal_one_at_a_time():
     # a generic k, an axis and k = 0, whose nodes reach down to the floor
     ks = [(0.83, -1.37), (0.9, 0.0), (0.0, 0.0)]
     offsets = [0.0, 1.5, 3.0]
-    method = Ewald()
-    stacked = method.tensors(ks, offsets)
+    stacked = lattice_tensors(ks, offsets)
     assert stacked.shape == (3, len(ks), 3, 3)
     for c, got in zip(offsets, stacked):
-        assert got.tobytes() == method.tensors(ks, c).tobytes()
+        assert got.tobytes() == lattice_tensors(ks, c).tobytes()
 
 
 @pytest.mark.parametrize("cutoff", [1, 3, 10, 100, 1000])
@@ -248,7 +245,7 @@ def test_direct_matches_ewald_at_every_k(cutoff):
     ks = [ORIGIN, (1e-12, 0.0), (1e-3, 0.0), (0.05, 0.0), (math.pi, 0.0),
           (math.pi, math.pi), (0.7, 0.7)] + generic
     offsets = [0.0, MIN_OFFSET, 0.5, 1.5, math.nextafter(2.0, 0.0), 2.0, 3.5, 10.0]
-    want = Ewald().tensors(ks, offsets)
+    want = lattice_tensors(ks, offsets)
     closed = tensors_from_components(*_core_py.window_sums(np.array(ks), cutoff, offsets, True))
     scale = 1e-14 * np.maximum(1.0, np.max(np.abs(want), axis=(2, 3)))
     assert np.all(np.max(np.abs(closed - want), axis=(2, 3)) <= scale)
@@ -334,4 +331,4 @@ def test_rejects_nonpositive_spacing():
     with pytest.raises(ValueError):
         window_tensors([ORIGIN], -1.0, 5)
     with pytest.raises(ValueError):
-        Ewald().tensors([ORIGIN], -1.0)
+        lattice_tensors([ORIGIN], -1.0)

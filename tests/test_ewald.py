@@ -10,8 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from latticesum import _core_py, ewald
 from latticesum.direct_sum import window_tensors
-from latticesum.dispersion import LongWave
-from latticesum.ewald import f_constant, lattice_tensors
+from latticesum.ewald import f_constant, lattice_tensors, long_wave_tensors
 from latticesum.model import (
     make_k_grid,
     tensors_from_components,
@@ -204,7 +203,7 @@ def test_kernel_matches_corrected_window_at_k0():
 
 
 def test_longwave_closed_form_components():
-    t = LongWave().tensors([(1e-3, 0.0)], 10.0)[0]
+    t = long_wave_tensors([(1e-3, 0.0)], 10.0)[0]
     e = 2.0 * math.pi * 1e-3 * math.exp(-0.01)
     assert t[0, 0].real == pytest.approx(e, rel=1e-15)
     assert t[1, 1] == 0.0
@@ -217,7 +216,7 @@ def test_longwave_matches_series_at_small_k():
     # diagonal and a generic direction
     ks = [(ka * math.cos(phi), ka * math.sin(phi))
           for ka in (1e-3, 1.0) for phi in (0.0, math.pi / 4.0, 0.6)]
-    for lw, ew in zip(LongWave().tensors(ks, 10.0), lattice_tensors(ks, 10.0)):
+    for lw, ew in zip(long_wave_tensors(ks, 10.0), lattice_tensors(ks, 10.0)):
         assert np.max(np.abs(lw - ew)) <= 1e-10 * np.max(np.abs(ew))
 
 

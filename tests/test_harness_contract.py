@@ -5,7 +5,7 @@ them ``model.CouplingTensor``), so deleting or re-signing one of them can
 break ``perfbench/run.py --trace 1``; this runs the harness's child once,
 traced, on the tiny config of each benchmark workload: ``stack`` on
 stack-grid, and ``dispersion`` on direct-window, whose ``"method":
-"direct"`` runs the Ewald engine too. ``perfbench/run.py`` also aborts a whole
+"direct"`` runs the Ewald kernel too. ``perfbench/run.py`` also aborts a whole
 benchmark when the child's ``--env`` report fails, and that report reads
 ``direct_sum.BACKEND``.
 """

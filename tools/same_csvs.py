@@ -32,7 +32,7 @@ SEEDS = (1, 2, 3)
 # "direct" stacks on a k list and on a grid, a one-plane nearest_only
 # dispersion, and the near planes below 2a: sweep-phi at b = 0.5a, the grid
 # at b = 1.999a and convergence at b = a. The three "method": "direct"
-# configs are old ones, which now run the Ewald engine and write its bytes
+# configs are old ones, which now run the Ewald kernel and write its bytes
 _GRID = {"k_direction": "grid", "n_sites": 400, "n_planes": 8, "b_over_a": 0.5}
 EXTRA = [
     ("sweep-phi", {}),
